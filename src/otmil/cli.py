@@ -24,9 +24,10 @@ from . import data as datamod
 from .baselines import baseline_instance_scores, pool_baseline_train
 from .labeling import MuSchedule, SinkhornConfig
 from .metrics import bag_predict, entropy_curve, roc_auc, write_entropy_csv
-from .model import SgdConfig, forward, load_checkpoint, save_checkpoint
-from .trainer import (TrainConfig, benchmark_cv, run_ablation_suite,
-                      self_train, write_run_csv, write_run_summary)
+from .model import SgdConfig, load_checkpoint, save_checkpoint
+from .trainer import (TrainConfig, _eval_metrics, benchmark_cv,
+                      run_ablation_suite, self_train, write_run_csv,
+                      write_run_summary)
 
 
 def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -83,22 +84,15 @@ def _train_config(args) -> TrainConfig:
         seed=args.seed)
 
 
-def _instance_auc(params, dataset):
-    if not dataset.instance_labels_known():
-        return None
-    y = np.array([i.label for b in dataset.bags for i in b.instances])
-    if not 0 < y.sum() < y.size:
-        return None
-    x = np.concatenate([b.feature_matrix() for b in dataset.bags])
-    return roc_auc(forward(params, x)[:, 0], y).auc
-
-
-def _bag_auc(params, dataset, mode):
-    labels = np.array([b.label for b in dataset.bags])
-    if not 0 < labels.sum() < labels.size:
-        return None
-    scores = np.array([bag_predict(params, b, mode) for b in dataset.bags])
-    return roc_auc(scores, labels).auc
+def _write_table_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+    """The header's columns of each row; None is blank, floats use repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if row[k] is None else
+                             (repr(row[k]) if isinstance(row[k], float)
+                              else row[k]) for k in header])
 
 
 def cmd_gen(args, out_dir: Path) -> None:
@@ -170,8 +164,8 @@ def cmd_eval(args, out_dir: Path) -> None:
         for bag in dataset.bags:
             writer.writerow([bag.bag_id, bag.label,
                              repr(bag_predict(params, bag, args.bag_inference))])
-    result = {"instance_auc": _instance_auc(params, dataset),
-              "bag_auc": _bag_auc(params, dataset, args.bag_inference),
+    instance_auc, bag_auc = _eval_metrics(params, dataset, args.bag_inference)
+    result = {"instance_auc": instance_auc, "bag_auc": bag_auc,
               "n_bags": len(dataset.bags)}
     with open(out_dir / "eval.json", "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
@@ -213,13 +207,7 @@ def cmd_sweep(args, out_dir: Path) -> None:
                 best = (key, row)
         best = best[1]
         header = ["mu", "warmup", "instance_auc", "bag_auc"]
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if row[k] is None else
-                             (repr(row[k]) if isinstance(row[k], float)
-                              else row[k]) for k in header])
+    _write_table_csv(out_dir / "sweep.csv", header, rows)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump({"rows": rows, "best": best, "seed": args.seed}, fh,
                   indent=1, sort_keys=True)
@@ -232,13 +220,7 @@ def cmd_ablation(args, out_dir: Path) -> None:
     table = run_ablation_suite(train_ds, _train_config(args), eval_ds)
     header = ["name", "soft_labels", "constrain", "adaptive",
               "instance_auc", "bag_auc", "positive_pseudo_fraction"]
-    with open(out_dir / "ablation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow(["" if row[k] is None else
-                             (repr(row[k]) if isinstance(row[k], float)
-                              else row[k]) for k in header])
+    _write_table_csv(out_dir / "ablation.csv", header, table)
     summary = [{k: row[k] for k in header} for row in table]
     with open(out_dir / "summary.json", "w") as fh:
         json.dump({"rows": summary, "seed": args.seed}, fh, indent=1,
@@ -312,7 +294,8 @@ def _add_train_flags(sub):
     sub.add_argument("--warmup-T", dest="warmup_t", type=int, default=10)
     sub.add_argument("--lambda", dest="sharpness", type=float, default=5.0,
                      help="assignment sharpness (entropy regularizer inverse)")
-    sub.add_argument("--sinkhorn-iters", type=int, default=1000)
+    sub.add_argument("--sinkhorn-iters", type=int, default=1000,
+                     help="caps root-find steps of the transport assignment")
     sub.add_argument("--lr", type=float, default=0.001)
     sub.add_argument("--batch-size", type=int, default=64)
     sub.add_argument("--epochs", type=int, default=50)

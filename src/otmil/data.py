@@ -257,6 +257,8 @@ def load_ndjson(path) -> Dataset:
                 elif len(inst.features) != feature_dim:
                     raise ValueError(
                         f"line {lineno}: inconsistent feature dimension")
+            if not np.isfinite(bag.feature_matrix()).all():
+                raise ValueError(f"line {lineno}: non-finite feature value")
             bags.append(bag)
     if not bags:
         raise ValueError("no bags in file")
@@ -289,8 +291,16 @@ def load_benchmark_csv(path) -> Dataset:
             parts = line.split(",")
             if len(parts) != dim + 2:
                 raise ValueError(f"line {lineno}: wrong column count")
-            bag_id, lab = parts[0], int(parts[1])
-            feats = np.array([float(v) for v in parts[2:]])
+            bag_id = parts[0]
+            try:
+                lab = int(parts[1])
+                feats = np.array([float(v) for v in parts[2:]])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}")
+            if lab not in (0, 1):
+                raise ValueError(f"line {lineno}: bag label must be 0 or 1")
+            if not np.isfinite(feats).all():
+                raise ValueError(f"line {lineno}: non-finite feature value")
             if bag_id not in rows:
                 rows[bag_id] = []
                 labels[bag_id] = lab

@@ -6,8 +6,11 @@ self-training on those predictions collapses to the all-negative fixed point,
 so assignment is posed as entropically regularized optimal transport over the
 polytope of soft label matrices whose rows sum to one and whose column sums
 hit a prescribed positive/negative split: a fraction ``mu`` of all
-positive-bag instances must carry positive mass. The scaling iteration runs
-entirely in the log domain so large sharpness values do not underflow.
+positive-bag instances must carry positive mass. With two label columns that
+problem has a single free dual variable, so the solver is a safeguarded
+Newton root-find of one monotone scalar equation; labels come out as
+sigmoids of log-probability margins, evaluated through tanh so large
+sharpness values neither overflow nor underflow.
 
 On top of the global column constraint, a local per-bag constraint pins the
 best-scoring instance of every positive bag to a hard positive label, and a
@@ -73,10 +76,13 @@ def _check_rows(values: np.ndarray, bag_index: np.ndarray, tol: float) -> None:
 
 @dataclass
 class SinkhornConfig:
-    """Knobs for the scaling iteration.
+    """Knobs for the transport assignment.
 
     sharpness: weight on the transport cost relative to the entropy term;
         larger values sharpen the assignment toward the unregularized optimum.
+    max_iters: cap on root-find steps.
+    marginal_tol: convergence when the positive column sum is within
+        ``marginal_tol * N`` of its target.
     prob_floor: probabilities are clamped to [prob_floor, 1 - prob_floor]
         before taking logs.
     """
@@ -123,17 +129,20 @@ def adaptive_mu(t: int, schedule: MuSchedule) -> float:
 class SinkhornAssignment:
     """Result of one assignment: the labels plus convergence diagnostics.
 
-    objective is the transport cost <Q, -log P> of the returned labels.
-    objective_trace (when tracked) records the scaling objective once per
-    iteration: the convex potential in the row/column scaling variables whose
-    exact blockwise minimization is the scaling iteration itself. It is
-    non-increasing by construction, and at convergence its value equals the
-    negative of the minimal regularized cost, so -trace[-1] matches
-    ``regularized_objective`` of the returned labels up to the marginal
-    tolerance. The regularized cost evaluated directly on intermediate
-    iterates is useless as a progress measure: iterates still violate the
-    column constraint, and infeasible points undercut the constrained
-    optimum, so that number typically rises toward the optimum from below.
+    iterations counts root-find steps; marginal_error is the distance of the
+    positive column sum from mu*N. objective is the transport cost
+    <Q, -log P> of the returned labels. objective_trace (when tracked)
+    records the dual once per step: the convex function of the column
+    offset c, (const + sum_i logaddexp(k_i0 + c, k_i1) - c*mu*N) / sharpness
+    with k = sharpness * log P, whose derivative is the column residual. A
+    step never raises it, so the trace is non-increasing by construction,
+    and at convergence its value equals the negative of the minimal
+    regularized cost, so -trace[-1] matches ``regularized_objective`` of the
+    returned labels up to the marginal tolerance. The regularized cost
+    evaluated directly on intermediate iterates is useless as a progress
+    measure: iterates still violate the column constraint, and infeasible
+    points undercut the constrained optimum, so that number typically rises
+    toward the optimum from below.
     """
 
     labels: PseudoLabelMatrix
@@ -173,18 +182,23 @@ def sinkhorn_assign(
     cfg: SinkhornConfig,
     track_objective: bool = False,
 ) -> SinkhornAssignment:
-    """Assign soft pseudo labels by alternating row/column scaling.
+    """Assign soft pseudo labels by solving for the one column dual variable.
 
     Finds the minimizer of the entropically regularized transport cost over
-    matrices with unit row sums and column sums [mu*N, (1-mu)*N]. Each
-    iteration rescales columns to the target split and then rows back to unit
-    mass, in the log domain; convergence is declared when the column sums of
-    the row-feasible iterate are within ``marginal_tol * N`` of the target.
+    matrices with unit row sums and column sums [mu*N, (1-mu)*N]. With two
+    columns the optimum is q_i0 = sigmoid(a_i + c) for the cost margins
+    a_i = sharpness * (log p_i0 - log p_i1) and a single offset c, the root
+    of the increasing function sum_i sigmoid(a_i + c) - mu*N. That root lies
+    in the bracket [logit(mu) - max a, logit(mu) - min a]. Each step takes
+    the Newton point (or the bracket midpoint when that leaves the bracket)
+    and halves it back toward the current offset until the dual does not
+    rise. Convergence is declared when the positive column sum is within
+    ``marginal_tol * N`` of its target; rows sum to one by construction.
 
-    Non-convergence returns the best iterate with ``converged=False`` and a
+    Non-convergence returns the last iterate with ``converged=False`` and a
     warning, so a surrounding training loop can proceed and reassign later.
-    With ``track_objective`` the per-iteration scaling objective is recorded;
-    see ``SinkhornAssignment`` for what that sequence means.
+    With ``track_objective`` the dual is recorded after every step; see
+    ``SinkhornAssignment`` for what that sequence means.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie strictly between 0 and 1")
@@ -195,46 +209,61 @@ def sinkhorn_assign(
 
     p_clamped = np.clip(p, cfg.prob_floor, 1.0 - cfg.prob_floor)
     log_kernel = cfg.sharpness * np.log(p_clamped)  # (n, 2)
-    col_target = np.array([mu * n, (1.0 - mu) * n])
-    log_col_target = np.log(col_target)
-    # Constant term of the scaling objective: <col_target, log(mu, 1-mu)>.
-    ref_const = float(col_target @ (log_col_target - np.log(n)))
+    margin = log_kernel[:, 0] - log_kernel[:, 1]
+    target = mu * n
+    # Constant part of the dual: <col_target, log(mu, 1-mu)> + sum_i k_i1.
+    dual_const = (target * np.log(mu) + (n - target) * np.log1p(-mu)
+                  + float(log_kernel[:, 1].sum()))
 
-    row_pot = np.zeros(n)
-    col_pot = np.zeros(2)
+    def dual(c: float) -> float:
+        return float(dual_const + np.logaddexp(0.0, margin + c).sum()
+                     - c * target) / cfg.sharpness
+
+    def half_tanh(c: float) -> np.ndarray:
+        # sigmoid(x) = (1 + tanh(x/2)) / 2 without overflow at any margin
+        return np.tanh(0.5 * (margin + c))
+
+    logit_mu = np.log(mu) - np.log1p(-mu)
+    lo, hi = logit_mu - margin.max(), logit_mu - margin.min()
+    c = 0.5 * (lo + hi)
+    t = half_tanh(c)
+    residual = 0.5 * (n + float(t.sum())) - target
+    phi = dual(c)
     trace: list = []
     converged = False
     iterations = 0
-    err = np.inf
     for iterations in range(1, cfg.max_iters + 1):
-        # Column step: exact column sums; row step: exact unit rows.
-        shifted = log_kernel + row_pot[:, None]
-        col_pot = log_col_target - _logsumexp_cols(shifted)
-        shifted = log_kernel + col_pot[None, :]
-        row_pot = -np.logaddexp(shifted[:, 0], shifted[:, 1])
-
-        q = np.exp(log_kernel + row_pot[:, None] + col_pot[None, :])
-        col_sums = q.sum(axis=0)
-        err = float(np.max(np.abs(col_sums - col_target)))
+        if residual > 0:
+            hi = c
+        else:
+            lo = c
+        slope = 0.25 * float(np.sum(1.0 - t * t))
+        step = -residual / slope if slope > 0 else np.inf
+        if not lo <= c + step <= hi:
+            step = 0.5 * (lo + hi) - c
+        trial = dual(c + step)
+        while trial > phi:
+            step *= 0.5
+            trial = dual(c + step)
+        c += step
+        phi = trial
+        t = half_tanh(c)
+        residual = 0.5 * (n + float(t.sum())) - target
         if track_objective:
-            trace.append(
-                (col_sums.sum() - n + ref_const
-                 - row_pot.sum() - col_pot @ col_target) / cfg.sharpness
-            )
-        if err <= cfg.marginal_tol * n:
+            trace.append(phi)
+        if abs(residual) <= cfg.marginal_tol * n:
             converged = True
             break
 
+    err = abs(residual)
     if not converged:
         warnings.warn(
-            f"pseudo-label scaling did not converge after {iterations} iterations "
-            f"(column error {err:.3e}); using best iterate",
+            f"pseudo-label root-find did not converge after {iterations} steps "
+            f"(column error {err:.3e}); using last iterate",
             RuntimeWarning,
         )
 
-    q = np.exp(log_kernel + row_pot[:, None] + col_pot[None, :])
-    # Exact row renormalization guards against residual float drift.
-    q /= q.sum(axis=1, keepdims=True)
+    q = np.stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)], axis=1)
     labels = PseudoLabelMatrix(q, pred.bag_index.copy())
     return SinkhornAssignment(
         labels=labels,
@@ -244,11 +273,6 @@ def sinkhorn_assign(
         objective=transport_objective(q, p_clamped),
         objective_trace=trace,
     )
-
-
-def _logsumexp_cols(shifted: np.ndarray) -> np.ndarray:
-    top = np.max(shifted, axis=0)
-    return np.log(np.sum(np.exp(shifted - top[None, :]), axis=0)) + top
 
 
 def naive_assign(pred: PredictionMatrix, hard: bool = False) -> PseudoLabelMatrix:

@@ -31,9 +31,23 @@ class ClassifierParams:
     b_out: np.ndarray
 
     def __post_init__(self):
-        if self.arch not in ("linear", "mlp"):
+        if self.arch == "linear":
+            shapes = {"w_hidden": None, "b_hidden": None,
+                      "w_out": (2, self.feature_dim), "b_out": (2,)}
+        elif self.arch == "mlp":
+            shapes = {"w_hidden": (self.hidden, self.feature_dim),
+                      "b_hidden": (self.hidden,),
+                      "w_out": (2, self.hidden), "b_out": (2,)}
+        else:
             raise ValueError(f"unknown arch: {self.arch!r}")
-        for arr in (self.w_hidden, self.b_hidden, self.w_out, self.b_out):
+        for name, expected in shapes.items():
+            arr = getattr(self, name)
+            shape = None if arr is None else arr.shape
+            if shape != expected:
+                raise ValueError(
+                    f"layer {name}: shape {shape}, expected {expected} for "
+                    f"arch {self.arch!r}, feature_dim {self.feature_dim}, "
+                    f"hidden {self.hidden}")
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite classifier parameters")
 
@@ -210,13 +224,17 @@ def save_checkpoint(params: ClassifierParams, path) -> None:
 
 
 def load_checkpoint(path) -> ClassifierParams:
-    """Inverse of save_checkpoint, validating shapes."""
+    """Inverse of save_checkpoint; ``ClassifierParams`` validates every layer's
+    shape against the arch, feature_dim and hidden in the header."""
     with open(path) as fh:
         blob = json.load(fh)
     layers = {}
     for name, entry in blob["layers"].items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        layers[name] = arr
+        arr = np.array(entry["data"], dtype=np.float64)
+        if arr.size != int(np.prod(entry["shape"])):
+            raise ValueError(f"layer {name}: {arr.size} values do not fill "
+                             f"shape {entry['shape']}")
+        layers[name] = arr.reshape(entry["shape"])
     return ClassifierParams(
         arch=blob["arch"],
         feature_dim=int(blob["feature_dim"]),

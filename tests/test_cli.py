@@ -101,6 +101,20 @@ class TestEval:
         assert len(lines) == result["n_bags"] + 1
 
 
+    def test_eval_matches_training_metrics(self, tmp_path):
+        # eval and the trainer score a checkpoint through one code path
+        d, t, e = tmp_path / "d", tmp_path / "t", tmp_path / "e"
+        run(["gen", *GEN_FLAGS, "--out", d])
+        run(["train", "--data", d, *FAST_TRAIN, "--eval", d / "test.ndjson",
+             "--out", t])
+        assert run(["eval", "--checkpoint", t / "checkpoint.json",
+                    "--data", d / "test.ndjson", "--out", e]) == 0
+        result = json.loads((e / "eval.json").read_text())
+        final = json.loads((t / "summary.json").read_text())["final"]
+        assert result["instance_auc"] == final["instance_auc"]
+        assert result["bag_auc"] == final["bag_auc"]
+
+
 class TestSweep:
     def test_mu_grid_rows(self, tmp_path):
         d, s = tmp_path / "d", tmp_path / "s"

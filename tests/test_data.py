@@ -191,6 +191,21 @@ class TestNdjson:
         with pytest.raises(ValueError):
             load_ndjson(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_feature_names_line(self, tmp_path, bad):
+        path = tmp_path / "bad.ndjson"
+        rows = [
+            {"bag_id": "a", "label": 0,
+             "instances": [{"features": [1.0, 2.0], "label": 0}]},
+            {"bag_id": "b", "label": 0,
+             "instances": [{"features": [1.0, 2.0], "label": 0},
+                           {"features": [bad, 2.0], "label": 0}]},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_ndjson(path)
+
 
 class TestBenchmarkCsv:
     def _write(self, path, rows, dim=2):
@@ -221,6 +236,22 @@ class TestBenchmarkCsv:
         path = tmp_path / "m.csv"
         self._write(path, ["m1,1,0.1,0.2", "m1,1,0.3"])
         with pytest.raises(ValueError, match="line 3"):
+            load_benchmark_csv(path)
+
+    @pytest.mark.parametrize("row", ["m2,0,nan,0.2", "m2,0,0.1,inf",
+                                     "m2,0,-inf,0.2", "m2,0,1e999,0.2"])
+    def test_non_finite_feature_names_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        self._write(path, ["m1,1,0.1,0.2", row])
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            load_benchmark_csv(path)
+
+    @pytest.mark.parametrize("row", ["m2,x,0.1,0.2", "m2,2,0.1,0.2",
+                                     "m2,0,0.1,abc"])
+    def test_bad_label_or_feature_names_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        self._write(path, ["m1,1,0.1,0.2", row])
+        with pytest.raises(ValueError, match="line 3: "):
             load_benchmark_csv(path)
 
 

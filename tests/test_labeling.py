@@ -21,6 +21,18 @@ def random_pred(rng, n, n_bags=1):
     return PredictionMatrix(np.stack([pos, 1 - pos], axis=1), bag_index)
 
 
+def saturated_pred(rng, n):
+    pos = rng.choice([0.0, 1e-9, 1 - 1e-9, 1.0], n)
+    return PredictionMatrix(np.stack([pos, 1 - pos], axis=1),
+                            np.zeros(n, dtype=int))
+
+
+# (prediction maker, sharpness) inputs beyond the moderate default ensemble:
+# saturated predictions and a sharp assignment, each under default max_iters
+HARD_INPUTS = [(saturated_pred, 5.0), (random_pred, 100.0),
+               (saturated_pred, 100.0)]
+
+
 def lp_optimum(pos_probs, mu, floor=1e-8):
     """Exact transport optimum by vertex enumeration.
 
@@ -74,6 +86,37 @@ class TestSinkhornAssign:
             res = sinkhorn_assign(random_pred(rng, n), mu, cfg,
                                   track_objective=True)
             trace = np.asarray(res.objective_trace)
+            assert len(trace) >= 1
+            assert np.all(np.diff(trace) <= 1e-9)
+
+    @pytest.mark.parametrize("make_pred,sharpness", HARD_INPUTS)
+    def test_marginals_ensemble_hard_inputs(self, make_pred, sharpness):
+        rng = np.random.default_rng(11)
+        cfg = SinkhornConfig(sharpness=sharpness)
+        for _ in range(40):
+            n = int(rng.integers(4, 400))
+            mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
+            res = sinkhorn_assign(make_pred(rng, n), mu, cfg)
+            q = res.labels.values
+            assert res.converged
+            assert res.iterations <= 50
+            assert np.all(q >= 0)
+            assert np.abs(q.sum(axis=1) - 1).max() <= 1e-9
+            assert abs(q[:, 0].sum() - mu * n) <= 1e-4 * n
+
+    @pytest.mark.parametrize("make_pred,sharpness", HARD_INPUTS)
+    def test_objective_trace_non_increasing_hard_inputs(self, make_pred,
+                                                        sharpness):
+        rng = np.random.default_rng(5)
+        cfg = SinkhornConfig(sharpness=sharpness)
+        for _ in range(25):
+            n = int(rng.integers(4, 300))
+            mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
+            res = sinkhorn_assign(make_pred(rng, n), mu, cfg,
+                                  track_objective=True)
+            trace = np.asarray(res.objective_trace)
+            assert res.converged
+            assert res.iterations <= 50
             assert len(trace) >= 1
             assert np.all(np.diff(trace) <= 1e-9)
 

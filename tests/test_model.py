@@ -1,5 +1,7 @@
 """Classifier: forward, loss, analytic gradients, SGD, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,31 @@ class TestCheckpoint:
             assert loaded.arch == arch
             assert np.array_equal(params_to_vector(loaded),
                                   params_to_vector(params))
+
+    @pytest.mark.parametrize("arch,field,value", [
+        ("mlp", "feature_dim", 5), ("mlp", "hidden", 9),
+        ("linear", "feature_dim", 5), ("linear", "arch", "mlp"),
+        ("mlp", "arch", "linear")])
+    def test_header_layer_mismatch_rejected(self, tmp_path, arch, field,
+                                            value):
+        params = init_classifier(4, arch=arch, hidden=8, rng=Rng(2))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        blob = json.loads(path.read_text())
+        blob[field] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="layer .*: shape"):
+            load_checkpoint(path)
+
+    def test_data_length_mismatch_rejected(self, tmp_path):
+        params = init_classifier(4, arch="linear", rng=Rng(2))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        blob = json.loads(path.read_text())
+        blob["layers"]["b_out"]["data"].append(0.0)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="b_out"):
+            load_checkpoint(path)
 
     def test_clone_is_independent(self):
         params = init_classifier(3, arch="linear", rng=Rng(0))
