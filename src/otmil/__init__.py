@@ -12,15 +12,16 @@ generators, and entropy analytics round out the toolkit.
 from .baselines import (AttentionParams, PoolParams, attention_instance_scores,
                         attention_pool, baseline_bag_scores,
                         baseline_instance_scores, pool_baseline_train)
-from .data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
-                   generate_hard_bags, generate_normal_bags, kfold_split,
-                   load_benchmark_csv, load_idx_mnist, load_ndjson,
-                   save_ndjson)
+from .data import (Bag, Dataset, GenConfig, Instance, StackedBags,
+                   bags_from_arrays, generate_hard_bags, generate_normal_bags,
+                   kfold_split, load_benchmark_csv, load_idx_mnist,
+                   load_ndjson, save_ndjson, stack_dataset)
 from .labeling import (MuSchedule, PredictionMatrix, PseudoLabelMatrix,
                        SinkhornAssignment, SinkhornConfig, adaptive_mu,
                        apply_local_constraint, naive_assign, sinkhorn_assign)
 from .metrics import (EntropyPoint, RocResult, bag_predict, entropy_curve,
-                      pseudo_label_metrics, roc_auc, write_entropy_csv)
+                      pseudo_label_metrics, roc_auc, segment_bag_scores,
+                      write_entropy_csv)
 from .model import (ClassifierParams, Gradients, SgdConfig, backward, forward,
                     init_classifier, load_checkpoint, save_checkpoint,
                     sgd_step, soft_cross_entropy)
@@ -35,7 +36,8 @@ __all__ = [
     "AttentionParams", "Bag", "ClassifierParams", "Dataset", "EntropyPoint",
     "GenConfig", "Gradients", "Instance", "MuSchedule", "PoolParams",
     "PredictionMatrix", "PseudoLabelMatrix", "RocResult", "Rng", "RunRecord",
-    "SgdConfig", "SinkhornAssignment", "SinkhornConfig", "TrainConfig",
+    "SgdConfig", "SinkhornAssignment", "SinkhornConfig", "StackedBags",
+    "TrainConfig",
     "adaptive_mu", "apply_local_constraint", "attention_instance_scores",
     "attention_pool", "backward", "bag_predict", "bags_from_arrays",
     "baseline_bag_scores", "baseline_instance_scores", "benchmark_cv",
@@ -43,7 +45,8 @@ __all__ = [
     "init_classifier", "kfold_split", "load_benchmark_csv", "load_checkpoint",
     "load_idx_mnist", "load_ndjson", "mixed_batches", "naive_assign",
     "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
-    "run_ablation_suite", "save_checkpoint", "save_ndjson", "self_train",
-    "sgd_step", "sinkhorn_assign", "soft_cross_entropy", "write_entropy_csv",
+    "run_ablation_suite", "save_checkpoint", "save_ndjson",
+    "segment_bag_scores", "self_train", "sgd_step", "sinkhorn_assign",
+    "soft_cross_entropy", "stack_dataset", "write_entropy_csv",
     "write_run_csv", "write_run_summary",
 ]

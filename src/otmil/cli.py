@@ -18,14 +18,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as datamod
-from .baselines import baseline_instance_scores, pool_baseline_train
+from .baselines import (baseline_bag_scores, baseline_instance_scores,
+                        pool_baseline_train)
 from .labeling import MuSchedule, SinkhornConfig
-from .metrics import bag_predict, entropy_curve, roc_auc, write_entropy_csv
+from .metrics import entropy_curve, write_entropy_csv
 from .model import SgdConfig, load_checkpoint, save_checkpoint
-from .trainer import (TrainConfig, _eval_metrics, benchmark_cv,
+from .trainer import (TrainConfig, _auc_or_none, _eval_metrics, benchmark_cv,
                       run_ablation_suite, self_train, write_run_csv,
                       write_run_summary)
 
@@ -158,13 +157,13 @@ def cmd_train(args, out_dir: Path) -> None:
 def cmd_eval(args, out_dir: Path) -> None:
     params = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data)
+    instance_auc, bag_auc, bag_scores = _eval_metrics(
+        params, datamod.stack_dataset(dataset), args.bag_inference)
     with open(out_dir / "bag_scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "label", "score"])
-        for bag in dataset.bags:
-            writer.writerow([bag.bag_id, bag.label,
-                             repr(bag_predict(params, bag, args.bag_inference))])
-    instance_auc, bag_auc = _eval_metrics(params, dataset, args.bag_inference)
+        for bag, score in zip(dataset.bags, bag_scores):
+            writer.writerow([bag.bag_id, bag.label, repr(float(score))])
     result = {"instance_auc": instance_auc, "bag_auc": bag_auc,
               "n_bags": len(dataset.bags)}
     with open(out_dir / "eval.json", "w") as fh:
@@ -240,18 +239,12 @@ def cmd_baseline(args, out_dir: Path) -> None:
     splits = {"train": train_ds, **tests}
     report = {"kind": args.kind, "seed": args.seed, "splits": {}}
     for name, ds in splits.items():
-        from .baselines import baseline_bag_scores
-        bag_labels = np.array([b.label for b in ds.bags])
-        bag_auc = None
-        if 0 < bag_labels.sum() < bag_labels.size:
-            bag_auc = roc_auc(baseline_bag_scores(params, ds), bag_labels).auc
-        inst_auc = None
-        if ds.instance_labels_known():
-            y = np.array([i.label for b in ds.bags for i in b.instances])
-            if 0 < y.sum() < y.size:
-                inst_auc = roc_auc(baseline_instance_scores(params, ds), y).auc
-        report["splits"][name] = {"instance_auc": inst_auc,
-                                  "bag_auc": bag_auc}
+        stacked = datamod.stack_dataset(ds)
+        report["splits"][name] = {
+            "instance_auc": _auc_or_none(baseline_instance_scores(params, ds),
+                                         stacked.instance_labels),
+            "bag_auc": _auc_or_none(baseline_bag_scores(params, ds),
+                                    stacked.bag_labels)}
     with open(out_dir / "baseline.json", "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -1,5 +1,6 @@
 """Bag-structured datasets: synthetic Gaussian-blob generators, NDJSON and
-CSV ingestion, IDX image files, and stratified k-fold splitting.
+CSV ingestion, IDX image files, stratified k-fold splitting, and stacking
+a dataset into feature, offset and label arrays.
 
 A bag is positive iff it contains at least one positive instance; every
 loader and generator enforces that rule whenever instance labels are known.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,9 +87,36 @@ class Dataset:
     def negative_bags(self) -> list[Bag]:
         return [b for b in self.bags if b.label == 0]
 
-    def instance_labels_known(self) -> bool:
-        return all(inst.label is not None
-                   for b in self.bags for inst in b.instances)
+
+class StackedBags(NamedTuple):
+    """A dataset's arrays, bags in dataset order.
+
+    Bag i owns rows ``offsets[i]:offsets[i + 1]`` of ``features``.
+    """
+
+    features: np.ndarray  # (N, d) float64
+    offsets: np.ndarray  # (n_bags + 1,) int64, from 0 to N
+    bag_labels: np.ndarray  # (n_bags,) int64
+    instance_labels: np.ndarray | None  # (N,) int64; None if any is unknown
+
+
+def stack_dataset(dataset: Dataset) -> StackedBags:
+    """Copy a dataset's features and labels into arrays, in bag order.
+
+    Nothing is cached on the dataset: a caller that needs the arrays more
+    than once keeps the result.
+    """
+    instances = [inst for bag in dataset.bags for inst in bag.instances]
+    offsets = np.zeros(len(dataset.bags) + 1, dtype=np.int64)
+    np.cumsum([len(bag.instances) for bag in dataset.bags], out=offsets[1:])
+    labels = [inst.label for inst in instances]
+    return StackedBags(
+        features=np.stack([inst.features for inst in instances]),
+        offsets=offsets,
+        bag_labels=np.array([bag.label for bag in dataset.bags],
+                            dtype=np.int64),
+        instance_labels=(None if None in labels
+                         else np.array(labels, dtype=np.int64)))
 
 
 @dataclass

@@ -291,15 +291,23 @@ def apply_local_constraint(
 
     The argmax is taken over the assignment itself by default, or over ``by``
     (the raw predictions) when given. Ties break toward the lowest row index.
-    All other rows pass through unchanged; the operation is idempotent.
+    Rows of one bag need not be contiguous: a stable sort by bag groups
+    each bag's rows in row order, and the bag's top row is the first of its
+    group whose score equals the group maximum. All other rows pass through
+    unchanged; the operation is idempotent.
     """
     scores = labels.values[:, 0] if by is None else by.values[:, 0]
-    bag_ids = np.unique(labels.bag_index)
-    if expected_bags is not None and len(bag_ids) < expected_bags:
+    order = np.argsort(labels.bag_index, kind="stable")
+    sorted_bags = labels.bag_index[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sorted_bags[1:] != sorted_bags[:-1]
+    starts = np.flatnonzero(first)
+    if expected_bags is not None and starts.size < expected_bags:
         raise ValueError("empty bag in assignment")
+    grouped = scores[order]
+    group_max = np.maximum.reduceat(grouped, starts)
+    hits = np.flatnonzero(
+        grouped == np.repeat(group_max, np.diff(np.r_[starts, order.size])))
     out = labels.values.copy()
-    for bag in bag_ids:
-        rows = np.flatnonzero(labels.bag_index == bag)
-        top = rows[int(np.argmax(scores[rows]))]
-        out[top] = (1.0, 0.0)
+    out[order[hits[np.searchsorted(hits, starts)]]] = (1.0, 0.0)
     return PseudoLabelMatrix(out, labels.bag_index.copy())

@@ -44,22 +44,24 @@ def roc_auc(scores, labels) -> RocResult:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    # 1-based ranks; ties share the average rank of their block
+    # 1-based ranks; ties share the average rank (i + j) / 2 + 1 of their
+    # block, i and j its first and last positions in sorted order
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(
+        np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)] - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
 def bag_predict(params: ClassifierParams, bag, mode: str = "max") -> float:
-    """Bag-level positive probability: max (or mean) over its instances."""
+    """Bag-level positive probability: max (or mean) over its instances.
+
+    Scores one bag with its own forward pass; ``segment_bag_scores`` scores
+    every bag of a stacked dataset from one.
+    """
     if len(bag.instances) == 0:
         raise ValueError("empty bag")
     feats = np.stack([inst.features for inst in bag.instances])
@@ -69,6 +71,25 @@ def bag_predict(params: ClassifierParams, bag, mode: str = "max") -> float:
     if mode == "mean":
         return float(probs.mean())
     raise ValueError(f"unknown bag inference mode: {mode!r}")
+
+
+def segment_bag_scores(instance_scores: np.ndarray, offsets: np.ndarray,
+                       mode: str = "max") -> np.ndarray:
+    """Per-bag max (or mean) of stacked instance scores.
+
+    Bag i owns ``instance_scores[offsets[i]:offsets[i + 1]]``, as in
+    ``data.stack_dataset``. Max picks the same value ``bag_predict`` would
+    from the same scores; mean sums each bag left to right, so it may
+    differ from ``np.mean``'s pairwise sum in the last bits.
+    """
+    if mode not in ("max", "mean"):
+        raise ValueError(f"unknown bag inference mode: {mode!r}")
+    sizes = np.diff(offsets)
+    if np.any(sizes < 1):
+        raise ValueError("empty bag")
+    if mode == "max":
+        return np.maximum.reduceat(instance_scores, offsets[:-1])
+    return np.add.reduceat(instance_scores, offsets[:-1]) / sizes
 
 
 @dataclass

@@ -103,7 +103,14 @@ def init_classifier(feature_dim: int, arch: str = "linear", hidden: int = 128,
 
 
 def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector (2,) or a batch (n, 2)."""
+    """Class probabilities for one feature vector (2,) or a batch (n, 2).
+
+    The hidden layer is built in one (n, hidden) buffer: the bias and the
+    ReLU are applied in place, the same arithmetic as
+    ``np.maximum(x @ W.T + b, 0)``, so a forward pass over a whole dataset
+    holds one hidden-sized array. Neither ``features`` nor the parameters
+    are modified.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.shape[-1] != params.feature_dim:
         raise ValueError("feature dimension mismatch")
@@ -111,7 +118,9 @@ def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
     if single:
         x = x[None, :]
     if params.arch == "mlp":
-        x = np.maximum(x @ params.w_hidden.T + params.b_hidden, 0.0)
+        h = x @ params.w_hidden.T
+        h += params.b_hidden
+        x = np.maximum(h, 0.0, out=h)
     logits = x @ params.w_out.T + params.b_out
     probs = softmax(logits, axis=-1)
     return probs[0] if single else probs

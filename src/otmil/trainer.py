@@ -21,10 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import stack_dataset
 from .labeling import (MuSchedule, PredictionMatrix, SinkhornConfig,
                        adaptive_mu, apply_local_constraint, naive_assign,
                        sinkhorn_assign)
-from .metrics import bag_predict, pseudo_label_metrics, roc_auc
+# bag_predict is not called here; perfbench/spans.py wraps trainer.bag_predict
+from .metrics import (bag_predict, pseudo_label_metrics, roc_auc,
+                      segment_bag_scores)
 from .model import (ClassifierParams, SgdConfig, backward, forward,
                     init_classifier, sgd_step)
 from .numkit import Rng
@@ -112,40 +115,50 @@ def write_run_summary(record: RunRecord, path) -> None:
         fh.write("\n")
 
 
-def _stack_dataset(dataset):
-    """Features/targets scaffolding in fixed corpus order.
+def _corpus(stacked):
+    """Training arrays in corpus order, built once per run.
 
     Corpus order is positive-bag instances (dataset bag order, instance
-    order within each bag) followed by negative-bag instances. Pseudo
-    label rows use the same positive-instance order.
+    order within each bag) followed by negative-bag instances. Returns
+    (x, targets, bag_index, true_pos): the (N, d) features; the (N, 2)
+    targets, whose negative rows hold [0, 1] and whose first
+    ``len(bag_index)`` rows ``mixed_batches`` fills with pseudo labels;
+    the positive bag of each pseudo-label row; and the true labels of
+    those rows, or None when any instance label is unknown.
     """
-    pos_bags = dataset.positive_bags()
-    neg_bags = dataset.negative_bags()
-    pos_x = (np.concatenate([b.feature_matrix() for b in pos_bags])
-             if pos_bags else np.zeros((0, dataset.feature_dim)))
-    neg_x = (np.concatenate([b.feature_matrix() for b in neg_bags])
-             if neg_bags else np.zeros((0, dataset.feature_dim)))
-    bag_index = np.concatenate(
-        [np.full(len(b.instances), i, dtype=np.int64)
-         for i, b in enumerate(pos_bags)]) if pos_bags else np.zeros(0, np.int64)
-    return pos_bags, neg_bags, pos_x, neg_x, bag_index
+    sizes = np.diff(stacked.offsets)
+    positive = stacked.bag_labels == 1
+    if not positive.any():
+        raise ValueError("no positive bags")
+    if positive.all():
+        raise ValueError("no negative bags")
+    row_positive = np.repeat(positive, sizes)
+    pos_rows = np.flatnonzero(row_positive)
+    x = stacked.features[np.concatenate(
+        [pos_rows, np.flatnonzero(~row_positive)])]
+    targets = np.zeros((x.shape[0], 2))
+    targets[pos_rows.size:, 1] = 1.0
+    bag_index = np.repeat(np.arange(int(positive.sum())), sizes[positive])
+    true_pos = (None if stacked.instance_labels is None
+                else stacked.instance_labels[pos_rows])
+    return x, targets, bag_index, true_pos
 
 
-def mixed_batches(dataset, q_values: np.ndarray, batch_size: int, rng: Rng):
+def mixed_batches(x: np.ndarray, targets: np.ndarray, n_pos: int,
+                  q_values: np.ndarray, batch_size: int, rng: Rng):
     """Yield (features, targets) batches covering every instance once.
 
-    Targets are (n, 2) with the positive class first: negative-bag
-    instances get [0, 1], positive-bag instances get their pseudo row.
-    The union is shuffled, then sliced, so each epoch is a random
-    partition whose batch composition tracks the corpus ratio.
+    ``x`` (N, d) and ``targets`` (N, 2) are in corpus order: the first
+    ``n_pos`` rows are positive-bag instances, the rest negative-bag
+    instances whose target rows already hold [0, 1] (positive class
+    first). Each call writes ``q_values`` into the first ``n_pos`` target
+    rows in place, then shuffles the row indices and slices, so each epoch
+    is a random partition whose batch composition tracks the corpus ratio.
     """
-    _, _, pos_x, neg_x, _ = _stack_dataset(dataset)
     q_values = np.asarray(q_values, dtype=np.float64)
-    if q_values.shape != (pos_x.shape[0], 2):
+    if q_values.shape != (n_pos, 2) or targets.shape != (x.shape[0], 2):
         raise ValueError("pseudo labels do not cover the positive-bag instances")
-    x = np.concatenate([pos_x, neg_x])
-    targets = np.concatenate(
-        [q_values, np.tile([0.0, 1.0], (neg_x.shape[0], 1))])
+    targets[:n_pos] = q_values
     perm = rng.permutation(x.shape[0])
     for start in range(0, perm.size, batch_size):
         idx = perm[start:start + batch_size]
@@ -171,23 +184,25 @@ def _assign(params, cfg: TrainConfig, pos_x, bag_index, mu_t, n_pos_bags):
     return labels.values, converged
 
 
-def _eval_metrics(params, eval_dataset, mode):
-    """(instance_auc, bag_auc), either None when labels make it undefined."""
-    instance_auc = None
-    if eval_dataset.instance_labels_known():
-        x = np.concatenate([b.feature_matrix() for b in eval_dataset.bags])
-        y = np.array([inst.label for b in eval_dataset.bags
-                      for inst in b.instances])
-        if 0 < y.sum() < y.size:
-            scores = forward(params, x)[:, 0]
-            instance_auc = roc_auc(scores, y).auc
-    bag_labels = np.array([b.label for b in eval_dataset.bags])
-    bag_auc = None
-    if 0 < bag_labels.sum() < bag_labels.size:
-        bag_scores = np.array([bag_predict(params, b, mode)
-                               for b in eval_dataset.bags])
-        bag_auc = roc_auc(bag_scores, bag_labels).auc
-    return instance_auc, bag_auc
+def _auc_or_none(scores, labels):
+    """AUC of scores against 0/1 labels; None when the labels are unknown
+    (None) or hold one class only."""
+    if labels is None or not 0 < labels.sum() < labels.size:
+        return None
+    return roc_auc(scores, labels).auc
+
+
+def _eval_metrics(params, stacked, mode):
+    """(instance_auc, bag_auc, bag_scores) on a stacked evaluation set.
+
+    One forward pass scores every instance; each bag's score is the max
+    (or mean) of its rows. Either AUC is None when its labels make it
+    undefined.
+    """
+    scores = forward(params, stacked.features)[:, 0]
+    bag_scores = segment_bag_scores(scores, stacked.offsets, mode)
+    return (_auc_or_none(scores, stacked.instance_labels),
+            _auc_or_none(bag_scores, stacked.bag_labels), bag_scores)
 
 
 def self_train(dataset, cfg: TrainConfig, eval_dataset=None
@@ -196,18 +211,18 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
 
     Metrics in the returned record refer to eval_dataset when given, else
     to the training set. Pseudo-label precision/accuracy always refer to
-    the training positive bags and are None when their true instance
-    labels are unknown.
+    the training positive bags and are None unless every training instance
+    label is known.
     """
-    pos_bags, neg_bags, pos_x, neg_x, bag_index = _stack_dataset(dataset)
-    if not pos_bags:
-        raise ValueError("no positive bags")
-    if not neg_bags:
-        raise ValueError("no negative bags")
-    eval_ds = eval_dataset if eval_dataset is not None else dataset
-    true_pos = (np.array([inst.label for b in pos_bags for inst in b.instances])
-                if all(inst.label is not None
-                       for b in pos_bags for inst in b.instances) else None)
+    # the training arrays double as the evaluation set when none is given;
+    # otherwise they are released here, x holding their corpus-order copy
+    eval_set = stack_dataset(dataset)
+    x, targets, bag_index, true_pos = _corpus(eval_set)
+    if eval_dataset is not None:
+        eval_set = stack_dataset(eval_dataset)
+    n_pos = bag_index.size
+    pos_x = x[:n_pos]
+    n_pos_bags = int(bag_index[-1]) + 1
 
     init_rng = Rng(cfg.seed, stream=_INIT_STREAM)
     shuffle_rng = Rng(cfg.seed, stream=_SHUFFLE_STREAM)
@@ -222,11 +237,11 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
                 else cfg.schedule.mu_final)
         if q_values is None or epoch % cfg.reassign_every == 0:
             q_values, converged = _assign(params, cfg, pos_x, bag_index,
-                                          mu_t, len(pos_bags))
+                                          mu_t, n_pos_bags)
         loss_sum = 0.0
         n_seen = 0
-        for xb, tb in mixed_batches(dataset, q_values, cfg.sgd.batch_size,
-                                    shuffle_rng):
+        for xb, tb in mixed_batches(x, targets, n_pos, q_values,
+                                    cfg.sgd.batch_size, shuffle_rng):
             loss, grads = backward(params, xb, tb)
             sgd_step(params, grads, cfg.sgd.learning_rate)
             loss_sum += loss * xb.shape[0]
@@ -235,7 +250,8 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
         if true_pos is not None:
             rep = pseudo_label_metrics(q_values, true_pos)
             pseudo_p, pseudo_a = rep.precision, rep.accuracy
-        inst_auc, bag_auc = _eval_metrics(params, eval_ds, cfg.bag_inference)
+        inst_auc, bag_auc, _ = _eval_metrics(params, eval_set,
+                                             cfg.bag_inference)
         record.rows.append(EpochRow(epoch, mu_t, loss_sum / n_seen,
                                     pseudo_p, pseudo_a, inst_auc, bag_auc,
                                     converged))
@@ -292,12 +308,16 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
 
 
 def bag_accuracy(params: ClassifierParams, dataset, mode: str) -> float:
-    """Fraction of bags whose thresholded score matches the bag label."""
-    hits = 0
-    for bag in dataset.bags:
-        predicted = 1 if bag_predict(params, bag, mode) > 0.5 else 0
-        hits += int(predicted == bag.label)
-    return hits / len(dataset.bags)
+    """Fraction of bags whose thresholded score matches the bag label.
+
+    The dataset is stacked once and every bag is scored from one forward
+    pass, its score the max (or mean) of its instances' scores.
+    """
+    stacked = stack_dataset(dataset)
+    scores = segment_bag_scores(forward(params, stacked.features)[:, 0],
+                                stacked.offsets, mode)
+    hits = int(np.sum((scores > 0.5) == (stacked.bag_labels == 1)))
+    return hits / len(scores)
 
 
 def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,

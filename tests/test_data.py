@@ -9,7 +9,7 @@ import pytest
 from otmil.data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
                         generate_hard_bags, generate_normal_bags, kfold_split,
                         load_benchmark_csv, load_idx_mnist, load_ndjson,
-                        round_half_up, save_ndjson)
+                        round_half_up, save_ndjson, stack_dataset)
 from otmil.numkit import Rng
 
 
@@ -36,6 +36,35 @@ class TestContainers:
         bag = Bag("b", 0, [Instance(np.arange(3.0), 0),
                            Instance(np.arange(3.0) + 1, 0)])
         assert bag.feature_matrix().shape == (2, 3)
+
+
+class TestStackDataset:
+    def _dataset(self, third_label=1):
+        bags = [Bag("a", 1, [Instance([1.0, 2.0], 1), Instance([3.0, 4.0], 0)]),
+                Bag("b", 0, [Instance([5.0, 6.0], 0)]),
+                Bag("c", 1, [Instance([7.0, 8.0], third_label),
+                             Instance([9.0, 0.0], 1)])]
+        return Dataset(bags, 2)
+
+    def test_arrays_in_bag_order(self):
+        ds = self._dataset()
+        stacked = stack_dataset(ds)
+        assert np.array_equal(stacked.features, np.concatenate(
+            [b.feature_matrix() for b in ds.bags]))
+        assert stacked.offsets.tolist() == [0, 2, 3, 5]
+        assert stacked.offsets.dtype == np.int64
+        assert stacked.bag_labels.tolist() == [1, 0, 1]
+        assert stacked.instance_labels.tolist() == [1, 0, 0, 1, 1]
+
+    def test_any_unknown_instance_label_gives_none(self):
+        stacked = stack_dataset(self._dataset(third_label=None))
+        assert stacked.instance_labels is None
+        assert stacked.bag_labels.tolist() == [1, 0, 1]
+
+    def test_features_are_a_copy(self):
+        ds = self._dataset()
+        stack_dataset(ds).features[:] = -1.0
+        assert ds.bags[0].instances[0].features.tolist() == [1.0, 2.0]
 
 
 class TestRounding:
@@ -218,7 +247,7 @@ class TestBenchmarkCsv:
         ds = load_benchmark_csv(path)
         assert len(ds.bags) == 2
         assert ds.bags[0].label == 1 and len(ds.bags[0].instances) == 2
-        assert not ds.instance_labels_known()
+        assert stack_dataset(ds).instance_labels is None
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"

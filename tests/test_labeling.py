@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otmil.labeling import (MuSchedule, PredictionMatrix, PseudoLabelMatrix,
                             SinkhornConfig, adaptive_mu, apply_local_constraint,
@@ -267,6 +269,60 @@ class TestLocalConstraint:
         labels = self._labels([[0.5, 0.5]], [0])
         with pytest.raises(ValueError, match="empty bag"):
             apply_local_constraint(labels, expected_bags=2)
+
+
+def local_constraint_by_loop(labels, by=None, expected_bags=None):
+    """Reference: the per-bag scan apply_local_constraint replaced."""
+    scores = labels.values[:, 0] if by is None else by.values[:, 0]
+    bag_ids = np.unique(labels.bag_index)
+    if expected_bags is not None and len(bag_ids) < expected_bags:
+        raise ValueError("empty bag in assignment")
+    out = labels.values.copy()
+    for bag in bag_ids:
+        rows = np.flatnonzero(labels.bag_index == bag)
+        top = rows[int(np.argmax(scores[rows]))]
+        out[top] = (1.0, 0.0)
+    return out
+
+
+# a few repeated values force ties inside bags; any value in [0, 1] may mix in
+TIE_HEAVY = (st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+             | st.floats(0.0, 1.0))
+
+
+@st.composite
+def interleaved_assignments(draw):
+    """(bag_index, positive column, argmax column or None, expected_bags),
+    with rows of one bag scattered over the matrix."""
+    n = draw(st.integers(1, 40))
+    n_bags = draw(st.integers(1, 6))
+    rows = st.lists(TIE_HEAVY, min_size=n, max_size=n)
+    bag_index = draw(st.lists(st.integers(0, n_bags - 1), min_size=n,
+                              max_size=n))
+    return (np.array(bag_index), np.array(draw(rows)),
+            draw(st.none() | rows.map(np.array)),
+            draw(st.none() | st.integers(1, n_bags + 1)))
+
+
+class TestLocalConstraintMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(interleaved_assignments())
+    def test_equals_per_bag_loop(self, case):
+        bag_index, pos, by_pos, expected_bags = case
+        labels = PseudoLabelMatrix(np.stack([pos, 1 - pos], axis=1),
+                                   bag_index)
+        by = (None if by_pos is None else
+              PredictionMatrix(np.stack([by_pos, 1 - by_pos], axis=1),
+                               bag_index))
+        try:
+            reference = local_constraint_by_loop(labels, by, expected_bags)
+        except ValueError:
+            with pytest.raises(ValueError, match="empty bag"):
+                apply_local_constraint(labels, by, expected_bags)
+            return
+        out = apply_local_constraint(labels, by, expected_bags)
+        assert np.array_equal(out.values, reference)
+        assert np.array_equal(out.bag_index, bag_index)
 
 
 class TestMuSchedule:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otmil.data import Bag, Instance
-from otmil.metrics import (bag_predict, entropy_curve, pseudo_label_metrics,
-                           roc_auc, write_entropy_csv)
-from otmil.model import init_classifier
+from otmil.data import Bag, Dataset, Instance, stack_dataset
+from otmil.metrics import (_average_ranks, bag_predict, entropy_curve,
+                           pseudo_label_metrics, roc_auc, segment_bag_scores,
+                           write_entropy_csv)
+from otmil.model import forward, init_classifier
 from otmil.numkit import Rng
 
 
@@ -52,6 +55,59 @@ class TestRocAuc:
     def test_bad_labels(self):
         with pytest.raises(ValueError, match="0 or 1"):
             roc_auc(np.array([0.1, 0.9]), np.array([1, 2]))
+
+
+def average_ranks_by_loop(scores):
+    """Reference: the tie-block scan _average_ranks replaced."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0, np.inf,
+                                     np.nan]) | st.floats(),
+                    min_size=1, max_size=80))
+    def test_equals_tie_block_loop(self, values):
+        scores = np.array(values, dtype=np.float64)
+        assert np.array_equal(_average_ranks(scores),
+                              average_ranks_by_loop(scores))
+
+
+class TestSegmentBagScores:
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    def test_matches_bag_predict_on_ragged_bags(self, arch, mode):
+        rng = Rng(4)
+        params = init_classifier(5, arch=arch, hidden=7, rng=rng)
+        sizes = [1, 3, 1, 8, 2, 13, 1]
+        bags = [Bag(f"b{i}", i % 2, [Instance(f, None) for f in
+                                     rng.standard_normal((k, 5))])
+                for i, k in enumerate(sizes)]
+        stacked = stack_dataset(Dataset(bags, 5))
+        scores = segment_bag_scores(forward(params, stacked.features)[:, 0],
+                                    stacked.offsets, mode)
+        assert scores.shape == (len(bags),)
+        np.testing.assert_allclose(
+            scores, [bag_predict(params, b, mode) for b in bags],
+            rtol=0.0, atol=1e-12)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            segment_bag_scores(np.zeros(3), np.array([0, 1, 3]), "median")
+
+    def test_empty_bag(self):
+        with pytest.raises(ValueError, match="empty"):
+            segment_bag_scores(np.zeros(3), np.array([0, 1, 1, 3]), "max")
 
 
 class TestBagPredict:

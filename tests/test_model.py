@@ -9,7 +9,7 @@ from otmil.model import (ClassifierParams, SgdConfig, backward, clone_params,
                          forward, init_classifier, load_checkpoint,
                          params_to_vector, save_checkpoint, sgd_step,
                          soft_cross_entropy, vector_to_params)
-from otmil.numkit import Rng
+from otmil.numkit import Rng, softmax
 
 
 def fd_gradient(params, x, targets, eps=1e-6):
@@ -56,6 +56,25 @@ class TestForward:
         params = init_classifier(4, arch="linear", rng=Rng(1))
         with pytest.raises(ValueError, match="dimension"):
             forward(params, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_equals_out_of_place_expression(self, arch):
+        rng = Rng(6)
+        params = init_classifier(6, arch=arch, hidden=9, rng=rng)
+        x = rng.standard_normal((25, 6))
+        x_before, params_before = x.copy(), clone_params(params)
+
+        def expression(x):
+            if arch == "mlp":
+                x = np.maximum(x @ params.w_hidden.T + params.b_hidden, 0)
+            return softmax(x @ params.w_out.T + params.b_out, axis=-1)
+
+        assert np.array_equal(forward(params, x), expression(x))
+        assert np.array_equal(forward(params, x[3]), expression(x[3:4])[0])
+        assert np.array_equal(x, x_before)
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            assert np.array_equal(getattr(params, name),
+                                  getattr(params_before, name))
 
 
 class TestInit:

@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from otmil.data import Bag, Dataset, GenConfig, Instance, generate_normal_bags
+from otmil.data import (Bag, Dataset, GenConfig, Instance,
+                        generate_normal_bags, stack_dataset)
 from otmil.labeling import MuSchedule, SinkhornConfig
 from otmil.model import SgdConfig
 from otmil.numkit import Rng
-from otmil.trainer import (CSV_HEADER, TrainConfig, bag_accuracy, benchmark_cv,
-                           mixed_batches, run_ablation_suite, self_train,
-                           write_run_csv, write_run_summary)
+from otmil.trainer import (CSV_HEADER, TrainConfig, _corpus, bag_accuracy,
+                           benchmark_cv, mixed_batches, run_ablation_suite,
+                           self_train, write_run_csv, write_run_summary)
 
 
 def small_dataset(seed=2, n_bags=16, bag_size=15, ratio=0.2, dim=6):
@@ -29,6 +30,12 @@ def small_config(epochs=6, seed=0, **kw):
         seed=seed, **kw)
 
 
+def corpus(ds):
+    """(x, targets, n_pos): the leading arguments of mixed_batches."""
+    x, targets, bag_index, _ = _corpus(stack_dataset(ds))
+    return x, targets, bag_index.size
+
+
 class TestMixedBatches:
     def test_partition_covers_each_instance_once(self):
         ds = small_dataset()
@@ -36,7 +43,7 @@ class TestMixedBatches:
         q = np.tile([0.5, 0.5], (n_pos, 1))
         total = 0
         sizes = []
-        for x, t in mixed_batches(ds, q, 32, Rng(0)):
+        for x, t in mixed_batches(*corpus(ds), q, 32, Rng(0)):
             assert x.shape[0] == t.shape[0]
             total += x.shape[0]
             sizes.append(x.shape[0])
@@ -49,7 +56,7 @@ class TestMixedBatches:
         n_pos = sum(len(b.instances) for b in ds.positive_bags())
         # mark pseudo rows with a sentinel mass to tell the two groups apart
         q = np.tile([0.25, 0.75], (n_pos, 1))
-        for x, t in mixed_batches(ds, q, 64, Rng(1)):
+        for x, t in mixed_batches(*corpus(ds), q, 64, Rng(1)):
             pseudo = np.isclose(t[:, 0], 0.25)
             negatives = ~pseudo
             assert np.all(t[negatives] == [0.0, 1.0])
@@ -60,7 +67,7 @@ class TestMixedBatches:
         frac = n_pos / ds.n_instances
         q = np.tile([0.9, 0.1], (n_pos, 1))
         counts = []
-        for x, t in mixed_batches(ds, q, 50, Rng(2)):
+        for x, t in mixed_batches(*corpus(ds), q, 50, Rng(2)):
             counts.append(np.isclose(t[:, 0], 0.9).mean())
         # average over the epoch matches; single batches fluctuate
         assert abs(np.mean(counts) - frac) < 0.15
@@ -68,7 +75,25 @@ class TestMixedBatches:
     def test_q_shape_guard(self):
         ds = small_dataset()
         with pytest.raises(ValueError, match="cover"):
-            list(mixed_batches(ds, np.zeros((3, 2)), 8, Rng(0)))
+            list(mixed_batches(*corpus(ds), np.zeros((3, 2)), 8, Rng(0)))
+
+    def test_batches_match_concatenated_bags(self):
+        # reference: the corpus as concatenated bag by bag before stacking
+        ds = small_dataset()
+        pos = [b.feature_matrix() for b in ds.positive_bags()]
+        neg = [b.feature_matrix() for b in ds.negative_bags()]
+        x = np.concatenate(pos + neg)
+        n_pos = sum(len(f) for f in pos)
+        p = Rng(5).uniform(0.0, 1.0, n_pos)
+        q = np.stack([p, 1.0 - p], axis=1)
+        t = np.concatenate([q, np.tile([0.0, 1.0], (len(x) - n_pos, 1))])
+        perm = Rng(3).permutation(len(x))
+        batches = list(mixed_batches(*corpus(ds), q, 16, Rng(3)))
+        assert len(batches) == -(-len(x) // 16)
+        for i, (xb, tb) in enumerate(batches):
+            idx = perm[16 * i:16 * (i + 1)]
+            assert np.array_equal(xb, x[idx])
+            assert np.array_equal(tb, t[idx])
 
 
 class TestSelfTrain:
