@@ -10,8 +10,8 @@ generators, and entropy analytics round out the toolkit.
 """
 
 from .baselines import (AttentionParams, PoolParams, attention_instance_scores,
-                        attention_pool, baseline_bag_scores,
-                        baseline_instance_scores, pool_baseline_train)
+                        baseline_bag_scores, baseline_instance_scores,
+                        pool_bags, pool_baseline_train)
 from .data import (Bag, Dataset, GenConfig, Instance, StackedBags,
                    bags_from_arrays, generate_hard_bags, generate_normal_bags,
                    kfold_split, load_benchmark_csv, load_idx_mnist,
@@ -39,12 +39,12 @@ __all__ = [
     "SgdConfig", "SinkhornAssignment", "SinkhornConfig", "StackedBags",
     "TrainConfig",
     "adaptive_mu", "apply_local_constraint", "attention_instance_scores",
-    "attention_pool", "backward", "bag_predict", "bags_from_arrays",
+    "backward", "bag_predict", "bags_from_arrays",
     "baseline_bag_scores", "baseline_instance_scores", "benchmark_cv",
     "entropy_curve", "forward", "generate_hard_bags", "generate_normal_bags",
     "init_classifier", "kfold_split", "load_benchmark_csv", "load_checkpoint",
     "load_idx_mnist", "load_ndjson", "mixed_batches", "naive_assign",
-    "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
+    "pool_bags", "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
     "run_ablation_suite", "save_checkpoint", "save_ndjson",
     "segment_bag_scores", "self_train", "sgd_step", "sinkhorn_assign",
     "soft_cross_entropy", "stack_dataset", "write_entropy_csv",

@@ -1,9 +1,11 @@
-"""Bag-level pooling baselines: max, mean, and gated-free attention.
+"""Bag-level pooling baselines: max, mean, and (ungated) attention.
 
-These classifiers never see instance labels. Each bag is pooled into a
-single feature vector (max / mean / attention-weighted sum over its
-instances) and a linear head maps that vector to two-class probabilities
-trained with cross entropy against the bag label.
+These classifiers never see instance labels. The bags of a corpus are
+stacked once (features in bag order plus bag offsets, the
+``data.stack_dataset`` layout) and ``pool_bags`` pools all of them in one
+pass, by a segment max, a segment mean, or an attention-weighted segment
+sum, into one feature vector per bag. A linear head maps those vectors to
+two-class probabilities trained with cross entropy against the bag labels.
 
 Instance scores are derived afterwards: the attention arm exposes its
 per-instance attention weights (min-max normalized over the whole
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ClassifierParams, Gradients, SgdConfig, forward,
-                    init_classifier, soft_cross_entropy)
-from .numkit import Rng, softmax
+from .data import stack_dataset
+from .model import (ClassifierParams, Gradients, SgdConfig, backward,
+                    forward, init_classifier, sgd_step)
+from .numkit import Rng
 
 POOL_KINDS = ("max", "mean", "attention")
 
@@ -60,84 +63,77 @@ class PoolGradients:
     w: np.ndarray | None = None
 
 
-def attention_pool(params: AttentionParams, bag_features: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Pool a (K, d) bag into (bag_feature (d,), weights (K,)).
+def pool_bags(params: PoolParams, x: np.ndarray, offsets: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pool every bag of a stacked corpus: ((B, d) pooled, (N,) weights).
 
-    Weights are a softmax over per-instance scores w . tanh(V f_k), so
-    they are positive and sum to one for any bag size.
+    Bag i owns rows ``x[offsets[i]:offsets[i + 1]]``, as in
+    ``data.stack_dataset``. Max and mean are segment reductions (mean sums
+    each bag left to right) and return no weights. Attention weights are a
+    softmax of the scores w . tanh(V f) within each bag, so they are
+    positive and sum to one over every bag of any size; each pooled vector
+    is its bag's weighted sum.
     """
-    feats = np.asarray(bag_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError("bag features must be a nonempty (K, d) matrix")
-    scores = np.tanh(feats @ params.v.T) @ params.w
-    weights = softmax(scores)
-    return weights @ feats, weights
+    pooled, weights, _ = _pool(params, x, offsets)
+    return pooled, weights
 
 
-def pool_bag(params: PoolParams, bag_features: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pooled feature for one bag plus attention weights when applicable."""
-    feats = np.asarray(bag_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError("bag features must be a nonempty (K, d) matrix")
+def _pool(params: PoolParams, x: np.ndarray, offsets: np.ndarray):
+    """``pool_bags`` plus the attention arm's (N, L) hidden layer
+    tanh(x V^T), which its gradient reuses (None for max and mean)."""
+    x = np.asarray(x, dtype=np.float64)
+    offsets = np.asarray(offsets)
+    sizes = np.diff(offsets)
+    if (x.ndim != 2 or sizes.size == 0 or np.any(sizes < 1)
+            or offsets[0] != 0 or offsets[-1] != x.shape[0]):
+        raise ValueError("bags must be nonempty row blocks covering an "
+                         "(N, d) matrix")
+    starts = offsets[:-1]
     if params.kind == "max":
-        return feats.max(axis=0), None
+        return np.maximum.reduceat(x, starts, axis=0), None, None
     if params.kind == "mean":
-        return feats.mean(axis=0), None
-    return attention_pool(params.attention, feats)
-
-
-def bag_probability(params: PoolParams, bag_features: np.ndarray) -> float:
-    """Positive-class probability for one bag."""
-    pooled, _ = pool_bag(params, bag_features)
-    return float(forward(params.head, pooled)[0])
+        return np.add.reduceat(x, starts, axis=0) / sizes[:, None], None, None
+    hidden = np.tanh(x @ params.attention.v.T)
+    scores = hidden @ params.attention.w
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), sizes))
+    weights = e / np.repeat(np.add.reduceat(e, starts), sizes)
+    pooled = np.add.reduceat(weights[:, None] * x, starts, axis=0)
+    return pooled, weights, hidden
 
 
 def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
                         targets: np.ndarray) -> tuple[float, PoolGradients]:
     """Mean bag-level cross entropy and gradients for every trainable array.
 
-    targets is (n_bags, 2), positive class first. Max and mean pooling
-    have no parameters below the head, so only head gradients exist for
-    them; the attention arm also backpropagates through its softmax
-    weighting into w and V.
+    targets is (n_bags, 2), positive class first. The bags are stacked
+    once and pooled as ``pool_bags`` pools them; the head's loss and
+    gradients come from ``model.backward`` on the pooled vectors. Max and
+    mean pooling have no parameters below the head; the attention arm also
+    backpropagates, row by row, through its per-bag softmax into w and V.
     """
     targets = np.asarray(targets, dtype=np.float64)
     n = len(bag_feats)
     if targets.shape != (n, 2):
         raise ValueError("targets must be (n_bags, 2)")
-    head = params.head
-    g_w_out = np.zeros_like(head.w_out)
-    g_b_out = np.zeros_like(head.b_out)
-    g_v = np.zeros_like(params.attention.v) if params.attention else None
-    g_w = np.zeros_like(params.attention.w) if params.attention else None
-    total = 0.0
-    for b, feats in enumerate(bag_feats):
-        feats = np.asarray(feats, dtype=np.float64)
-        if params.kind == "attention":
-            t_mat = np.tanh(feats @ params.attention.v.T)  # (K, L)
-            scores = t_mat @ params.attention.w
-            weights = softmax(scores)
-            pooled = weights @ feats
-        else:
-            pooled, _ = pool_bag(params, feats)
-            weights = None
-        probs = forward(head, pooled)
-        total += soft_cross_entropy(probs, targets[b])
-        dlogits = (probs - targets[b]) / n
-        g_w_out += np.outer(dlogits, pooled)
-        g_b_out += dlogits
-        if params.kind == "attention":
-            d_pooled = head.w_out.T @ dlogits
-            d_weights = feats @ d_pooled
-            # softmax Jacobian-vector product
-            d_scores = weights * (d_weights - weights @ d_weights)
-            g_w += t_mat.T @ d_scores
-            d_pre = np.outer(d_scores, params.attention.w) * (1.0 - t_mat ** 2)
-            g_v += d_pre.T @ feats
-    grads = PoolGradients(Gradients(None, None, g_w_out, g_b_out), v=g_v, w=g_w)
-    return total / n, grads
+    x = np.concatenate(bag_feats, dtype=np.float64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(f) for f in bag_feats], out=offsets[1:])
+    pooled, weights, hidden = _pool(params, x, offsets)
+    loss, head_grads = backward(params.head, pooled, targets)
+    grads = PoolGradients(head_grads)
+    if weights is None:
+        return loss, grads
+    sizes = np.diff(offsets)
+    # d(mean CE)/d(pooled) through the linear head's softmax
+    d_pooled = (forward(params.head, pooled) - targets) / n @ params.head.w_out
+    d_weights = np.einsum("ij,ij->i", x, np.repeat(d_pooled, sizes, axis=0))
+    # softmax Jacobian-vector product within each bag
+    d_scores = weights * (d_weights - np.repeat(
+        np.add.reduceat(weights * d_weights, offsets[:-1]), sizes))
+    grads.w = hidden.T @ d_scores
+    d_pre = np.outer(d_scores, params.attention.w) * (1.0 - hidden ** 2)
+    grads.v = d_pre.T @ x
+    return loss, grads
 
 
 def init_pool_params(kind: str, feature_dim: int, attention_hidden: int = 64,
@@ -170,20 +166,20 @@ def pool_baseline_train(dataset, kind: str, sgd: SgdConfig,
     shuffle_rng = Rng(sgd.seed, stream=12)
     params = init_pool_params(kind, dataset.feature_dim, attention_hidden,
                               init_rng)
-    feats = [b.feature_matrix() for b in dataset.bags]
+    stacked = stack_dataset(dataset)
+    offsets = stacked.offsets
+    # one view per bag into the stacked features
+    feats = [stacked.features[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
     # one-hot bag targets, positive class first
-    targets = np.zeros((len(dataset.bags), 2))
-    for i, bag in enumerate(dataset.bags):
-        targets[i, 0 if bag.label == 1 else 1] = 1.0
+    positive = stacked.bag_labels == 1
+    targets = np.stack([positive, ~positive], axis=1).astype(np.float64)
     for _ in range(sgd.epochs):
         order = shuffle_rng.permutation(len(feats))
         for start in range(0, len(order), sgd.batch_size):
             idx = order[start:start + sgd.batch_size]
             _, grads = pool_loss_and_grads(params, [feats[i] for i in idx],
                                            targets[idx])
-            head = params.head
-            head.w_out -= sgd.learning_rate * grads.head.w_out
-            head.b_out -= sgd.learning_rate * grads.head.b_out
+            sgd_step(params.head, grads.head, sgd.learning_rate)
             if params.attention is not None:
                 params.attention.v -= sgd.learning_rate * grads.v
                 params.attention.w -= sgd.learning_rate * grads.w
@@ -207,37 +203,15 @@ def attention_instance_scores(attn: np.ndarray) -> np.ndarray:
 
 def baseline_instance_scores(params: PoolParams, dataset) -> np.ndarray:
     """Per-instance positive scores, corpus order = dataset bag order."""
+    stacked = stack_dataset(dataset)
     if params.kind == "attention":
-        chunks = [attention_pool(params.attention, b.feature_matrix())[1]
-                  for b in dataset.bags]
-        return attention_instance_scores(np.concatenate(chunks))
-    stacked = np.concatenate([b.feature_matrix() for b in dataset.bags])
-    return forward(params.head, stacked)[:, 0]
+        _, weights = pool_bags(params, stacked.features, stacked.offsets)
+        return attention_instance_scores(weights)
+    return forward(params.head, stacked.features)[:, 0]
 
 
 def baseline_bag_scores(params: PoolParams, dataset) -> np.ndarray:
     """Positive-class probability per bag, in dataset order."""
-    return np.array([bag_probability(params, b.feature_matrix())
-                     for b in dataset.bags])
-
-
-def pool_params_to_vector(params: PoolParams) -> np.ndarray:
-    parts = [params.head.w_out.ravel(), params.head.b_out.ravel()]
-    if params.attention is not None:
-        parts += [params.attention.v.ravel(), params.attention.w.ravel()]
-    return np.concatenate(parts)
-
-
-def vector_to_pool_params(params: PoolParams, vec: np.ndarray) -> PoolParams:
-    """Write a flat vector back into the parameter arrays, in place."""
-    vec = np.asarray(vec, dtype=np.float64)
-    arrays = [params.head.w_out, params.head.b_out]
-    if params.attention is not None:
-        arrays += [params.attention.v, params.attention.w]
-    offset = 0
-    for arr in arrays:
-        arr.flat[:] = vec[offset:offset + arr.size]
-        offset += arr.size
-    if offset != vec.size:
-        raise ValueError("vector length does not match parameter count")
-    return params
+    stacked = stack_dataset(dataset)
+    pooled, _ = pool_bags(params, stacked.features, stacked.offsets)
+    return forward(params.head, pooled)[:, 0]

@@ -136,9 +136,10 @@ class SinkhornAssignment:
     offset c, (const + sum_i logaddexp(k_i0 + c, k_i1) - c*mu*N) / sharpness
     with k = sharpness * log P, whose derivative is the column residual. A
     step never raises it, so the trace is non-increasing by construction,
-    and at convergence its value equals the negative of the minimal
-    regularized cost, so -trace[-1] matches ``regularized_objective`` of the
-    returned labels up to the marginal tolerance. The regularized cost
+    and at convergence -trace[-1] equals the regularized cost of the
+    returned labels up to the marginal tolerance: the transport cost plus
+    the generalized KL divergence of the labels from the (mu, 1 - mu) row
+    reference, divided by sharpness. The regularized cost
     evaluated directly on intermediate iterates is useless as a progress
     measure: iterates still violate the column constraint, and infeasible
     points undercut the constrained optimum, so that number typically rises
@@ -156,24 +157,6 @@ class SinkhornAssignment:
 def transport_objective(q: np.ndarray, p_clamped: np.ndarray) -> float:
     """Transport cost <Q, -log P> of an assignment against clamped predictions."""
     return float(np.sum(q * -np.log(p_clamped)))
-
-
-def regularized_objective(
-    q: np.ndarray, p_clamped: np.ndarray, mu: float, sharpness: float
-) -> float:
-    """Transport cost plus the scaled divergence from the product reference.
-
-    The reference spreads each row's unit mass as (mu, 1 - mu), so its total
-    mass matches any iterate whose rows sum to one. The divergence is the
-    generalized form (with linear terms), which stays meaningful on iterates
-    that do not yet satisfy the column constraint.
-    """
-    n = q.shape[0]
-    ref = np.tile([mu, 1.0 - mu], (n, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q > 0, q / ref, 1.0)
-        kl = np.sum(np.where(q > 0, q * np.log(ratio), 0.0)) - q.sum() + ref.sum()
-    return transport_objective(q, p_clamped) + kl / sharpness
 
 
 def sinkhorn_assign(

@@ -1,9 +1,9 @@
-"""Dense float64 numerics shared by every module: seeded RNG and stable reductions.
+"""Dense float64 numerics shared by every module: seeded RNG and softmax.
 
 Everything here is deliberately small. Matrices are plain ``np.ndarray`` in
 row-major float64; the helpers below only add the pieces numpy does not give
-us directly: a counter-based RNG with explicit seed/stream identity, and
-overflow-safe log/exp reductions.
+us directly: a counter-based RNG with explicit seed/stream identity, a
+shift-stabilized softmax, finiteness checks and Gaussian draws.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ class Rng:
             np.random.Philox(key=[self.seed & _MASK64, self.stream & _MASK64])
         )
 
-    def split(self, stream: int) -> "Rng":
-        """Independent generator with the same seed and a new stream id."""
-        return Rng(self.seed, stream)
-
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 
@@ -45,9 +41,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def shuffle(self, seq: list) -> None:
-        self._gen.shuffle(seq)
-
 
 def check_finite(values, what: str = "array") -> np.ndarray:
     """Return ``values`` as float64, raising if any entry is NaN or infinite."""
@@ -55,22 +48,6 @@ def check_finite(values, what: str = "array") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite values in {what}")
     return arr
-
-
-def log_sum_exp(values, axis=None):
-    """log(sum(exp(values))) computed with a max shift so it never overflows.
-
-    Raises on an empty reduction; the result is finite for any finite input.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0 or (axis is not None and arr.shape[axis] == 0):
-        raise ValueError("empty reduction")
-    if axis is None:
-        shift = np.max(arr)
-        return float(np.log(np.sum(np.exp(arr - shift))) + shift)
-    shift = np.max(arr, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(arr - shift), axis=axis))
-    return out + np.squeeze(shift, axis=axis)
 
 
 def softmax(values, axis=-1) -> np.ndarray:

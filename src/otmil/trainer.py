@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import stack_dataset
+from .data import kfold_split, stack_dataset
 from .labeling import (MuSchedule, PredictionMatrix, SinkhornConfig,
                        adaptive_mu, apply_local_constraint, naive_assign,
                        sinkhorn_assign)
@@ -325,8 +325,11 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
     """Grid-search mu and the warmup length by k-fold bag accuracy.
 
     Each grid cell trains k models (one per fold) and scores held-out
-    bags at threshold 0.5. Returns every cell plus the best one.
+    bags at threshold 0.5. The folds depend only on the dataset, k and
+    the seed, so they are built once per call and shared by every cell.
+    Returns every cell plus the best one.
     """
+    folds = kfold_split_cached(dataset, k, base_cfg.seed)
     cells = []
     for mu in mu_grid:
         for warmup in warmup_grid:
@@ -334,7 +337,7 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
                 base_cfg, schedule=MuSchedule(mu_final=mu,
                                               warmup_epochs=warmup))
             fold_accs = []
-            for train_ds, test_ds in kfold_split_cached(dataset, k, cfg.seed):
+            for train_ds, test_ds in folds:
                 params, _ = self_train(train_ds, cfg)
                 fold_accs.append(bag_accuracy(params, test_ds,
                                               cfg.bag_inference))
@@ -345,13 +348,6 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
     return {"grid": cells, "best": best}
 
 
-_FOLD_CACHE: dict = {}
-
-
-def kfold_split_cached(dataset, k: int, seed: int):
-    """Memoize fold construction; grid cells reuse identical splits."""
-    from .data import kfold_split
-    key = (id(dataset), k, seed)
-    if key not in _FOLD_CACHE:
-        _FOLD_CACHE[key] = kfold_split(dataset, k, seed)
-    return _FOLD_CACHE[key]
+# benchmark_cv looks the folds up under this name only because
+# perfbench/spans.py wraps trainer.kfold_split_cached to time them
+kfold_split_cached = kfold_split

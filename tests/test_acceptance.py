@@ -108,7 +108,7 @@ def test_criterion_01_sinkhorn_property_ensemble():
         trace = np.asarray(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9)
     elapsed = time.perf_counter() - start
-    report(1, "scaling marginals and descent", elapsed < 30.0,
+    report(1, "root-find marginals and descent", elapsed < 30.0,
            f"100 cases in {elapsed:.1f}s")
 
 

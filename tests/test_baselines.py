@@ -2,17 +2,122 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otmil.baselines import (AttentionParams, PoolParams,
-                             attention_instance_scores, attention_pool,
+from otmil.baselines import (POOL_KINDS, AttentionParams, PoolGradients,
+                             PoolParams, attention_instance_scores,
                              baseline_bag_scores, baseline_instance_scores,
-                             init_pool_params, pool_baseline_train, pool_bag,
-                             pool_loss_and_grads, pool_params_to_vector,
-                             vector_to_pool_params)
-from otmil.data import GenConfig, generate_normal_bags
+                             init_pool_params, pool_bags, pool_baseline_train,
+                             pool_loss_and_grads)
+from otmil.data import Bag, Dataset, GenConfig, Instance, generate_normal_bags
 from otmil.metrics import roc_auc
-from otmil.model import SgdConfig
-from otmil.numkit import Rng
+from otmil.model import (Gradients, SgdConfig, forward, init_classifier,
+                         soft_cross_entropy)
+from otmil.numkit import Rng, softmax
+
+
+def pool_params_to_vector(params: PoolParams) -> np.ndarray:
+    parts = [params.head.w_out.ravel(), params.head.b_out.ravel()]
+    if params.attention is not None:
+        parts += [params.attention.v.ravel(), params.attention.w.ravel()]
+    return np.concatenate(parts)
+
+
+def vector_to_pool_params(params: PoolParams, vec: np.ndarray) -> PoolParams:
+    """Write a flat vector back into the parameter arrays, in place."""
+    vec = np.asarray(vec, dtype=np.float64)
+    arrays = [params.head.w_out, params.head.b_out]
+    if params.attention is not None:
+        arrays += [params.attention.v, params.attention.w]
+    offset = 0
+    for arr in arrays:
+        arr.flat[:] = vec[offset:offset + arr.size]
+        offset += arr.size
+    if offset != vec.size:
+        raise ValueError("vector length does not match parameter count")
+    return params
+
+
+# --- reference: the per-bag pooling the stacked pass replaced ---------------
+
+def ref_attention_pool(params: AttentionParams, bag_features: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    feats = np.asarray(bag_features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] == 0:
+        raise ValueError("bag features must be a nonempty (K, d) matrix")
+    scores = np.tanh(feats @ params.v.T) @ params.w
+    weights = softmax(scores)
+    return weights @ feats, weights
+
+
+def ref_pool_bag(params: PoolParams, bag_features: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    feats = np.asarray(bag_features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] == 0:
+        raise ValueError("bag features must be a nonempty (K, d) matrix")
+    if params.kind == "max":
+        return feats.max(axis=0), None
+    if params.kind == "mean":
+        return feats.mean(axis=0), None
+    return ref_attention_pool(params.attention, feats)
+
+
+def ref_pool_loss_and_grads(params: PoolParams, bag_feats, targets):
+    targets = np.asarray(targets, dtype=np.float64)
+    n = len(bag_feats)
+    head = params.head
+    g_w_out = np.zeros_like(head.w_out)
+    g_b_out = np.zeros_like(head.b_out)
+    g_v = np.zeros_like(params.attention.v) if params.attention else None
+    g_w = np.zeros_like(params.attention.w) if params.attention else None
+    total = 0.0
+    for b, feats in enumerate(bag_feats):
+        feats = np.asarray(feats, dtype=np.float64)
+        if params.kind == "attention":
+            t_mat = np.tanh(feats @ params.attention.v.T)  # (K, L)
+            scores = t_mat @ params.attention.w
+            weights = softmax(scores)
+            pooled = weights @ feats
+        else:
+            pooled, _ = ref_pool_bag(params, feats)
+            weights = None
+        probs = forward(head, pooled)
+        total += soft_cross_entropy(probs, targets[b])
+        dlogits = (probs - targets[b]) / n
+        g_w_out += np.outer(dlogits, pooled)
+        g_b_out += dlogits
+        if params.kind == "attention":
+            d_pooled = head.w_out.T @ dlogits
+            d_weights = feats @ d_pooled
+            # softmax Jacobian-vector product
+            d_scores = weights * (d_weights - weights @ d_weights)
+            g_w += t_mat.T @ d_scores
+            d_pre = np.outer(d_scores, params.attention.w) * (1.0 - t_mat ** 2)
+            g_v += d_pre.T @ feats
+    grads = PoolGradients(Gradients(None, None, g_w_out, g_b_out), v=g_v, w=g_w)
+    return total / n, grads
+
+
+def ref_instance_scores(params: PoolParams, dataset) -> np.ndarray:
+    if params.kind == "attention":
+        chunks = [ref_attention_pool(params.attention, b.feature_matrix())[1]
+                  for b in dataset.bags]
+        return attention_instance_scores(np.concatenate(chunks))
+    stacked = np.concatenate([b.feature_matrix() for b in dataset.bags])
+    return forward(params.head, stacked)[:, 0]
+
+
+def ref_bag_scores(params: PoolParams, dataset) -> np.ndarray:
+    pooled = [ref_pool_bag(params, b.feature_matrix())[0]
+              for b in dataset.bags]
+    return np.array([float(forward(params.head, p)[0]) for p in pooled])
+
+
+def single_bag(params: AttentionParams) -> PoolParams:
+    """Attention baseline around ``params`` with a fresh linear head."""
+    head = init_classifier(params.v.shape[1], arch="linear", rng=Rng(0))
+    return PoolParams("attention", head, params)
 
 
 def fd_pool_gradient(params, bags, targets, eps=1e-6):
@@ -47,7 +152,7 @@ class TestAttentionPool:
         scores = np.array([np.tanh(1.0) - np.tanh(0.0),
                            np.tanh(0.0) - np.tanh(1.0)])
         expected = np.exp(scores) / np.exp(scores).sum()
-        bag_feature, attn = attention_pool(params, feats)
+        (bag_feature,), attn = pool_bags(single_bag(params), feats, [0, 2])
         assert np.allclose(attn, expected, atol=1e-12)
         assert np.allclose(bag_feature, attn @ feats, atol=1e-12)
 
@@ -56,7 +161,7 @@ class TestAttentionPool:
         params = AttentionParams(v=rng.standard_normal((4, 3)),
                                  w=rng.standard_normal(4))
         f = rng.standard_normal((1, 3))
-        bag_feature, attn = attention_pool(params, f)
+        (bag_feature,), attn = pool_bags(single_bag(params), f, [0, 1])
         assert np.allclose(attn, [1.0])
         assert np.allclose(bag_feature, f[0])
 
@@ -65,7 +170,7 @@ class TestAttentionPool:
         params = AttentionParams(v=rng.standard_normal((4, 3)),
                                  w=rng.standard_normal(4))
         f = np.tile(rng.standard_normal(3), (5, 1))
-        _, attn = attention_pool(params, f)
+        _, attn = pool_bags(single_bag(params), f, [0, 5])
         assert np.allclose(attn, 0.2)
 
     def test_permutation_equivariance(self):
@@ -74,15 +179,15 @@ class TestAttentionPool:
                                  w=rng.standard_normal(6))
         f = rng.standard_normal((8, 4))
         perm = rng.permutation(8)
-        bag_a, attn_a = attention_pool(params, f)
-        bag_b, attn_b = attention_pool(params, f[perm])
+        bag_a, attn_a = pool_bags(single_bag(params), f, [0, 8])
+        bag_b, attn_b = pool_bags(single_bag(params), f[perm], [0, 8])
         assert np.allclose(attn_a[perm], attn_b)
         assert np.allclose(bag_a, bag_b)
 
     def test_empty_bag_rejected(self):
         params = AttentionParams(v=np.zeros((2, 3)), w=np.zeros(2))
         with pytest.raises(ValueError, match="nonempty"):
-            attention_pool(params, np.zeros((0, 3)))
+            pool_bags(single_bag(params), np.zeros((0, 3)), [0, 0])
 
 
 class TestPooling:
@@ -90,19 +195,90 @@ class TestPooling:
         params = init_pool_params("max", 3, rng=Rng(0))
         f = Rng(1).standard_normal((4, 3))
         doubled = np.concatenate([f, f[1:2]])
-        a, _ = pool_bag(params, f)
-        b, _ = pool_bag(params, doubled)
+        a, _ = pool_bags(params, f, [0, 4])
+        b, _ = pool_bags(params, doubled, [0, 5])
         assert np.array_equal(a, b)
 
     def test_mean_on_identical_instances_is_instance_forward(self):
-        from otmil.model import forward
         params = init_pool_params("mean", 3, rng=Rng(0))
         inst = Rng(2).standard_normal(3)
         bag = np.tile(inst, (6, 1))
-        pooled, _ = pool_bag(params, bag)
+        (pooled,), _ = pool_bags(params, bag, [0, 6])
         assert np.allclose(pooled, inst)
         assert np.allclose(forward(params.head, pooled),
                            forward(params.head, inst))
+
+
+    def test_empty_bag_rejected_every_kind(self):
+        x = Rng(3).standard_normal((4, 3))
+        for kind in POOL_KINDS:
+            params = init_pool_params(kind, 3, attention_hidden=2, rng=Rng(0))
+            with pytest.raises(ValueError, match="nonempty"):
+                pool_bags(params, x, [0, 2, 2, 4])
+            with pytest.raises(ValueError, match="covering"):
+                pool_bags(params, x, [0, 2, 3])
+
+
+def close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+ragged_cases = given(st.sampled_from(POOL_KINDS),
+                     st.lists(st.integers(1, 6), min_size=1, max_size=6),
+                     st.integers(0, 2 ** 32 - 1))
+
+
+def ragged_case(kind, sizes, seed, dim=3):
+    """Fresh parameters of ``kind`` and one (k, dim) bag per size."""
+    rng = Rng(seed, stream=3)
+    params = init_pool_params(kind, dim, attention_hidden=4, rng=rng)
+    return params, [rng.standard_normal((k, dim)) for k in sizes], rng
+
+
+class TestStackedMatchesPerBag:
+    """The one-pass pooling against the per-bag reference above, on ragged
+    bags that include size-1 bags."""
+
+    @settings(max_examples=200, deadline=None)
+    @ragged_cases
+    def test_pool_bags(self, kind, sizes, seed):
+        params, bags, _ = ragged_case(kind, sizes, seed)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        pooled, weights = pool_bags(params, np.concatenate(bags), offsets)
+        assert pooled.shape == (len(bags), bags[0].shape[1])
+        assert (weights is None) == (kind != "attention")
+        for i, bag in enumerate(bags):
+            ref_pooled, ref_weights = ref_pool_bag(params, bag)
+            close(pooled[i], ref_pooled)
+            if weights is not None:
+                close(weights[offsets[i]:offsets[i + 1]], ref_weights)
+
+    @settings(max_examples=200, deadline=None)
+    @ragged_cases
+    def test_loss_and_grads(self, kind, sizes, seed):
+        params, bags, rng = ragged_case(kind, sizes, seed)
+        raw = rng.uniform(0.1, 0.9, len(bags))
+        targets = np.stack([raw, 1 - raw], axis=1)
+        loss, grads = pool_loss_and_grads(params, bags, targets)
+        ref_loss, ref = ref_pool_loss_and_grads(params, bags, targets)
+        close(loss, ref_loss)
+        assert grads.head.w_hidden is None and grads.head.b_hidden is None
+        close(grads.head.w_out, ref.head.w_out)
+        close(grads.head.b_out, ref.head.b_out)
+        for got, want in ((grads.v, ref.v), (grads.w, ref.w)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                close(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @ragged_cases
+    def test_bag_and_instance_scores(self, kind, sizes, seed):
+        params, bags, _ = ragged_case(kind, sizes, seed)
+        ds = Dataset([Bag(f"b{i}", i % 2, [Instance(f) for f in bag])
+                      for i, bag in enumerate(bags)], bags[0].shape[1])
+        close(baseline_bag_scores(params, ds), ref_bag_scores(params, ds))
+        close(baseline_instance_scores(params, ds),
+              ref_instance_scores(params, ds))
 
 
 class TestNormalization:

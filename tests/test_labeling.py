@@ -10,8 +10,26 @@ from hypothesis import strategies as st
 
 from otmil.labeling import (MuSchedule, PredictionMatrix, PseudoLabelMatrix,
                             SinkhornConfig, adaptive_mu, apply_local_constraint,
-                            naive_assign, regularized_objective,
-                            sinkhorn_assign, transport_objective)
+                            naive_assign, sinkhorn_assign,
+                            transport_objective)
+
+
+def regularized_objective(
+    q: np.ndarray, p_clamped: np.ndarray, mu: float, sharpness: float
+) -> float:
+    """Transport cost plus the scaled divergence from the product reference.
+
+    The reference spreads each row's unit mass as (mu, 1 - mu), so its total
+    mass matches any iterate whose rows sum to one. The divergence is the
+    generalized form (with linear terms), which stays meaningful on iterates
+    that do not yet satisfy the column constraint.
+    """
+    n = q.shape[0]
+    ref = np.tile([mu, 1.0 - mu], (n, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(q > 0, q / ref, 1.0)
+        kl = np.sum(np.where(q > 0, q * np.log(ratio), 0.0)) - q.sum() + ref.sum()
+    return transport_objective(q, p_clamped) + kl / sharpness
 
 
 def random_pred(rng, n, n_bags=1):

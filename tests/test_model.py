@@ -5,11 +5,42 @@ import json
 import numpy as np
 import pytest
 
-from otmil.model import (ClassifierParams, SgdConfig, backward, clone_params,
-                         forward, init_classifier, load_checkpoint,
-                         params_to_vector, save_checkpoint, sgd_step,
-                         soft_cross_entropy, vector_to_params)
+from otmil.model import (ClassifierParams, SgdConfig, backward, forward,
+                         init_classifier, load_checkpoint, save_checkpoint,
+                         sgd_step, soft_cross_entropy)
 from otmil.numkit import Rng, softmax
+
+
+def clone_params(params: ClassifierParams) -> ClassifierParams:
+    """Independent deep copy (SGD mutates arrays in place)."""
+    cp = lambda a: None if a is None else a.copy()
+    return ClassifierParams(params.arch, params.feature_dim, params.hidden,
+                            cp(params.w_hidden), cp(params.b_hidden),
+                            cp(params.w_out), cp(params.b_out))
+
+
+def params_to_vector(params: ClassifierParams) -> np.ndarray:
+    """Flatten all parameter arrays into one vector (fixed layer order)."""
+    parts = [a.ravel() for a in _arrays(params)]
+    return np.concatenate(parts)
+
+
+def vector_to_params(params: ClassifierParams, vec: np.ndarray) -> ClassifierParams:
+    """Write a flat vector back into the parameter arrays, in place."""
+    vec = np.asarray(vec, dtype=np.float64)
+    offset = 0
+    for arr in _arrays(params):
+        arr.flat[:] = vec[offset:offset + arr.size]
+        offset += arr.size
+    if offset != vec.size:
+        raise ValueError("vector length does not match parameter count")
+    return params
+
+
+def _arrays(params: ClassifierParams) -> list[np.ndarray]:
+    if params.arch == "mlp":
+        return [params.w_hidden, params.b_hidden, params.w_out, params.b_out]
+    return [params.w_out, params.b_out]
 
 
 def fd_gradient(params, x, targets, eps=1e-6):

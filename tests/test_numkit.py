@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otmil.numkit import Rng, check_finite, log_sum_exp, sample_gaussian, softmax
+from otmil.numkit import Rng, check_finite, sample_gaussian, softmax
 
 
 class TestRng:
@@ -17,11 +17,6 @@ class TestRng:
         b = Rng(42, stream=1).standard_normal(100)
         assert not np.array_equal(a, b)
 
-    def test_split_is_deterministic(self):
-        a = Rng(7).split(3).uniform(0.0, 1.0, 10)
-        b = Rng(7).split(3).uniform(0.0, 1.0, 10)
-        assert np.array_equal(a, b)
-
     def test_uniform_range(self):
         draws = Rng(0).uniform(-2.0, 5.0, 1000)
         assert draws.min() >= -2.0 and draws.max() < 5.0
@@ -34,31 +29,8 @@ class TestRng:
         perm = Rng(1).permutation(50)
         assert sorted(perm) == list(range(50))
 
-    def test_shuffle_preserves_elements(self):
-        rng = Rng(2)
-        items = list(range(20))
-        rng.shuffle(items)
-        assert sorted(items) == list(range(20))
-
 
 class TestNumerics:
-    def test_log_sum_exp_matches_naive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.normal(0, 3, size=(5, 7))
-            for axis in (None, 0, 1):
-                ours = log_sum_exp(x, axis=axis)
-                naive = np.log(np.exp(x).sum(axis=axis))
-                assert np.allclose(ours, naive, atol=1e-12)
-
-    def test_log_sum_exp_extreme_values(self):
-        x = np.array([1000.0, 1000.0])
-        assert np.isclose(log_sum_exp(x), 1000.0 + np.log(2))
-
-    def test_log_sum_exp_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            log_sum_exp(np.array([]))
-
     def test_softmax_frozen_values(self):
         out = softmax(np.array([1.0, 2.0, 3.0]))
         expected = np.array([0.09003057317038046,

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from otmil import trainer
 from otmil.data import (Bag, Dataset, GenConfig, Instance,
-                        generate_normal_bags, stack_dataset)
+                        generate_normal_bags, kfold_split, stack_dataset)
 from otmil.labeling import MuSchedule, SinkhornConfig
 from otmil.model import SgdConfig
 from otmil.numkit import Rng
@@ -239,6 +240,56 @@ class TestBenchmarkCv:
             c["mean_bag_accuracy"] for c in out["grid"])
         for cell in out["grid"]:
             assert len(cell["fold_accuracies"]) == 3
+
+    @staticmethod
+    def _record_training_sets(monkeypatch):
+        """Stub self_train so a CV run only records its training sets."""
+        params, _ = self_train(small_dataset(n_bags=12, bag_size=5),
+                               small_config(epochs=1))
+        seen = []
+
+        def fake_self_train(train_ds, cfg):
+            seen.append(train_ds)
+            return params, None
+
+        monkeypatch.setattr(trainer, "self_train", fake_self_train)
+        return seen
+
+    def test_folds_hold_only_the_given_datasets_bags(self, monkeypatch):
+        seen = self._record_training_sets(monkeypatch)
+        cfg = small_config(epochs=1)
+        src = small_dataset(n_bags=12, bag_size=5)
+        first = Dataset(src.bags[:10], src.feature_dim)
+        benchmark_cv(first, cfg, [0.2], [1], k=2)
+        stale_id = id(first)
+        del first
+        # successive datasets over all 12 bags, until one reuses the id
+        alive = []
+        for _ in range(10_000):
+            alive.append(Dataset(src.bags, src.feature_dim))
+            if id(alive[-1]) == stale_id:
+                break
+        seen.clear()
+        benchmark_cv(alive[-1], cfg, [0.2], [1], k=2)
+        # with k=2 every bag is in exactly one of the two training sets
+        assert (sorted(id(b) for ds in seen for b in ds.bags)
+                == sorted(id(b) for b in alive[-1].bags))
+
+    def test_folds_built_once_per_call(self, monkeypatch):
+        self._record_training_sets(monkeypatch)
+        calls = []
+
+        def spy(dataset, k, seed):
+            calls.append((k, seed))
+            return kfold_split(dataset, k, seed)
+
+        monkeypatch.setattr(trainer, "kfold_split_cached", spy)
+        ds = small_dataset(n_bags=12, bag_size=5)
+        cfg = small_config(epochs=1, seed=4)
+        benchmark_cv(ds, cfg, [0.2, 0.3], [1, 2], k=3)
+        assert calls == [(3, 4)]
+        benchmark_cv(ds, cfg, [0.2, 0.3], [1, 2], k=3)
+        assert calls == [(3, 4), (3, 4)]
 
     def test_bag_accuracy_bounds(self):
         ds = small_dataset()
