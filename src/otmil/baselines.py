@@ -201,17 +201,26 @@ def attention_instance_scores(attn: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
+def _split_scores(params: PoolParams, stacked) -> tuple[np.ndarray, np.ndarray]:
+    """(instance scores, bag scores) of a stacked split, one pooling pass.
+
+    Attention instance scores are the normalized attention weights of that
+    pass; max and mean score each instance by the head alone. Bag scores
+    are the head's positive-class probability of each pooled vector.
+    """
+    pooled, weights = pool_bags(params, stacked.features, stacked.offsets)
+    if params.kind == "attention":
+        instance = attention_instance_scores(weights)
+    else:
+        instance = forward(params.head, stacked.features)[:, 0]
+    return instance, forward(params.head, pooled)[:, 0]
+
+
 def baseline_instance_scores(params: PoolParams, dataset) -> np.ndarray:
     """Per-instance positive scores, corpus order = dataset bag order."""
-    stacked = stack_dataset(dataset)
-    if params.kind == "attention":
-        _, weights = pool_bags(params, stacked.features, stacked.offsets)
-        return attention_instance_scores(weights)
-    return forward(params.head, stacked.features)[:, 0]
+    return _split_scores(params, stack_dataset(dataset))[0]
 
 
 def baseline_bag_scores(params: PoolParams, dataset) -> np.ndarray:
     """Positive-class probability per bag, in dataset order."""
-    stacked = stack_dataset(dataset)
-    pooled, _ = pool_bags(params, stacked.features, stacked.offsets)
-    return forward(params.head, pooled)[:, 0]
+    return _split_scores(params, stack_dataset(dataset))[1]

@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 
 from . import data as datamod
-from .baselines import (baseline_bag_scores, baseline_instance_scores,
-                        pool_baseline_train)
+from .baselines import _split_scores, pool_baseline_train
 from .labeling import MuSchedule, SinkhornConfig
 from .metrics import entropy_curve, write_entropy_csv
 from .model import SgdConfig, load_checkpoint, save_checkpoint
@@ -240,11 +239,11 @@ def cmd_baseline(args, out_dir: Path) -> None:
     report = {"kind": args.kind, "seed": args.seed, "splits": {}}
     for name, ds in splits.items():
         stacked = datamod.stack_dataset(ds)
+        instance_scores, bag_scores = _split_scores(params, stacked)
         report["splits"][name] = {
-            "instance_auc": _auc_or_none(baseline_instance_scores(params, ds),
+            "instance_auc": _auc_or_none(instance_scores,
                                          stacked.instance_labels),
-            "bag_auc": _auc_or_none(baseline_bag_scores(params, ds),
-                                    stacked.bag_labels)}
+            "bag_auc": _auc_or_none(bag_scores, stacked.bag_labels)}
     with open(out_dir / "baseline.json", "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

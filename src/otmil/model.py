@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Rng, softmax
+from .numkit import Rng
 
 PROB_CLAMP = 1e-12  # floor inside log() of the cross-entropy
 
@@ -102,14 +102,36 @@ def init_classifier(feature_dim: int, arch: str = "linear", hidden: int = 128,
     raise ValueError(f"unknown arch: {arch!r}")
 
 
+def _softmax2(logits: np.ndarray) -> np.ndarray:
+    """Row softmax of an (n, 2) logits buffer, written into that buffer.
+
+    The arithmetic of a shift-stabilized softmax over axis 1 (subtract the
+    row max, exponentiate, divide by the row sum; the reference copy is
+    ``softmax`` in tests/test_numkit.py), with the two-element reductions
+    spelled out as elementwise calls on the columns, so the result is the
+    same to the bit at a fraction of the call overhead.
+    """
+    l0, l1 = logits[:, 0], logits[:, 1]
+    m = np.maximum(l0, l1)
+    l0 -= m
+    l1 -= m
+    np.exp(logits, out=logits)
+    total = l0 + l1
+    l0 /= total
+    l1 /= total
+    return logits
+
+
 def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
     """Class probabilities for one feature vector (2,) or a batch (n, 2).
 
     The hidden layer is built in one (n, hidden) buffer: the bias and the
     ReLU are applied in place, the same arithmetic as
     ``np.maximum(x @ W.T + b, 0)``, so a forward pass over a whole dataset
-    holds one hidden-sized array. Neither ``features`` nor the parameters
-    are modified.
+    holds one hidden-sized array. The logits buffer likewise takes the
+    output bias and becomes the probabilities in place; the two-column
+    softmax (``_softmax2``) gives a shift-stabilized softmax's bits.
+    Neither ``features`` nor the parameters are modified.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.shape[-1] != params.feature_dim:
@@ -121,8 +143,9 @@ def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
         h = x @ params.w_hidden.T
         h += params.b_hidden
         x = np.maximum(h, 0.0, out=h)
-    logits = x @ params.w_out.T + params.b_out
-    probs = softmax(logits, axis=-1)
+    logits = x @ params.w_out.T
+    logits += params.b_out
+    probs = _softmax2(logits)
     return probs[0] if single else probs
 
 
@@ -134,7 +157,17 @@ def soft_cross_entropy(pred, target) -> float:
 
 def backward(params: ClassifierParams, features: np.ndarray,
              targets: np.ndarray) -> tuple[float, Gradients]:
-    """Mean soft cross-entropy over the batch and its exact gradients."""
+    """Mean soft cross-entropy over the batch and its exact gradients.
+
+    Each intermediate lives in one buffer written in place: the hidden
+    layer takes its bias and ReLU, the logits become the probabilities
+    (``_softmax2``) and then d(loss)/d(logits), and the hidden gradient is
+    masked by the ReLU's active set. Every value has the bits of the
+    out-of-place expressions (``np.maximum(x @ W.T + b, 0)``, a
+    shift-stabilized softmax, ``-mean(sum(t * log p, axis=1))``,
+    ``(p - t) / n``, ``dh * (pre > 0)``). Neither ``features``,
+    ``targets`` nor the parameters are modified.
+    """
     x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[-1] != params.feature_dim:
@@ -144,22 +177,29 @@ def backward(params: ClassifierParams, features: np.ndarray,
     n = x.shape[0]
 
     if params.arch == "mlp":
-        pre = x @ params.w_hidden.T + params.b_hidden
-        h = np.maximum(pre, 0.0)
+        h = x @ params.w_hidden.T
+        h += params.b_hidden
+        active = h > 0.0
+        np.maximum(h, 0.0, out=h)
     else:
         h = x
-    logits = h @ params.w_out.T + params.b_out
-    probs = softmax(logits, axis=-1)
-    loss = float(-np.mean(np.sum(t * np.log(np.clip(probs, PROB_CLAMP, None)),
-                                 axis=1)))
+    logits = h @ params.w_out.T
+    logits += params.b_out
+    probs = _softmax2(logits)
+    # np.clip(probs, PROB_CLAMP, None) is this np.maximum call
+    ll = np.maximum(probs, PROB_CLAMP)
+    np.log(ll, out=ll)
+    ll *= t
+    loss = float(-((ll[:, 0] + ll[:, 1]).sum() / n))
 
     # d(mean CE)/dlogits for softmax outputs
-    dlogits = (probs - t) / n
+    dlogits = np.subtract(probs, t, out=probs)
+    dlogits /= n
     g_w_out = dlogits.T @ h
     g_b_out = dlogits.sum(axis=0)
     if params.arch == "mlp":
-        dh = dlogits @ params.w_out
-        dpre = dh * (pre > 0.0)
+        dpre = dlogits @ params.w_out
+        np.multiply(dpre, active, out=dpre)
         g_w_hidden = dpre.T @ x
         g_b_hidden = dpre.sum(axis=0)
     else:

@@ -1,9 +1,9 @@
-"""Dense float64 numerics shared by every module: seeded RNG and softmax.
+"""Dense float64 numerics shared by every module: seeded RNG and checks.
 
 Everything here is deliberately small. Matrices are plain ``np.ndarray`` in
 row-major float64; the helpers below only add the pieces numpy does not give
-us directly: a counter-based RNG with explicit seed/stream identity, a
-shift-stabilized softmax, finiteness checks and Gaussian draws.
+us directly: a counter-based RNG with explicit seed/stream identity,
+finiteness checks and Gaussian draws.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ def check_finite(values, what: str = "array") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite values in {what}")
     return arr
-
-
-def softmax(values, axis=-1) -> np.ndarray:
-    """Shift-stabilized softmax; rows sum to 1 and order is preserved."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0 or arr.shape[axis] == 0:
-        raise ValueError("empty reduction")
-    shifted = arr - np.max(arr, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def sample_gaussian(rng: Rng, mean, std: float) -> np.ndarray:

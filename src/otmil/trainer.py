@@ -154,6 +154,10 @@ def mixed_batches(x: np.ndarray, targets: np.ndarray, n_pos: int,
     first). Each call writes ``q_values`` into the first ``n_pos`` target
     rows in place, then shuffles the row indices and slices, so each epoch
     is a random partition whose batch composition tracks the corpus ratio.
+    Each batch is gathered on its own (``take`` along axis 0, the values of
+    ``x[idx]`` at less call overhead) into fresh arrays that share no
+    memory with ``x`` or ``targets``; gathering the whole epoch at once
+    would hold a second copy of the corpus.
     """
     q_values = np.asarray(q_values, dtype=np.float64)
     if q_values.shape != (n_pos, 2) or targets.shape != (x.shape[0], 2):
@@ -162,7 +166,7 @@ def mixed_batches(x: np.ndarray, targets: np.ndarray, n_pos: int,
     perm = rng.permutation(x.shape[0])
     for start in range(0, perm.size, batch_size):
         idx = perm[start:start + batch_size]
-        yield x[idx], targets[idx]
+        yield x.take(idx, axis=0), targets.take(idx, axis=0)
 
 
 def _assign(params, cfg: TrainConfig, pos_x, bag_index, mu_t, n_pos_bags):

@@ -14,7 +14,9 @@ from otmil.data import Bag, Dataset, GenConfig, Instance, generate_normal_bags
 from otmil.metrics import roc_auc
 from otmil.model import (Gradients, SgdConfig, forward, init_classifier,
                          soft_cross_entropy)
-from otmil.numkit import Rng, softmax
+from otmil.numkit import Rng
+
+from test_numkit import softmax
 
 
 def pool_params_to_vector(params: PoolParams) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otmil.data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
                         generate_hard_bags, generate_normal_bags, kfold_split,
@@ -282,6 +286,89 @@ class TestBenchmarkCsv:
         self._write(path, ["m1,1,0.1,0.2", row])
         with pytest.raises(ValueError, match="line 3: "):
             load_benchmark_csv(path)
+
+
+# finite values a text format must carry exactly: signed zeros, the
+# smallest and largest subnormals, and magnitudes at the top of the range
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               -2.225073858507201e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+features_values = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def ragged_datasets(draw, ids=st.text(min_size=1, max_size=8)):
+    """Datasets of 1-6 bags of 1-5 instances (size-1 bags included), any
+    mix of known and unknown instance labels, and edge-case features."""
+    dim = draw(st.integers(1, 4))
+    bag_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    bags = []
+    for bag_id in bag_ids:
+        size = draw(st.integers(1, 5))
+        labels = draw(st.lists(st.sampled_from([None, 0, 1]),
+                               min_size=size, max_size=size))
+        if None in labels:
+            label = draw(st.sampled_from([0, 1]))
+        else:
+            label = int(1 in labels)
+        feats = draw(st.lists(features_values, min_size=size * dim,
+                              max_size=size * dim))
+        rows = np.array(feats, dtype=np.float64).reshape(size, dim)
+        bags.append(Bag(bag_id, label, [Instance(r, lab)
+                                        for r, lab in zip(rows, labels)]))
+    return Dataset(bags, dim)
+
+
+def assert_same_bags(got, want, instance_labels=True):
+    """Equal bag ids and labels, and features equal bit for bit."""
+    assert got.feature_dim == want.feature_dim
+    assert [b.bag_id for b in got.bags] == [b.bag_id for b in want.bags]
+    assert [b.label for b in got.bags] == [b.label for b in want.bags]
+    a, b = stack_dataset(got), stack_dataset(want)
+    assert np.array_equal(a.offsets, b.offsets)
+    assert a.features.tobytes() == b.features.tobytes()
+    if instance_labels:
+        assert ([i.label for bag in got.bags for i in bag.instances]
+                == [i.label for bag in want.bags for i in bag.instances])
+
+
+def write_benchmark_csv(dataset, path):
+    """The bag_id,bag_label,f0.. layout, one instance per row, floats in
+    their shortest exact repr."""
+    header = ["bag_id", "bag_label"] + [f"f{i}" for i in
+                                        range(dataset.feature_dim)]
+    lines = [",".join(header)]
+    for bag in dataset.bags:
+        for inst in bag.instances:
+            lines.append(",".join([bag.bag_id, str(bag.label)]
+                                  + [repr(float(v)) for v in inst.features]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_datasets())
+    def test_ndjson(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.ndjson", Path(tmp) / "b.ndjson"
+            save_ndjson(ds, first)
+            back = load_ndjson(first)
+            assert_same_bags(back, ds)
+            save_ndjson(back, second)
+            assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_datasets(ids=st.text(
+        alphabet="abcdefxyzABC0123456789_-.", min_size=1, max_size=8)))
+    def test_benchmark_csv(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bags.csv"
+            write_benchmark_csv(ds, path)
+            back = load_benchmark_csv(path)
+        assert_same_bags(back, ds, instance_labels=False)
+        assert all(i.label is None for b in back.bags for i in b.instances)
 
 
 def write_idx_pair(tmp_path, images, labels, tag=""):

@@ -4,11 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otmil.model import (ClassifierParams, SgdConfig, backward, forward,
-                         init_classifier, load_checkpoint, save_checkpoint,
-                         sgd_step, soft_cross_entropy)
-from otmil.numkit import Rng, softmax
+from otmil.model import (PROB_CLAMP, ClassifierParams, Gradients, SgdConfig,
+                         _softmax2, backward, forward, init_classifier,
+                         load_checkpoint, save_checkpoint, sgd_step,
+                         soft_cross_entropy)
+from otmil.numkit import Rng
+
+from test_numkit import softmax
 
 
 def clone_params(params: ClassifierParams) -> ClassifierParams:
@@ -106,6 +111,113 @@ class TestForward:
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
             assert np.array_equal(getattr(params, name),
                                   getattr(params_before, name))
+
+
+def ref_forward(params, features):
+    """Reference copy of ``forward`` with out-of-place intermediates."""
+    x = np.asarray(features, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if params.arch == "mlp":
+        x = np.maximum(x @ params.w_hidden.T + params.b_hidden, 0.0)
+    probs = softmax(x @ params.w_out.T + params.b_out, axis=-1)
+    return probs[0] if single else probs
+
+
+def ref_backward(params, features, targets):
+    """Reference copy of ``backward`` with out-of-place intermediates."""
+    x = np.asarray(features, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    n = x.shape[0]
+    if params.arch == "mlp":
+        pre = x @ params.w_hidden.T + params.b_hidden
+        h = np.maximum(pre, 0.0)
+    else:
+        h = x
+    logits = h @ params.w_out.T + params.b_out
+    probs = softmax(logits, axis=-1)
+    loss = float(-np.mean(np.sum(t * np.log(np.clip(probs, PROB_CLAMP, None)),
+                                 axis=1)))
+    dlogits = (probs - t) / n
+    g_w_out = dlogits.T @ h
+    g_b_out = dlogits.sum(axis=0)
+    if params.arch == "mlp":
+        dh = dlogits @ params.w_out
+        dpre = dh * (pre > 0.0)
+        g_w_hidden = dpre.T @ x
+        g_b_hidden = dpre.sum(axis=0)
+    else:
+        g_w_hidden = g_b_hidden = None
+    return loss, Gradients(g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+
+
+def assert_same_bits(got, want):
+    """Equal values, shapes and dtypes, down to the sign of every zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def training_batches(draw):
+    """(params, features, targets) for both archs and batches of 1 to 70
+    rows; features are scaled so that the largest |logit| is about 1, 30
+    or 700 (saturated), targets are soft rows q, 1 - q or one-hot."""
+    arch = draw(st.sampled_from(["linear", "mlp"]))
+    n = draw(st.integers(1, 70))
+    d = draw(st.integers(1, 8))
+    reach = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    hard = draw(st.booleans())
+    rng = Rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = init_classifier(d, arch=arch, hidden=draw(st.integers(1, 12)),
+                             rng=rng)
+    x = rng.standard_normal((n, d))
+    h = np.maximum(x @ params.w_hidden.T, 0.0) if arch == "mlp" else x
+    x *= reach / max(np.abs(h @ params.w_out.T).max(), 1e-12)
+    q = rng.uniform(0.0, 1.0, n)
+    if hard:
+        q = np.round(q)
+    return params, x, np.stack([q, 1.0 - q], axis=1)
+
+
+class TestMatchesOutOfPlaceReference:
+    """The in-place ``forward``/``backward`` against the reference copies
+    above: every output bit for bit, and no input written."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(training_batches())
+    def test_backward_and_forward(self, case):
+        params, x, t = case
+        x_before, t_before = x.copy(), t.copy()
+        params_before = clone_params(params)
+        loss, grads = backward(params, x, t)
+        ref_loss, ref = ref_backward(params, x, t)
+        assert_same_bits(loss, ref_loss)
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            got, want = getattr(grads, name), getattr(ref, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert_same_bits(got, want)
+        assert_same_bits(forward(params, x), ref_forward(params, x))
+        assert_same_bits(forward(params, x[0]), ref_forward(params, x[0]))
+        assert_same_bits(x, x_before)
+        assert_same_bits(t, t_before)
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            if getattr(params, name) is not None:
+                assert_same_bits(getattr(params, name),
+                                 getattr(params_before, name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-1e308, 1e308)] * 2),
+                    min_size=1, max_size=20))
+    def test_two_column_softmax(self, rows):
+        logits = np.array(rows, dtype=np.float64)
+        want = softmax(logits, axis=-1)
+        got = _softmax2(logits)
+        assert got is logits
+        assert_same_bits(got, want)
 
 
 class TestInit:

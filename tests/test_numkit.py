@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from otmil.numkit import Rng, check_finite, sample_gaussian, softmax
+from otmil.numkit import Rng, check_finite, sample_gaussian
+
+
+def softmax(values, axis=-1) -> np.ndarray:
+    """Shift-stabilized softmax; rows sum to 1 and order is preserved.
+
+    Reference for the classifier's two-column softmax (``model._softmax2``)
+    and for the attention weights in the baseline tests.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0 or arr.shape[axis] == 0:
+        raise ValueError("empty reduction")
+    shifted = arr - np.max(arr, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 class TestRng:

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otmil import trainer
 from otmil.data import (Bag, Dataset, GenConfig, Instance,
@@ -14,6 +16,8 @@ from otmil.numkit import Rng
 from otmil.trainer import (CSV_HEADER, TrainConfig, _corpus, bag_accuracy,
                            benchmark_cv, mixed_batches, run_ablation_suite,
                            self_train, write_run_csv, write_run_summary)
+
+from test_model import assert_same_bits
 
 
 def small_dataset(seed=2, n_bags=16, bag_size=15, ratio=0.2, dim=6):
@@ -35,6 +39,15 @@ def corpus(ds):
     """(x, targets, n_pos): the leading arguments of mixed_batches."""
     x, targets, bag_index, _ = _corpus(stack_dataset(ds))
     return x, targets, bag_index.size
+
+
+def ref_mixed_batches(x, targets, n_pos, q_values, batch_size, rng):
+    """Reference copy of ``mixed_batches`` gathering with fancy indexing."""
+    targets[:n_pos] = q_values
+    perm = rng.permutation(x.shape[0])
+    for start in range(0, perm.size, batch_size):
+        idx = perm[start:start + batch_size]
+        yield x[idx], targets[idx]
 
 
 class TestMixedBatches:
@@ -95,6 +108,31 @@ class TestMixedBatches:
             idx = perm[16 * i:16 * (i + 1)]
             assert np.array_equal(xb, x[idx])
             assert np.array_equal(tb, t[idx])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 150), st.integers(1, 6), st.integers(0, 150),
+           st.integers(1, 70), st.integers(0, 2 ** 32 - 1))
+    def test_batches_match_reference_bit_for_bit(self, n, d, n_pos,
+                                                 batch_size, seed):
+        n_pos = min(n_pos, n)
+        rng = Rng(seed)
+        x = rng.standard_normal((n, d))
+        targets = np.zeros((n, 2))
+        targets[n_pos:, 1] = 1.0
+        p = rng.uniform(0.0, 1.0, n_pos)
+        q = np.stack([p, 1.0 - p], axis=1)
+        ref_targets = targets.copy()
+        got = list(mixed_batches(x, targets, n_pos, q, batch_size,
+                                 Rng(seed, stream=1)))
+        want = list(ref_mixed_batches(x, ref_targets, n_pos, q, batch_size,
+                                      Rng(seed, stream=1)))
+        assert len(got) == len(want)
+        for (xb, tb), (ref_xb, ref_tb) in zip(got, want):
+            assert_same_bits(xb, ref_xb)
+            assert_same_bits(tb, ref_tb)
+            assert not np.shares_memory(xb, x)
+            assert not np.shares_memory(tb, targets)
+        assert_same_bits(targets, ref_targets)
 
 
 class TestSelfTrain:
