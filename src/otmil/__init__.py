@@ -12,10 +12,10 @@ generators, and entropy analytics round out the toolkit.
 from .baselines import (AttentionParams, PoolParams, attention_instance_scores,
                         baseline_bag_scores, baseline_instance_scores,
                         pool_bags, pool_baseline_train)
-from .data import (Bag, Dataset, GenConfig, Instance, StackedBags,
-                   bags_from_arrays, generate_hard_bags, generate_normal_bags,
-                   kfold_split, load_benchmark_csv, load_idx_mnist,
-                   load_ndjson, save_ndjson, stack_dataset)
+from .data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
+                   generate_hard_bags, generate_normal_bags, kfold_split,
+                   load_benchmark_csv, load_idx_mnist, load_ndjson,
+                   save_ndjson)
 from .labeling import (MuSchedule, PredictionMatrix, PseudoLabelMatrix,
                        SinkhornAssignment, SinkhornConfig, adaptive_mu,
                        apply_local_constraint, naive_assign, sinkhorn_assign)
@@ -36,8 +36,7 @@ __all__ = [
     "AttentionParams", "Bag", "ClassifierParams", "Dataset", "EntropyPoint",
     "GenConfig", "Gradients", "Instance", "MuSchedule", "PoolParams",
     "PredictionMatrix", "PseudoLabelMatrix", "RocResult", "Rng", "RunRecord",
-    "SgdConfig", "SinkhornAssignment", "SinkhornConfig", "StackedBags",
-    "TrainConfig",
+    "SgdConfig", "SinkhornAssignment", "SinkhornConfig", "TrainConfig",
     "adaptive_mu", "apply_local_constraint", "attention_instance_scores",
     "backward", "bag_predict", "bags_from_arrays",
     "baseline_bag_scores", "baseline_instance_scores", "benchmark_cv",
@@ -47,6 +46,6 @@ __all__ = [
     "pool_bags", "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
     "run_ablation_suite", "save_checkpoint", "save_ndjson",
     "segment_bag_scores", "self_train", "sgd_step", "sinkhorn_assign",
-    "soft_cross_entropy", "stack_dataset", "write_entropy_csv",
+    "soft_cross_entropy", "write_entropy_csv",
     "write_run_csv", "write_run_summary",
 ]

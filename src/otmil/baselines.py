@@ -1,11 +1,11 @@
 """Bag-level pooling baselines: max, mean, and (ungated) attention.
 
-These classifiers never see instance labels. The bags of a corpus are
-stacked once (features in bag order plus bag offsets, the
-``data.stack_dataset`` layout) and ``pool_bags`` pools all of them in one
-pass, by a segment max, a segment mean, or an attention-weighted segment
-sum, into one feature vector per bag. A linear head maps those vectors to
-two-class probabilities trained with cross entropy against the bag labels.
+These classifiers never see instance labels. ``pool_bags`` pools every
+bag of a corpus (features in bag order plus bag offsets, the
+``data.Dataset`` layout) in one pass, by a segment max, a segment mean,
+or an attention-weighted segment sum, into one feature vector per bag. A
+linear head maps those vectors to two-class probabilities trained with
+cross entropy against the bag labels.
 
 Instance scores are derived afterwards: the attention arm exposes its
 per-instance attention weights (min-max normalized over the whole
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import stack_dataset
 from .model import (ClassifierParams, Gradients, SgdConfig, backward,
                     forward, init_classifier, sgd_step)
 from .numkit import Rng
@@ -65,10 +64,10 @@ class PoolGradients:
 
 def pool_bags(params: PoolParams, x: np.ndarray, offsets: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pool every bag of a stacked corpus: ((B, d) pooled, (N,) weights).
+    """Pool every bag of a corpus: ((B, d) pooled, (N,) weights).
 
     Bag i owns rows ``x[offsets[i]:offsets[i + 1]]``, as in
-    ``data.stack_dataset``. Max and mean are segment reductions (mean sums
+    ``data.Dataset``. Max and mean are segment reductions (mean sums
     each bag left to right) and return no weights. Attention weights are a
     softmax of the scores w . tanh(V f) within each bag, so they are
     positive and sum to one over every bag of any size; each pooled vector
@@ -137,7 +136,7 @@ def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
 
 
 def init_pool_params(kind: str, feature_dim: int, attention_hidden: int = 64,
-                     rng: Rng | None = None) -> PoolParams:
+                     rng: np.random.Generator | None = None) -> PoolParams:
     """Fresh baseline parameters; attention arrays drawn U(+-1/sqrt(fan_in))."""
     rng = rng or Rng(0)
     head = init_classifier(feature_dim, arch="linear", rng=rng)
@@ -160,18 +159,17 @@ def pool_baseline_train(dataset, kind: str, sgd: SgdConfig,
     """
     if kind not in POOL_KINDS:
         raise ValueError(f"unknown pooling kind: {kind!r}")
-    if not dataset.positive_bags() or not dataset.negative_bags():
+    if not 0 < dataset.bag_labels.sum() < dataset.bag_labels.size:
         raise ValueError("dataset must contain both bag classes")
     init_rng = Rng(sgd.seed, stream=11)
     shuffle_rng = Rng(sgd.seed, stream=12)
     params = init_pool_params(kind, dataset.feature_dim, attention_hidden,
                               init_rng)
-    stacked = stack_dataset(dataset)
-    offsets = stacked.offsets
-    # one view per bag into the stacked features
-    feats = [stacked.features[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    offsets = dataset.offsets
+    # one view per bag into the dataset's features
+    feats = [dataset.features[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
     # one-hot bag targets, positive class first
-    positive = stacked.bag_labels == 1
+    positive = dataset.bag_labels == 1
     targets = np.stack([positive, ~positive], axis=1).astype(np.float64)
     for _ in range(sgd.epochs):
         order = shuffle_rng.permutation(len(feats))
@@ -201,26 +199,26 @@ def attention_instance_scores(attn: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def _split_scores(params: PoolParams, stacked) -> tuple[np.ndarray, np.ndarray]:
-    """(instance scores, bag scores) of a stacked split, one pooling pass.
+def _split_scores(params: PoolParams, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(instance scores, bag scores) of a split, one pooling pass.
 
     Attention instance scores are the normalized attention weights of that
     pass; max and mean score each instance by the head alone. Bag scores
     are the head's positive-class probability of each pooled vector.
     """
-    pooled, weights = pool_bags(params, stacked.features, stacked.offsets)
+    pooled, weights = pool_bags(params, dataset.features, dataset.offsets)
     if params.kind == "attention":
         instance = attention_instance_scores(weights)
     else:
-        instance = forward(params.head, stacked.features)[:, 0]
+        instance = forward(params.head, dataset.features)[:, 0]
     return instance, forward(params.head, pooled)[:, 0]
 
 
 def baseline_instance_scores(params: PoolParams, dataset) -> np.ndarray:
     """Per-instance positive scores, corpus order = dataset bag order."""
-    return _split_scores(params, stack_dataset(dataset))[0]
+    return _split_scores(params, dataset)[0]
 
 
 def baseline_bag_scores(params: PoolParams, dataset) -> np.ndarray:
     """Positive-class probability per bag, in dataset order."""
-    return _split_scores(params, stack_dataset(dataset))[1]
+    return _split_scores(params, dataset)[1]

@@ -104,9 +104,7 @@ def cmd_gen(args, out_dir: Path) -> None:
                                 bag_size=args.bag_size,
                                 positive_ratio=args.ratio,
                                 feature_dim=feats.shape[1], seed=args.seed)
-        from .numkit import Rng
-        ds = datamod.bags_from_arrays(feats, mask, cfg, Rng(args.seed),
-                                      name="train")
+        ds = datamod.bags_from_arrays(feats, mask, cfg, name="train")
         datamod.save_ndjson(ds, out_dir / "train.ndjson")
         splits = {"train.ndjson": ds}
     else:
@@ -134,8 +132,8 @@ def cmd_gen(args, out_dir: Path) -> None:
         "seed": args.seed,
         "positive_ratio": args.ratio,
         "bag_size": args.bag_size,
-        "splits": {name: {"bags": len(ds.bags),
-                          "positive_bags": len(ds.positive_bags()),
+        "splits": {name: {"bags": len(ds.bag_ids),
+                          "positive_bags": int(ds.bag_labels.sum()),
                           "instances": ds.n_instances}
                    for name, ds in splits.items()},
     }
@@ -157,14 +155,16 @@ def cmd_eval(args, out_dir: Path) -> None:
     params = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data)
     instance_auc, bag_auc, bag_scores = _eval_metrics(
-        params, datamod.stack_dataset(dataset), args.bag_inference)
+        params, dataset, args.bag_inference)
     with open(out_dir / "bag_scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "label", "score"])
-        for bag, score in zip(dataset.bags, bag_scores):
-            writer.writerow([bag.bag_id, bag.label, repr(float(score))])
+        for bag_id, label, score in zip(dataset.bag_ids,
+                                        dataset.bag_labels.tolist(),
+                                        bag_scores.tolist()):
+            writer.writerow([bag_id, label, repr(score)])
     result = {"instance_auc": instance_auc, "bag_auc": bag_auc,
-              "n_bags": len(dataset.bags)}
+              "n_bags": len(dataset.bag_ids)}
     with open(out_dir / "eval.json", "w") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -238,12 +238,10 @@ def cmd_baseline(args, out_dir: Path) -> None:
     splits = {"train": train_ds, **tests}
     report = {"kind": args.kind, "seed": args.seed, "splits": {}}
     for name, ds in splits.items():
-        stacked = datamod.stack_dataset(ds)
-        instance_scores, bag_scores = _split_scores(params, stacked)
+        instance_scores, bag_scores = _split_scores(params, ds)
         report["splits"][name] = {
-            "instance_auc": _auc_or_none(instance_scores,
-                                         stacked.instance_labels),
-            "bag_auc": _auc_or_none(bag_scores, stacked.bag_labels)}
+            "instance_auc": _auc_or_none(instance_scores, ds.instance_labels),
+            "bag_auc": _auc_or_none(bag_scores, ds.bag_labels)}
     with open(out_dir / "baseline.json", "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

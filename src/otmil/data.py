@@ -1,12 +1,16 @@
 """Bag-structured datasets: synthetic Gaussian-blob generators, NDJSON and
-CSV ingestion, IDX image files, stratified k-fold splitting, and stacking
-a dataset into feature, offset and label arrays.
+CSV ingestion, IDX image files, and stratified k-fold splitting.
+
+A ``Dataset`` is a handful of arrays: every instance's features in bag
+order, the bag offsets, and the bag and instance labels. Bag i owns rows
+``offsets[i]:offsets[i + 1]``; training, evaluation and the pooling
+baselines read those arrays directly.
 
 A bag is positive iff it contains at least one positive instance; every
-loader and generator enforces that rule whenever instance labels are known.
-Synthetic features are Gaussian clusters: negatives around the origin,
-positives offset along one axis per concept, so desk-scale runs need no
-image data while keeping the same bag construction logic.
+dataset enforces that rule on the bags whose instance labels are all
+known. Synthetic features are Gaussian clusters: negatives around the
+origin, positives offset along one axis per concept, so desk-scale runs
+need no image data while keeping the same bag construction logic.
 """
 
 from __future__ import annotations
@@ -14,109 +18,114 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .numkit import Rng, sample_gaussian
 
 
-@dataclass
-class Instance:
-    """One feature vector; label is 1 (positive), 0 (negative), or None."""
+class Instance(NamedTuple):
+    """Read-only view of one instance: 1 (positive), 0, or None (unknown)."""
 
     features: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 1:
-            raise ValueError("instance features must be a vector")
-        if self.label is not None and self.label not in (0, 1):
-            raise ValueError("instance label must be 0, 1, or None")
+    label: int | None
 
 
-@dataclass
-class Bag:
-    """A labelled set of instances."""
+class Bag(NamedTuple):
+    """Read-only view of one bag; ``features`` are its rows of the dataset."""
 
     bag_id: str
     label: int
-    instances: list[Instance]
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError("bag label must be 0 or 1")
-        if not self.instances:
-            raise ValueError("bag must contain at least one instance")
-        labels = [inst.label for inst in self.instances]
-        if all(lab is not None for lab in labels):
-            has_pos = any(lab == 1 for lab in labels)
-            if bool(self.label) != has_pos:
-                raise ValueError(
-                    f"bag {self.bag_id!r}: label inconsistent with instance labels")
+    instances: tuple[Instance, ...]
+    features: np.ndarray
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([inst.features for inst in self.instances])
+        return self.features
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Immutable-by-convention collection of bags with one feature dim."""
+    """Bags as arrays; bag i owns rows ``offsets[i]:offsets[i + 1]``.
 
-    bags: list[Bag]
-    feature_dim: int
+    ``features`` is (N, d) float64 with d >= 1; ``offsets`` (B + 1,) int64
+    runs from 0 to N with no empty bag; ``bag_labels`` (B,) int64 holds 0
+    or 1 and ``instance_labels`` (N,) int64 holds 0, 1 or -1 (unknown). A
+    bag whose instance labels are all known is positive iff one is. The
+    arrays are read-only views of the inputs.
+    """
+
+    features: np.ndarray
+    offsets: np.ndarray
+    bag_ids: tuple[str, ...]
+    bag_labels: np.ndarray
+    instance_labels: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        if not self.bags:
+        self.bag_ids = tuple(self.bag_ids)
+        if not self.bag_ids:
             raise ValueError("dataset must contain at least one bag")
-        for bag in self.bags:
-            for inst in bag.instances:
-                if inst.features.shape != (self.feature_dim,):
-                    raise ValueError(
-                        f"bag {bag.bag_id!r}: inconsistent feature dimension")
+        for label_set, what in (((0, 1), "bag_labels"),
+                                ((-1, 0, 1), "instance_labels")):
+            if not np.isin(getattr(self, what), label_set).all():
+                raise ValueError(f"{what} must be in {label_set}")
+        for what in ("features", "offsets", "bag_labels", "instance_labels"):
+            dtype = np.float64 if what == "features" else np.int64
+            arr = np.asarray(getattr(self, what), dtype=dtype).view()
+            arr.flags.writeable = False  # a read-only view of the input
+            setattr(self, what, arr)
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            raise ValueError("features must be an (N, d) matrix with feature "
+                             "dimension d >= 1")
+        if (self.offsets.shape != (len(self.bag_ids) + 1,)
+                or self.bag_labels.shape != (len(self.bag_ids),)
+                or self.instance_labels.shape != (self.n_instances,)):
+            raise ValueError("array lengths disagree")
+        if self.offsets[0] != 0 or self.offsets[-1] != self.n_instances:
+            raise ValueError("offsets must run from 0 to N")
+        if np.any(np.diff(self.offsets) < 1):
+            raise ValueError("bag must contain at least one instance")
+        starts = self.offsets[:-1]
+        known = np.minimum.reduceat(self.instance_labels, starts) >= 0
+        has_pos = np.maximum.reduceat(self.instance_labels, starts) == 1
+        bad = np.flatnonzero(known & (has_pos != (self.bag_labels == 1)))
+        if bad.size:
+            raise ValueError(f"bag {self.bag_ids[bad[0]]!r}: label "
+                             "inconsistent with instance labels")
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
 
     @property
     def n_instances(self) -> int:
-        return sum(len(b.instances) for b in self.bags)
+        return self.features.shape[0]
 
-    def positive_bags(self) -> list[Bag]:
-        return [b for b in self.bags if b.label == 1]
+    @property
+    def bags(self) -> list[Bag]:
+        """``Bag``/``Instance`` views of the arrays, built on every read."""
+        labels = [None if v < 0 else v for v in self.instance_labels.tolist()]
+        bounds = self.offsets.tolist()
+        x = self.features
+        return [Bag(bag_id, label, tuple(map(Instance, x[a:b], labels[a:b])),
+                    x[a:b])
+                for bag_id, label, a, b in zip(self.bag_ids,
+                                               self.bag_labels.tolist(),
+                                               bounds, bounds[1:])]
 
-    def negative_bags(self) -> list[Bag]:
-        return [b for b in self.bags if b.label == 0]
-
-
-class StackedBags(NamedTuple):
-    """A dataset's arrays, bags in dataset order.
-
-    Bag i owns rows ``offsets[i]:offsets[i + 1]`` of ``features``.
-    """
-
-    features: np.ndarray  # (N, d) float64
-    offsets: np.ndarray  # (n_bags + 1,) int64, from 0 to N
-    bag_labels: np.ndarray  # (n_bags,) int64
-    instance_labels: np.ndarray | None  # (N,) int64; None if any is unknown
-
-
-def stack_dataset(dataset: Dataset) -> StackedBags:
-    """Copy a dataset's features and labels into arrays, in bag order.
-
-    Nothing is cached on the dataset: a caller that needs the arrays more
-    than once keeps the result.
-    """
-    instances = [inst for bag in dataset.bags for inst in bag.instances]
-    offsets = np.zeros(len(dataset.bags) + 1, dtype=np.int64)
-    np.cumsum([len(bag.instances) for bag in dataset.bags], out=offsets[1:])
-    labels = [inst.label for inst in instances]
-    return StackedBags(
-        features=np.stack([inst.features for inst in instances]),
-        offsets=offsets,
-        bag_labels=np.array([bag.label for bag in dataset.bags],
-                            dtype=np.int64),
-        instance_labels=(None if None in labels
-                         else np.array(labels, dtype=np.int64)))
+    def subset(self, bag_index, name: str = "") -> Dataset:
+        """The given bags, in the given order, as a new dataset."""
+        bag_index = np.asarray(bag_index, dtype=np.int64)
+        sizes = np.diff(self.offsets)[bag_index]
+        offsets = np.zeros(bag_index.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        rows = (np.repeat(self.offsets[bag_index] - offsets[:-1], sizes)
+                + np.arange(offsets[-1]))
+        return Dataset(self.features[rows], offsets,
+                       [self.bag_ids[j] for j in bag_index],
+                       self.bag_labels[bag_index], self.instance_labels[rows],
+                       name=name)
 
 
 @dataclass
@@ -152,20 +161,19 @@ class GenConfig:
             raise ValueError("bag_size must be >= 1")
         if self.n_bags < 2:
             raise ValueError("need at least 2 bags")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
 
 
 def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def _concept_means(cfg: GenConfig) -> list[np.ndarray]:
-    means = []
-    first = np.zeros(cfg.feature_dim)
-    first[0] = cfg.cluster_separation
-    means.append(first)
-    second = np.zeros(cfg.feature_dim)
-    second[1 % cfg.feature_dim] = cfg.second_separation
-    means.append(second)
+def _concept_means(cfg: GenConfig) -> np.ndarray:
+    """Row 0: the first concept's mean (axis 0); row 1: the second's."""
+    means = np.zeros((2, cfg.feature_dim))
+    means[0, 0] = cfg.cluster_separation
+    means[1, 1 % cfg.feature_dim] = cfg.second_separation
     return means
 
 
@@ -175,49 +183,50 @@ def _positive_counts(cfg: GenConfig) -> int:
     return round_half_up(cfg.positive_ratio * cfg.bag_size)
 
 
-def _make_bags(cfg: GenConfig, rng: Rng, n_bags: int, prefix: str,
-               concepts: str) -> list[Bag]:
-    """Deal positive/negative bag pairs; concepts picks the positive mix."""
+def _make_bags(cfg: GenConfig, rng: np.random.Generator, n_bags: int,
+               prefix: str, concepts: str, name: str) -> Dataset:
+    """Deal positive/negative bag pairs; concepts picks the positive mix.
+
+    Positive bags come first. Draws run instance by instance in bag order
+    (a mixed bag draws each positive's concept just before its features),
+    so a block of rows sharing one mean is drawn in one call.
+    """
     a = _positive_counts(cfg)
-    neg_mean = np.zeros(cfg.feature_dim)
+    size, dim = cfg.bag_size, cfg.feature_dim
     means = _concept_means(cfg)
+    mean = means[0] if concepts == "first" else means[1]
     n_pos_bags = (n_bags + 1) // 2
-    bags = []
+    x = np.empty((n_bags * size, dim))
     for i in range(n_bags):
-        positive = i < n_pos_bags
-        instances = []
-        if positive:
-            for _ in range(a):
-                if concepts == "first":
-                    mean = means[0]
-                elif concepts == "second":
-                    mean = means[1]
-                else:  # mixed: independent per-instance concept choice
-                    pick_first = rng.uniform(0.0, 1.0) < cfg.concept_mix
-                    mean = means[0] if pick_first else means[1]
-                instances.append(Instance(sample_gaussian(rng, mean, 1.0), label=1))
-            for _ in range(cfg.bag_size - a):
-                instances.append(Instance(sample_gaussian(rng, neg_mean, 1.0), label=0))
+        rows = x[i * size:(i + 1) * size]
+        n_pos = a if i < n_pos_bags else 0
+        if concepts == "mixed":  # independent per-instance concept
+            for j in range(n_pos):
+                pick_first = rng.uniform(0.0, 1.0) < cfg.concept_mix
+                rows[j] = sample_gaussian(
+                    rng, means[0] if pick_first else means[1], 1.0)
         else:
-            for _ in range(cfg.bag_size):
-                instances.append(Instance(sample_gaussian(rng, neg_mean, 1.0), label=0))
-        kind = "pos" if positive else "neg"
-        idx = i if positive else i - n_pos_bags
-        bags.append(Bag(f"{prefix}{kind}-{idx:03d}", int(positive), instances))
-    return bags
+            rows[:n_pos] = sample_gaussian(rng, np.tile(mean, (n_pos, 1)), 1.0)
+        rows[n_pos:] = sample_gaussian(rng, np.zeros((size - n_pos, dim)), 1.0)
+    labels = np.zeros((n_bags, size), dtype=np.int64)
+    labels[:n_pos_bags, :a] = 1
+    ids = [f"{prefix}pos-{i:03d}" for i in range(n_pos_bags)]
+    ids += [f"{prefix}neg-{i:03d}" for i in range(n_bags - n_pos_bags)]
+    return Dataset(x, np.arange(0, n_bags * size + 1, size), ids,
+                   np.arange(n_bags) < n_pos_bags, labels.ravel(), name=name)
 
 
-def generate_normal_bags(cfg: GenConfig, rng: Rng | None = None) -> Dataset:
+def generate_normal_bags(cfg: GenConfig,
+                         rng: np.random.Generator | None = None) -> Dataset:
     """Single-concept bags: each positive bag holds round(ratio*size)
     positives from one cluster; negative bags hold none."""
     if cfg.scheme != "normal":
         raise ValueError("config scheme must be 'normal'")
     rng = rng or Rng(cfg.seed)
-    bags = _make_bags(cfg, rng, cfg.n_bags, "", "first")
-    return Dataset(bags, cfg.feature_dim, name="normal")
+    return _make_bags(cfg, rng, cfg.n_bags, "", "first", "normal")
 
 
-def generate_hard_bags(cfg: GenConfig, rng: Rng | None = None
+def generate_hard_bags(cfg: GenConfig, rng: np.random.Generator | None = None
                        ) -> tuple[Dataset, Dataset, Dataset, Dataset]:
     """Two-concept suite: mixed training bags plus three test splits.
 
@@ -231,36 +240,43 @@ def generate_hard_bags(cfg: GenConfig, rng: Rng | None = None
     if cfg.n_concepts != 2:
         raise ValueError("hard scheme requires n_concepts = 2")
     rng = rng or Rng(cfg.seed)
-    train = Dataset(_make_bags(cfg, rng, cfg.n_bags, "", "mixed"),
-                    cfg.feature_dim, name="train")
-    test_normal = Dataset(_make_bags(cfg, rng, cfg.test_bags, "tn-", "mixed"),
-                          cfg.feature_dim, name="test_normal")
-    test_pos0 = Dataset(_make_bags(cfg, rng, cfg.test_bags, "t0-", "first"),
-                        cfg.feature_dim, name="test_pos0")
-    test_pos8 = Dataset(_make_bags(cfg, rng, cfg.test_bags, "t8-", "second"),
-                        cfg.feature_dim, name="test_pos8")
-    return train, test_normal, test_pos0, test_pos8
+    return (_make_bags(cfg, rng, cfg.n_bags, "", "mixed", "train"),
+            _make_bags(cfg, rng, cfg.test_bags, "tn-", "mixed", "test_normal"),
+            _make_bags(cfg, rng, cfg.test_bags, "t0-", "first", "test_pos0"),
+            _make_bags(cfg, rng, cfg.test_bags, "t8-", "second", "test_pos8"))
 
 
 def save_ndjson(dataset: Dataset, path) -> None:
     """One bag per line: {"bag_id", "label", "instances": [...]}."""
+    labels = [None if v < 0 else v for v in dataset.instance_labels.tolist()]
+    bounds = dataset.offsets.tolist()
     with open(path, "w") as fh:
-        for bag in dataset.bags:
+        for bag_id, label, a, b in zip(dataset.bag_ids,
+                                       dataset.bag_labels.tolist(),
+                                       bounds, bounds[1:]):
+            rows = dataset.features[a:b].tolist()
             rec = {
-                "bag_id": bag.bag_id,
-                "label": bag.label,
-                "instances": [
-                    {"features": [float(v) for v in inst.features],
-                     "label": inst.label}
-                    for inst in bag.instances
-                ],
+                "bag_id": bag_id,
+                "label": label,
+                "instances": [{"features": f, "label": lab}
+                              for f, lab in zip(rows, labels[a:b])],
             }
             fh.write(json.dumps(rec) + "\n")
 
 
+def _json_label(value, unknown_ok: bool) -> int:
+    """A JSON 0 or 1 (or null, as -1, when unknown_ok); else ValueError."""
+    if value is None and unknown_ok:
+        return -1
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"label must be 0 or 1{' or null' * unknown_ok}, "
+                         f"not {json.dumps(value)}")
+    return value
+
+
 def load_ndjson(path) -> Dataset:
     """Parse and validate an NDJSON bag file; errors carry line numbers."""
-    bags = []
+    blocks, ids, bag_labels, labels = [], [], [], []
     feature_dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -272,47 +288,59 @@ def load_ndjson(path) -> Dataset:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})")
             try:
-                instances = [Instance(np.array(i["features"], dtype=np.float64),
-                                      i.get("label"))
-                             for i in rec["instances"]]
-                bag = Bag(str(rec["bag_id"]), int(rec["label"]), instances)
-            except (KeyError, TypeError) as exc:
+                instances = rec["instances"]
+                block = np.array([inst["features"] for inst in instances],
+                                 dtype=np.float64)
+                inst_labels = [_json_label(inst.get("label"), True)
+                               for inst in instances]
+                label = _json_label(rec["label"], False)
+                bag_id = str(rec["bag_id"])
+            except (KeyError, TypeError, AttributeError) as exc:
                 raise ValueError(f"line {lineno}: missing or bad field ({exc})")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}")
-            for inst in bag.instances:
-                if feature_dim is None:
-                    feature_dim = len(inst.features)
-                elif len(inst.features) != feature_dim:
-                    raise ValueError(
-                        f"line {lineno}: inconsistent feature dimension")
-            if not np.isfinite(bag.feature_matrix()).all():
+            if block.size == 0:
+                raise ValueError(f"line {lineno}: a bag needs at least one "
+                                 "instance and one feature")
+            feature_dim = feature_dim or block.shape[-1]
+            if block.ndim != 2 or block.shape[1] != feature_dim:
+                raise ValueError(f"line {lineno}: inconsistent feature dimension")
+            if not np.isfinite(block).all():
                 raise ValueError(f"line {lineno}: non-finite feature value")
-            bags.append(bag)
-    if not bags:
+            # Dataset checks this too, but cannot name the line
+            if -1 not in inst_labels and label != int(1 in inst_labels):
+                raise ValueError(f"line {lineno}: bag {bag_id!r}: label "
+                                 "inconsistent with instance labels")
+            blocks.append(block)
+            ids.append(bag_id)
+            bag_labels.append(label)
+            labels += inst_labels
+    if not blocks:
         raise ValueError("no bags in file")
     name = str(path).rsplit("/", 1)[-1]
     name = name[:-7] if name.endswith(".ndjson") else name
-    return Dataset(bags, feature_dim, name=name)
+    return Dataset(np.concatenate(blocks),
+                   np.cumsum([0] + [len(b) for b in blocks]), ids,
+                   bag_labels, labels, name=name)
 
 
 def load_benchmark_csv(path) -> Dataset:
     """Pre-extracted feature benchmark: header bag_id,bag_label,f0,...
 
-    One instance per row; all rows of a bag must agree on the bag label.
-    Instance labels are unknown in this format.
+    One instance per row, bags contiguous or not: a bag's rows keep their
+    file order. All rows of a bag must agree on the bag label. Instance
+    labels are unknown in this format.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["bag_id", "bag_label"]:
             raise ValueError("header must start with bag_id,bag_label")
         dim = len(header) - 2
-        expected = [f"f{i}" for i in range(dim)]
-        if dim < 1 or header[2:] != expected:
+        if dim < 1 or header[2:] != [f"f{i}" for i in range(dim)]:
             raise ValueError("feature columns must be named f0..f{d-1}")
-        order = []
-        rows: dict[str, list[Instance]] = {}
-        labels: dict[str, int] = {}
+        rows, row_bags = [], []
+        bags: dict[str, int] = {}  # bag id -> index, in first-seen order
+        labels: list[int] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -330,16 +358,21 @@ def load_benchmark_csv(path) -> Dataset:
                 raise ValueError(f"line {lineno}: bag label must be 0 or 1")
             if not np.isfinite(feats).all():
                 raise ValueError(f"line {lineno}: non-finite feature value")
-            if bag_id not in rows:
-                rows[bag_id] = []
-                labels[bag_id] = lab
-                order.append(bag_id)
-            elif labels[bag_id] != lab:
+            if bag_id not in bags:
+                bags[bag_id] = len(bags)
+                labels.append(lab)
+            elif labels[bags[bag_id]] != lab:
                 raise ValueError(f"line {lineno}: bag label changes within bag")
-            rows[bag_id].append(Instance(feats, None))
-    bags = [Bag(bid, labels[bid], rows[bid]) for bid in order]
+            rows.append(feats)
+            row_bags.append(bags[bag_id])
+    if not rows:
+        raise ValueError("no bags in file")
+    order = np.argsort(row_bags, kind="stable")
+    offsets = np.zeros(len(bags) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_bags), out=offsets[1:])
     name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return Dataset(bags, dim, name=name)
+    return Dataset(np.stack([rows[j] for j in order]), offsets, list(bags),
+                   labels, np.full(len(rows), -1), name=name)
 
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -377,7 +410,7 @@ def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,
-                     cfg: GenConfig, rng: Rng | None = None,
+                     cfg: GenConfig, rng: np.random.Generator | None = None,
                      name: str = "pool") -> Dataset:
     """Deal bags from a fixed instance pool without replacement.
 
@@ -392,47 +425,41 @@ def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,
     neg_idx = np.flatnonzero(~positive_mask)
     pos_idx = pos_idx[rng.permutation(len(pos_idx))]
     neg_idx = neg_idx[rng.permutation(len(neg_idx))]
-    p = n = 0
-    bags = []
-    round_no = 0
     neg_per_round = (cfg.bag_size - a) + cfg.bag_size
-    while p + a <= len(pos_idx) and n + neg_per_round <= len(neg_idx):
-        members = list(pos_idx[p:p + a]) + list(neg_idx[n:n + cfg.bag_size - a])
-        p += a
-        n += cfg.bag_size - a
-        bags.append(Bag(f"pos-{round_no:04d}", 1,
-                        [Instance(features[j], int(positive_mask[j]))
-                         for j in members]))
-        members = list(neg_idx[n:n + cfg.bag_size])
-        n += cfg.bag_size
-        bags.append(Bag(f"neg-{round_no:04d}", 0,
-                        [Instance(features[j], 0) for j in members]))
-        round_no += 1
-    if not bags:
+    rounds = min(len(pos_idx) // a, len(neg_idx) // neg_per_round)
+    if rounds == 0:
         raise ValueError("instance pool too small for a single bag pair")
-    return Dataset(bags, features.shape[1], name=name)
+    # each round's rows: the positive bag (a positives, then its negatives),
+    # then the negative bag
+    order = np.concatenate(
+        [pos_idx[:rounds * a].reshape(rounds, a),
+         neg_idx[:rounds * neg_per_round].reshape(rounds, neg_per_round)],
+        axis=1).ravel()
+    ids = [f"{kind}-{r:04d}" for r in range(rounds) for kind in ("pos", "neg")]
+    return Dataset(np.asarray(features, dtype=np.float64)[order],
+                   np.arange(0, order.size + 1, cfg.bag_size), ids,
+                   np.tile([1, 0], rounds), positive_mask[order], name=name)
 
 
 def kfold_split(dataset: Dataset, k: int, seed: int = 0
-                ) -> list[tuple[Dataset, Dataset]]:
-    """Label-stratified k-fold partition of bags, deterministic per seed."""
+                ) -> Iterator[tuple[Dataset, Dataset]]:
+    """Label-stratified k-fold partition of bags, deterministic per seed.
+
+    The folds are drawn at once; each (train, test) pair is sliced out of
+    the dataset when iteration reaches it, so a caller that keeps no pair
+    holds one fold's copy of the rows at a time.
+    """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if k > len(dataset.bags):
+    if k > len(dataset.bag_ids):
         raise ValueError("k exceeds bag count")
     rng = Rng(seed, stream=7)
-    pos = [i for i, b in enumerate(dataset.bags) if b.label == 1]
-    neg = [i for i, b in enumerate(dataset.bags) if b.label == 0]
-    pos = [pos[j] for j in rng.permutation(len(pos))]
-    neg = [neg[j] for j in rng.permutation(len(neg))]
-    folds = [sorted(pos[i::k] + neg[i::k]) for i in range(k)]
-    out = []
-    for i, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        train_bags = [b for j, b in enumerate(dataset.bags) if j not in test_set]
-        test_bags = [dataset.bags[j] for j in test_idx]
-        out.append((Dataset(train_bags, dataset.feature_dim,
-                            name=f"{dataset.name}-fold{i}-train"),
-                    Dataset(test_bags, dataset.feature_dim,
-                            name=f"{dataset.name}-fold{i}-test")))
-    return out
+    fold = np.empty(len(dataset.bag_ids), dtype=np.int64)
+    for label in (1, 0):  # this draw order fixes each seed's folds
+        bags = np.flatnonzero(dataset.bag_labels == label)
+        fold[bags[rng.permutation(bags.size)]] = np.arange(bags.size) % k
+    return ((dataset.subset(np.flatnonzero(fold != i),
+                            f"{dataset.name}-fold{i}-train"),
+             dataset.subset(np.flatnonzero(fold == i),
+                            f"{dataset.name}-fold{i}-test"))
+            for i in range(k))

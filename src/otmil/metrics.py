@@ -60,7 +60,7 @@ def bag_predict(params: ClassifierParams, bag, mode: str = "max") -> float:
     """Bag-level positive probability: max (or mean) over its instances.
 
     Scores one bag with its own forward pass; ``segment_bag_scores`` scores
-    every bag of a stacked dataset from one.
+    every bag of a dataset from one.
     """
     if len(bag.instances) == 0:
         raise ValueError("empty bag")
@@ -75,10 +75,10 @@ def bag_predict(params: ClassifierParams, bag, mode: str = "max") -> float:
 
 def segment_bag_scores(instance_scores: np.ndarray, offsets: np.ndarray,
                        mode: str = "max") -> np.ndarray:
-    """Per-bag max (or mean) of stacked instance scores.
+    """Per-bag max (or mean) of instance scores in bag order.
 
     Bag i owns ``instance_scores[offsets[i]:offsets[i + 1]]``, as in
-    ``data.stack_dataset``. Max picks the same value ``bag_predict`` would
+    ``data.Dataset``. Max picks the same value ``bag_predict`` would
     from the same scores; mean sums each bag left to right, so it may
     differ from ``np.mean``'s pairwise sum in the last bits.
     """

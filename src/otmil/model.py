@@ -81,7 +81,8 @@ class SgdConfig:
 
 
 def init_classifier(feature_dim: int, arch: str = "linear", hidden: int = 128,
-                    rng: Rng | None = None) -> ClassifierParams:
+                    rng: np.random.Generator | None = None
+                    ) -> ClassifierParams:
     """Fresh parameters, each layer uniform in +-1/sqrt(fan_in)."""
     rng = rng or Rng(0)
 

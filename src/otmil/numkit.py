@@ -13,33 +13,16 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-class Rng:
+def Rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic counter-based generator (Philox 4x64).
 
     The (seed, stream) pair fully determines the draw sequence, bit-exactly,
     across runs and platforms. Streams let one experiment seed fan out into
     independent generators (init, shuffling, data) without correlation.
-    Instances are single-owner: never share one across threads.
+    A generator is single-owner: never share one across threads.
     """
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=[self.seed & _MASK64, self.stream & _MASK64])
-        )
-
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
-
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+    return np.random.Generator(
+        np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64]))
 
 
 def check_finite(values, what: str = "array") -> np.ndarray:
@@ -50,7 +33,7 @@ def check_finite(values, what: str = "array") -> np.ndarray:
     return arr
 
 
-def sample_gaussian(rng: Rng, mean, std: float) -> np.ndarray:
+def sample_gaussian(rng: np.random.Generator, mean, std: float) -> np.ndarray:
     """One draw from an isotropic Gaussian centered at ``mean``; std > 0."""
     if std <= 0:
         raise ValueError("std must be positive")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import kfold_split, stack_dataset
+from .data import kfold_split
 from .labeling import (MuSchedule, PredictionMatrix, SinkhornConfig,
                        adaptive_mu, apply_local_constraint, naive_assign,
                        sinkhorn_assign)
@@ -115,7 +115,7 @@ def write_run_summary(record: RunRecord, path) -> None:
         fh.write("\n")
 
 
-def _corpus(stacked):
+def _corpus(dataset):
     """Training arrays in corpus order, built once per run.
 
     Corpus order is positive-bag instances (dataset bag order, instance
@@ -126,26 +126,27 @@ def _corpus(stacked):
     the positive bag of each pseudo-label row; and the true labels of
     those rows, or None when any instance label is unknown.
     """
-    sizes = np.diff(stacked.offsets)
-    positive = stacked.bag_labels == 1
+    sizes = np.diff(dataset.offsets)
+    positive = dataset.bag_labels == 1
     if not positive.any():
         raise ValueError("no positive bags")
     if positive.all():
         raise ValueError("no negative bags")
     row_positive = np.repeat(positive, sizes)
     pos_rows = np.flatnonzero(row_positive)
-    x = stacked.features[np.concatenate(
+    x = dataset.features[np.concatenate(
         [pos_rows, np.flatnonzero(~row_positive)])]
     targets = np.zeros((x.shape[0], 2))
     targets[pos_rows.size:, 1] = 1.0
     bag_index = np.repeat(np.arange(int(positive.sum())), sizes[positive])
-    true_pos = (None if stacked.instance_labels is None
-                else stacked.instance_labels[pos_rows])
+    labels = dataset.instance_labels
+    true_pos = None if labels.min() < 0 else labels[pos_rows]
     return x, targets, bag_index, true_pos
 
 
 def mixed_batches(x: np.ndarray, targets: np.ndarray, n_pos: int,
-                  q_values: np.ndarray, batch_size: int, rng: Rng):
+                  q_values: np.ndarray, batch_size: int,
+                  rng: np.random.Generator):
     """Yield (features, targets) batches covering every instance once.
 
     ``x`` (N, d) and ``targets`` (N, 2) are in corpus order: the first
@@ -189,24 +190,24 @@ def _assign(params, cfg: TrainConfig, pos_x, bag_index, mu_t, n_pos_bags):
 
 
 def _auc_or_none(scores, labels):
-    """AUC of scores against 0/1 labels; None when the labels are unknown
-    (None) or hold one class only."""
-    if labels is None or not 0 < labels.sum() < labels.size:
+    """AUC of scores against 0/1 labels; None when any label is unknown
+    (-1) or the labels hold one class only."""
+    if labels.min() < 0 or not 0 < labels.sum() < labels.size:
         return None
     return roc_auc(scores, labels).auc
 
 
-def _eval_metrics(params, stacked, mode):
-    """(instance_auc, bag_auc, bag_scores) on a stacked evaluation set.
+def _eval_metrics(params, dataset, mode):
+    """(instance_auc, bag_auc, bag_scores) on an evaluation set.
 
     One forward pass scores every instance; each bag's score is the max
     (or mean) of its rows. Either AUC is None when its labels make it
     undefined.
     """
-    scores = forward(params, stacked.features)[:, 0]
-    bag_scores = segment_bag_scores(scores, stacked.offsets, mode)
-    return (_auc_or_none(scores, stacked.instance_labels),
-            _auc_or_none(bag_scores, stacked.bag_labels), bag_scores)
+    scores = forward(params, dataset.features)[:, 0]
+    bag_scores = segment_bag_scores(scores, dataset.offsets, mode)
+    return (_auc_or_none(scores, dataset.instance_labels),
+            _auc_or_none(bag_scores, dataset.bag_labels), bag_scores)
 
 
 def self_train(dataset, cfg: TrainConfig, eval_dataset=None
@@ -218,12 +219,8 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
     the training positive bags and are None unless every training instance
     label is known.
     """
-    # the training arrays double as the evaluation set when none is given;
-    # otherwise they are released here, x holding their corpus-order copy
-    eval_set = stack_dataset(dataset)
-    x, targets, bag_index, true_pos = _corpus(eval_set)
-    if eval_dataset is not None:
-        eval_set = stack_dataset(eval_dataset)
+    x, targets, bag_index, true_pos = _corpus(dataset)
+    eval_set = dataset if eval_dataset is None else eval_dataset
     n_pos = bag_index.size
     pos_x = x[:n_pos]
     n_pos_bags = int(bag_index[-1]) + 1
@@ -314,13 +311,12 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
 def bag_accuracy(params: ClassifierParams, dataset, mode: str) -> float:
     """Fraction of bags whose thresholded score matches the bag label.
 
-    The dataset is stacked once and every bag is scored from one forward
-    pass, its score the max (or mean) of its instances' scores.
+    Every bag is scored from one forward pass, its score the max (or mean)
+    of its instances' scores.
     """
-    stacked = stack_dataset(dataset)
-    scores = segment_bag_scores(forward(params, stacked.features)[:, 0],
-                                stacked.offsets, mode)
-    hits = int(np.sum((scores > 0.5) == (stacked.bag_labels == 1)))
+    scores = segment_bag_scores(forward(params, dataset.features)[:, 0],
+                                dataset.offsets, mode)
+    hits = int(np.sum((scores > 0.5) == (dataset.bag_labels == 1)))
     return hits / len(scores)
 
 
@@ -330,24 +326,22 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
 
     Each grid cell trains k models (one per fold) and scores held-out
     bags at threshold 0.5. The folds depend only on the dataset, k and
-    the seed, so they are built once per call and shared by every cell.
+    the seed, so they are drawn once per call; each fold's arrays are
+    sliced out once and serve every cell before the next fold's are.
     Returns every cell plus the best one.
     """
-    folds = kfold_split_cached(dataset, k, base_cfg.seed)
-    cells = []
-    for mu in mu_grid:
-        for warmup in warmup_grid:
+    cells = [{"mu": mu, "warmup": warmup, "fold_accuracies": []}
+             for mu in mu_grid for warmup in warmup_grid]
+    for train_ds, test_ds in kfold_split_cached(dataset, k, base_cfg.seed):
+        for cell in cells:
             cfg = dataclasses.replace(
-                base_cfg, schedule=MuSchedule(mu_final=mu,
-                                              warmup_epochs=warmup))
-            fold_accs = []
-            for train_ds, test_ds in folds:
-                params, _ = self_train(train_ds, cfg)
-                fold_accs.append(bag_accuracy(params, test_ds,
-                                              cfg.bag_inference))
-            cells.append({"mu": mu, "warmup": warmup,
-                          "fold_accuracies": fold_accs,
-                          "mean_bag_accuracy": float(np.mean(fold_accs))})
+                base_cfg, schedule=MuSchedule(mu_final=cell["mu"],
+                                              warmup_epochs=cell["warmup"]))
+            params, _ = self_train(train_ds, cfg)
+            cell["fold_accuracies"].append(
+                bag_accuracy(params, test_ds, cfg.bag_inference))
+    for cell in cells:
+        cell["mean_bag_accuracy"] = float(np.mean(cell["fold_accuracies"]))
     best = max(cells, key=lambda c: c["mean_bag_accuracy"])
     return {"grid": cells, "best": best}
 

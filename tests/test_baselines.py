@@ -10,12 +10,13 @@ from otmil.baselines import (POOL_KINDS, AttentionParams, PoolGradients,
                              baseline_bag_scores, baseline_instance_scores,
                              init_pool_params, pool_bags, pool_baseline_train,
                              pool_loss_and_grads)
-from otmil.data import Bag, Dataset, GenConfig, Instance, generate_normal_bags
+from otmil.data import GenConfig, generate_normal_bags
 from otmil.metrics import roc_auc
 from otmil.model import (Gradients, SgdConfig, forward, init_classifier,
                          soft_cross_entropy)
 from otmil.numkit import Rng
 
+from test_data import make_dataset
 from test_numkit import softmax
 
 
@@ -276,8 +277,8 @@ class TestStackedMatchesPerBag:
     @ragged_cases
     def test_bag_and_instance_scores(self, kind, sizes, seed):
         params, bags, _ = ragged_case(kind, sizes, seed)
-        ds = Dataset([Bag(f"b{i}", i % 2, [Instance(f) for f in bag])
-                      for i, bag in enumerate(bags)], bags[0].shape[1])
+        ds = make_dataset([(f"b{i}", i % 2, bag, None)
+                           for i, bag in enumerate(bags)])
         close(baseline_bag_scores(params, ds), ref_bag_scores(params, ds))
         close(baseline_instance_scores(params, ds),
               ref_instance_scores(params, ds))
@@ -334,8 +335,7 @@ class TestTraining:
 
     def test_single_class_rejected(self):
         ds = self._dataset()
-        from otmil.data import Dataset
-        only_neg = Dataset(ds.negative_bags(), ds.feature_dim)
+        only_neg = ds.subset(np.flatnonzero(ds.bag_labels == 0))
         with pytest.raises(ValueError, match="both"):
             pool_baseline_train(only_neg, "max", SgdConfig())
 

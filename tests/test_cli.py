@@ -1,11 +1,9 @@
 """End-to-end command-line flows on tiny datasets."""
 
 import json
-from collections import Counter
 
 import pytest
 
-from otmil import baselines, data
 from otmil.cli import main, parse_k_values
 
 GEN_FLAGS = ["--bags", "12", "--test-bags", "6", "--bag-size", "12",
@@ -49,6 +47,11 @@ class TestGen:
         code = run(["gen", "--ratio", "1.5", "--out", out])
         assert code != 0
         assert (out / ".failed").exists()
+
+    def test_zero_dim_fails_with_reason(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["gen", "--dim", "0", "--out", out]) == 2
+        assert "feature_dim must be >= 1" in (out / ".failed").read_text()
 
 
 class TestTrain:
@@ -164,28 +167,6 @@ class TestBaseline:
         assert "test_pos0" in report["splits"]
         assert "test_pos8" in report["splits"]
         assert "instance_auc" in report["splits"]["test_pos0"]
-
-    @pytest.mark.parametrize("kind", ["max", "attention"])
-    def test_stacks_each_split_once(self, tmp_path, monkeypatch, kind):
-        d, b = tmp_path / "d", tmp_path / "b"
-        run(["gen", "--scheme", "hard", *GEN_FLAGS, "--out", d])
-        stacked = []
-        real = data.stack_dataset
-
-        def spy(dataset):
-            stacked.append(dataset)
-            return real(dataset)
-
-        monkeypatch.setattr(data, "stack_dataset", spy)
-        monkeypatch.setattr(baselines, "stack_dataset", spy)
-        assert run(["baseline", "--kind", kind, "--data", d,
-                    "--epochs", "2", "--out", b]) == 0
-        counts = Counter(id(ds) for ds in stacked)
-        bags = {id(ds): len(ds.bags) for ds in stacked}
-        # the train split (12 bags) for training and scoring, each of the
-        # three test splits (6 bags) once
-        assert sorted((bags[k], c) for k, c in counts.items()) == [
-            (6, 1), (6, 1), (6, 1), (12, 2)]
 
 
 class TestEntropy:

@@ -10,65 +10,125 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmil.data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
+import otmil
+from otmil.data import (Dataset, GenConfig, bags_from_arrays,
                         generate_hard_bags, generate_normal_bags, kfold_split,
                         load_benchmark_csv, load_idx_mnist, load_ndjson,
-                        round_half_up, save_ndjson, stack_dataset)
+                        round_half_up, save_ndjson)
 from otmil.numkit import Rng
+
+
+def make_dataset(bags, name=""):
+    """A Dataset from (bag_id, label, rows, instance labels) tuples; an
+    instance label of None is unknown, and None for the whole list means
+    every label of the bag is unknown."""
+    feats = [np.asarray(rows, dtype=np.float64) for _, _, rows, _ in bags]
+    labels = [-1 if lab is None else lab
+              for f, (_, _, _, labs) in zip(feats, bags)
+              for lab in (labs if labs is not None else [None] * len(f))]
+    offsets = np.cumsum([0] + [len(f) for f in feats])
+    return Dataset(np.concatenate(feats), offsets, [b[0] for b in bags],
+                   [b[1] for b in bags], labels, name)
+
+
+def positive_bags(ds):
+    return [b for b in ds.bags if b.label == 1]
 
 
 class TestContainers:
     def test_bag_label_consistency_enforced(self):
-        good = Bag("b", 1, [Instance(np.zeros(2), 1),
-                            Instance(np.zeros(2), 0)])
-        assert good.label == 1
+        good = make_dataset([("b", 1, np.zeros((2, 2)), [1, 0])])
+        assert good.bags[0].label == 1
+        with pytest.raises(ValueError, match="'b': label inconsistent"):
+            make_dataset([("a", 0, np.zeros((1, 2)), [0]),
+                          ("b", 0, np.zeros((1, 2)), [1])])
         with pytest.raises(ValueError, match="inconsistent"):
-            Bag("b", 0, [Instance(np.zeros(2), 1)])
-        with pytest.raises(ValueError, match="inconsistent"):
-            Bag("b", 1, [Instance(np.zeros(2), 0)])
+            make_dataset([("b", 1, np.zeros((1, 2)), [0])])
 
     def test_unknown_instance_labels_allowed(self):
-        bag = Bag("b", 1, [Instance(np.zeros(2), None)])
-        assert bag.label == 1
+        ds = make_dataset([("b", 1, np.zeros((2, 2)), [None, 0]),
+                           ("c", 0, np.zeros((1, 2)), [None])])
+        assert [b.label for b in ds.bags] == [1, 0]
+        assert [i.label for i in ds.bags[0].instances] == [None, 0]
+        assert ds.instance_labels.tolist() == [-1, 0, -1]
 
     def test_dataset_dim_check(self):
-        bags = [Bag("a", 0, [Instance(np.zeros(3), 0)])]
-        with pytest.raises(ValueError, match="dimension"):
-            Dataset(bags, feature_dim=4)
+        for feats in (np.zeros(3), np.zeros((3, 0)), np.zeros((3, 1, 1))):
+            with pytest.raises(ValueError, match="dimension"):
+                Dataset(feats, [0, 3], ["a"], [0], [0, 0, 0])
 
     def test_feature_matrix_shape(self):
-        bag = Bag("b", 0, [Instance(np.arange(3.0), 0),
-                           Instance(np.arange(3.0) + 1, 0)])
-        assert bag.feature_matrix().shape == (2, 3)
+        ds = make_dataset([("b", 0, [np.arange(3.0), np.arange(3.0) + 1],
+                            [0, 0])])
+        assert ds.bags[0].feature_matrix().shape == (2, 3)
+        assert ds.feature_dim == 3 and ds.n_instances == 2
+
+    @pytest.mark.parametrize("args, match", [
+        (([[1.0]], [0, 1], [], [], [0]), "at least one bag"),
+        (([[1.0]], [0, 1], ["a"], [2], [0]), "bag_labels"),
+        (([[1.0]], [0, 1], ["a"], [0], [0.5]), "instance_labels"),
+        (([[1.0]], [0, 1], ["a"], [0], [0, 0]), "lengths"),
+        (([[1.0]], [0, 1], ["a", "b"], [0, 0], [0]), "lengths"),
+        (([[1.0], [2.0]], [0, 1], ["a"], [0], [0, 0]), "0 to N"),
+        (([[1.0], [2.0]], [0, 0, 2], ["a", "b"], [0, 0], [0, 0]),
+         "at least one instance"),
+    ])
+    def test_malformed_arrays_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(*args)
 
 
-class TestStackDataset:
+class TestDatasetArrays:
     def _dataset(self, third_label=1):
-        bags = [Bag("a", 1, [Instance([1.0, 2.0], 1), Instance([3.0, 4.0], 0)]),
-                Bag("b", 0, [Instance([5.0, 6.0], 0)]),
-                Bag("c", 1, [Instance([7.0, 8.0], third_label),
-                             Instance([9.0, 0.0], 1)])]
-        return Dataset(bags, 2)
+        return make_dataset([("a", 1, [[1.0, 2.0], [3.0, 4.0]], [1, 0]),
+                             ("b", 0, [[5.0, 6.0]], [0]),
+                             ("c", 1, [[7.0, 8.0], [9.0, 0.0]],
+                              [third_label, 1])])
 
     def test_arrays_in_bag_order(self):
         ds = self._dataset()
-        stacked = stack_dataset(ds)
-        assert np.array_equal(stacked.features, np.concatenate(
+        assert np.array_equal(ds.features, np.concatenate(
             [b.feature_matrix() for b in ds.bags]))
-        assert stacked.offsets.tolist() == [0, 2, 3, 5]
-        assert stacked.offsets.dtype == np.int64
-        assert stacked.bag_labels.tolist() == [1, 0, 1]
-        assert stacked.instance_labels.tolist() == [1, 0, 0, 1, 1]
+        assert ds.offsets.tolist() == [0, 2, 3, 5]
+        assert ds.offsets.dtype == np.int64
+        assert ds.bag_ids == ("a", "b", "c")
+        assert ds.bag_labels.tolist() == [1, 0, 1]
+        assert ds.instance_labels.tolist() == [1, 0, 0, 1, 1]
+        assert [[i.label for i in b.instances] for b in ds.bags] == [
+            [1, 0], [0], [1, 1]]
 
-    def test_any_unknown_instance_label_gives_none(self):
-        stacked = stack_dataset(self._dataset(third_label=None))
-        assert stacked.instance_labels is None
-        assert stacked.bag_labels.tolist() == [1, 0, 1]
+    def test_unknown_instance_label_is_minus_one(self):
+        ds = self._dataset(third_label=None)
+        assert ds.instance_labels.tolist() == [1, 0, 0, -1, 1]
+        assert ds.bags[2].instances[0].label is None
+        assert ds.bag_labels.tolist() == [1, 0, 1]
 
-    def test_features_are_a_copy(self):
-        ds = self._dataset()
-        stack_dataset(ds).features[:] = -1.0
-        assert ds.bags[0].instances[0].features.tolist() == [1.0, 2.0]
+    def test_arrays_and_views_are_read_only(self):
+        feats = np.arange(4.0).reshape(2, 2)
+        ds = Dataset(feats, [0, 2], ["a"], [0], [0, 0])
+        for arr in (ds.features, ds.offsets, ds.bag_labels,
+                    ds.instance_labels, ds.bags[0].feature_matrix(),
+                    ds.bags[0].instances[1].features):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        feats[0, 0] = -1.0  # the caller's array stays writable
+        assert ds.bags is not ds.bags  # views are rebuilt on every read
+
+    def test_subset_slices_every_array(self):
+        ds = self._dataset(third_label=None)
+        sub = ds.subset([2, 0], name="sub")
+        assert sub.name == "sub" and sub.bag_ids == ("c", "a")
+        assert sub.offsets.tolist() == [0, 2, 4]
+        assert sub.features.tolist() == [[7.0, 8.0], [9.0, 0.0],
+                                         [1.0, 2.0], [3.0, 4.0]]
+        assert sub.bag_labels.tolist() == [1, 1]
+        assert sub.instance_labels.tolist() == [-1, 1, 1, 0]
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        missing = [n for n in otmil.__all__ if not hasattr(otmil, n)]
+        assert missing == []
 
 
 class TestRounding:
@@ -85,12 +145,10 @@ class TestNormalGenerator:
                         feature_dim=6, seed=1)
         ds = generate_normal_bags(cfg)
         assert len(ds.bags) == 30
-        assert len(ds.positive_bags()) == 15
+        assert len(positive_bags(ds)) == 15
         a = round_half_up(0.10 * 40)
-        for bag in ds.positive_bags():
-            assert sum(i.label for i in bag.instances) == a
-        for bag in ds.negative_bags():
-            assert all(i.label == 0 for i in bag.instances)
+        for bag in ds.bags:
+            assert sum(i.label for i in bag.instances) == a * bag.label
 
     def test_positive_cluster_separated(self):
         cfg = GenConfig(n_bags=20, bag_size=50, positive_ratio=0.2,
@@ -98,12 +156,16 @@ class TestNormalGenerator:
         ds = generate_normal_bags(cfg)
         pos = np.concatenate([[i.features for i in b.instances
                                if i.label == 1]
-                              for b in ds.positive_bags()])
+                              for b in positive_bags(ds)])
         neg = np.concatenate([[i.features for i in b.instances
                                if i.label == 0]
                               for b in ds.bags])
         assert pos[:, 0].mean() > 4.0
         assert abs(neg[:, 0].mean()) < 0.5
+
+    def test_feature_dim_below_one_rejected(self):
+        with pytest.raises(ValueError, match="feature_dim"):
+            GenConfig(feature_dim=0)
 
     def test_empty_positive_content_rejected(self):
         cfg = GenConfig(n_bags=4, bag_size=4, positive_ratio=0.1,
@@ -139,7 +201,7 @@ class TestHardGenerator:
         _, _, t0, t8 = generate_hard_bags(cfg)
 
         def positive_mean(ds):
-            feats = [i.features for b in ds.positive_bags()
+            feats = [i.features for b in positive_bags(ds)
                      for i in b.instances if i.label == 1]
             return np.mean(feats, axis=0)
 
@@ -153,7 +215,7 @@ class TestHardGenerator:
                         cluster_separation=5.0, second_separation=3.5,
                         n_concepts=2, seed=4)
         train, _, _, _ = generate_hard_bags(cfg)
-        pos = np.array([i.features for b in train.positive_bags()
+        pos = np.array([i.features for b in positive_bags(train)
                         for i in b.instances if i.label == 1])
         first = pos[:, 0] > 2.5
         frac = first.mean()
@@ -224,6 +286,41 @@ class TestNdjson:
         with pytest.raises(ValueError):
             load_ndjson(path)
 
+    @pytest.mark.parametrize("bag, inst", [
+        (1.7, 1), (0.5, 0), ("1", 1), (True, 1), (None, 0), (2, 0),
+        (1, 1.0), (0, "0"), (1, True), (0, -1)])
+    def test_malformed_label_names_line(self, tmp_path, bag, inst):
+        path = tmp_path / "bad.ndjson"
+        rows = [
+            {"bag_id": "a", "label": 0,
+             "instances": [{"features": [1.0], "label": None}]},
+            {"bag_id": "b", "label": bag,
+             "instances": [{"features": [1.0], "label": inst}]},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError, match="line 2: label must be 0 or 1"):
+            load_ndjson(path)
+
+    def test_inconsistent_bag_label_names_line(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        rows = [
+            {"bag_id": "a", "label": 0,
+             "instances": [{"features": [1.0], "label": 0}]},
+            {"bag_id": "b", "label": 0,
+             "instances": [{"features": [1.0], "label": 1}]},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError, match="line 2: .*inconsistent"):
+            load_ndjson(path)
+
+    def test_empty_features_name_line(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(json.dumps(
+            {"bag_id": "a", "label": 0,
+             "instances": [{"features": [], "label": 0}]}) + "\n")
+        with pytest.raises(ValueError, match="line 1: .*one feature"):
+            load_ndjson(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      -float("inf")])
     def test_non_finite_feature_names_line(self, tmp_path, bad):
@@ -251,7 +348,7 @@ class TestBenchmarkCsv:
         ds = load_benchmark_csv(path)
         assert len(ds.bags) == 2
         assert ds.bags[0].label == 1 and len(ds.bags[0].instances) == 2
-        assert stack_dataset(ds).instance_labels is None
+        assert ds.instance_labels.tolist() == [-1, -1, -1]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -316,9 +413,8 @@ def ragged_datasets(draw, ids=st.text(min_size=1, max_size=8)):
         feats = draw(st.lists(features_values, min_size=size * dim,
                               max_size=size * dim))
         rows = np.array(feats, dtype=np.float64).reshape(size, dim)
-        bags.append(Bag(bag_id, label, [Instance(r, lab)
-                                        for r, lab in zip(rows, labels)]))
-    return Dataset(bags, dim)
+        bags.append((bag_id, label, rows, labels))
+    return make_dataset(bags)
 
 
 def assert_same_bags(got, want, instance_labels=True):
@@ -326,12 +422,10 @@ def assert_same_bags(got, want, instance_labels=True):
     assert got.feature_dim == want.feature_dim
     assert [b.bag_id for b in got.bags] == [b.bag_id for b in want.bags]
     assert [b.label for b in got.bags] == [b.label for b in want.bags]
-    a, b = stack_dataset(got), stack_dataset(want)
-    assert np.array_equal(a.offsets, b.offsets)
-    assert a.features.tobytes() == b.features.tobytes()
+    assert np.array_equal(got.offsets, want.offsets)
+    assert got.features.tobytes() == want.features.tobytes()
     if instance_labels:
-        assert ([i.label for bag in got.bags for i in bag.instances]
-                == [i.label for bag in want.bags for i in bag.instances])
+        assert np.array_equal(got.instance_labels, want.instance_labels)
 
 
 def write_benchmark_csv(dataset, path):
@@ -434,10 +528,12 @@ class TestBagsFromArrays:
         cfg = GenConfig(n_bags=10, bag_size=20, positive_ratio=0.2,
                         feature_dim=3, seed=0)
         ds = bags_from_arrays(feats, mask, cfg, Rng(0), name="arr")
-        assert len(ds.positive_bags()) == len(ds.negative_bags())
+        assert ds.bag_labels.tolist() == [1, 0] * 8
+        assert [b.bag_id for b in ds.bags[:4]] == [
+            "pos-0000", "neg-0000", "pos-0001", "neg-0001"]
         a = round_half_up(0.2 * 20)
-        for bag in ds.positive_bags():
-            assert sum(i.label for i in bag.instances) == a
+        for bag in ds.bags:
+            assert sum(i.label for i in bag.instances) == a * bag.label
 
     def test_without_replacement(self):
         rng = np.random.default_rng(5)
@@ -462,12 +558,9 @@ class TestBagsFromArrays:
 
 class TestKfold:
     def _dataset(self, n_pos=6, n_neg=9):
-        bags = []
-        for i in range(n_pos):
-            bags.append(Bag(f"p{i}", 1, [Instance(np.zeros(2), None)]))
-        for i in range(n_neg):
-            bags.append(Bag(f"n{i}", 0, [Instance(np.zeros(2), None)]))
-        return Dataset(bags, 2)
+        return make_dataset(
+            [(f"p{i}", 1, np.full((1, 2), i), None) for i in range(n_pos)]
+            + [(f"n{i}", 0, np.full((1, 2), -i), None) for i in range(n_neg)])
 
     def test_partition_covers_everything_once(self):
         ds = self._dataset()
@@ -490,6 +583,14 @@ class TestKfold:
             test_ids = {b.bag_id for b in test.bags}
             assert not train_ids & test_ids
             assert len(train_ids | test_ids) == len(ds.bags)
+
+    def test_folds_carry_each_bags_rows(self):
+        ds = self._dataset()
+        rows = {b.bag_id: b.feature_matrix().tolist() for b in ds.bags}
+        for train, test in kfold_split(ds, 3, seed=0):
+            for split in (train, test):
+                assert all(b.feature_matrix().tolist() == rows[b.bag_id]
+                           for b in split.bags)
 
     def test_k_validation(self):
         ds = self._dataset(n_pos=2, n_neg=2)

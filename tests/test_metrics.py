@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmil.data import Bag, Dataset, Instance, stack_dataset
 from otmil.metrics import (_average_ranks, bag_predict, entropy_curve,
                            pseudo_label_metrics, roc_auc, segment_bag_scores,
                            write_entropy_csv)
 from otmil.model import forward, init_classifier
 from otmil.numkit import Rng
+
+from test_data import make_dataset
 
 
 def auc_by_pair_counting(scores, labels):
@@ -90,15 +91,13 @@ class TestSegmentBagScores:
         rng = Rng(4)
         params = init_classifier(5, arch=arch, hidden=7, rng=rng)
         sizes = [1, 3, 1, 8, 2, 13, 1]
-        bags = [Bag(f"b{i}", i % 2, [Instance(f, None) for f in
-                                     rng.standard_normal((k, 5))])
-                for i, k in enumerate(sizes)]
-        stacked = stack_dataset(Dataset(bags, 5))
-        scores = segment_bag_scores(forward(params, stacked.features)[:, 0],
-                                    stacked.offsets, mode)
-        assert scores.shape == (len(bags),)
+        ds = make_dataset([(f"b{i}", i % 2, rng.standard_normal((k, 5)), None)
+                           for i, k in enumerate(sizes)])
+        scores = segment_bag_scores(forward(params, ds.features)[:, 0],
+                                    ds.offsets, mode)
+        assert scores.shape == (len(sizes),)
         np.testing.assert_allclose(
-            scores, [bag_predict(params, b, mode) for b in bags],
+            scores, [bag_predict(params, b, mode) for b in ds.bags],
             rtol=0.0, atol=1e-12)
 
     def test_unknown_mode(self):
@@ -112,7 +111,7 @@ class TestSegmentBagScores:
 
 class TestBagPredict:
     def _bag(self, feats):
-        return Bag("b0", 1, [Instance(f, None) for f in feats])
+        return make_dataset([("b0", 1, feats, None)]).bags[0]
 
     def test_max_vs_mean(self):
         params = init_classifier(3, arch="linear", rng=Rng(0))

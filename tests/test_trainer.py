@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otmil import trainer
-from otmil.data import (Bag, Dataset, GenConfig, Instance,
-                        generate_normal_bags, kfold_split, stack_dataset)
+from otmil.data import GenConfig, generate_normal_bags, kfold_split
 from otmil.labeling import MuSchedule, SinkhornConfig
 from otmil.model import SgdConfig
 from otmil.numkit import Rng
@@ -17,6 +16,7 @@ from otmil.trainer import (CSV_HEADER, TrainConfig, _corpus, bag_accuracy,
                            benchmark_cv, mixed_batches, run_ablation_suite,
                            self_train, write_run_csv, write_run_summary)
 
+from test_data import make_dataset
 from test_model import assert_same_bits
 
 
@@ -37,7 +37,7 @@ def small_config(epochs=6, seed=0, **kw):
 
 def corpus(ds):
     """(x, targets, n_pos): the leading arguments of mixed_batches."""
-    x, targets, bag_index, _ = _corpus(stack_dataset(ds))
+    x, targets, bag_index, _ = _corpus(ds)
     return x, targets, bag_index.size
 
 
@@ -53,7 +53,7 @@ def ref_mixed_batches(x, targets, n_pos, q_values, batch_size, rng):
 class TestMixedBatches:
     def test_partition_covers_each_instance_once(self):
         ds = small_dataset()
-        n_pos = sum(len(b.instances) for b in ds.positive_bags())
+        n_pos = int(np.diff(ds.offsets)[ds.bag_labels == 1].sum())
         q = np.tile([0.5, 0.5], (n_pos, 1))
         total = 0
         sizes = []
@@ -67,7 +67,7 @@ class TestMixedBatches:
 
     def test_negative_targets_one_hot(self):
         ds = small_dataset()
-        n_pos = sum(len(b.instances) for b in ds.positive_bags())
+        n_pos = int(np.diff(ds.offsets)[ds.bag_labels == 1].sum())
         # mark pseudo rows with a sentinel mass to tell the two groups apart
         q = np.tile([0.25, 0.75], (n_pos, 1))
         for x, t in mixed_batches(*corpus(ds), q, 64, Rng(1)):
@@ -77,7 +77,7 @@ class TestMixedBatches:
 
     def test_composition_tracks_corpus_ratio(self):
         ds = small_dataset(n_bags=20, bag_size=30)
-        n_pos = sum(len(b.instances) for b in ds.positive_bags())
+        n_pos = int(np.diff(ds.offsets)[ds.bag_labels == 1].sum())
         frac = n_pos / ds.n_instances
         q = np.tile([0.9, 0.1], (n_pos, 1))
         counts = []
@@ -94,8 +94,8 @@ class TestMixedBatches:
     def test_batches_match_concatenated_bags(self):
         # reference: the corpus as concatenated bag by bag before stacking
         ds = small_dataset()
-        pos = [b.feature_matrix() for b in ds.positive_bags()]
-        neg = [b.feature_matrix() for b in ds.negative_bags()]
+        pos = [b.feature_matrix() for b in ds.bags if b.label == 1]
+        neg = [b.feature_matrix() for b in ds.bags if b.label == 0]
         x = np.concatenate(pos + neg)
         n_pos = sum(len(f) for f in pos)
         p = Rng(5).uniform(0.0, 1.0, n_pos)
@@ -138,8 +138,8 @@ class TestMixedBatches:
 class TestSelfTrain:
     def test_requires_both_classes(self):
         ds = small_dataset()
-        pos_only = Dataset(ds.positive_bags(), ds.feature_dim)
-        neg_only = Dataset(ds.negative_bags(), ds.feature_dim)
+        pos_only = ds.subset(np.flatnonzero(ds.bag_labels == 1))
+        neg_only = ds.subset(np.flatnonzero(ds.bag_labels == 0))
         with pytest.raises(ValueError, match="no negative"):
             self_train(pos_only, small_config())
         with pytest.raises(ValueError, match="no positive"):
@@ -174,9 +174,8 @@ class TestSelfTrain:
         for i in range(6):
             label = int(i < 3)
             feats = rng.standard_normal((8, 4)) + (2.0 * label)
-            bags.append(Bag(f"b{i}", label,
-                            [Instance(f, None) for f in feats]))
-        ds = Dataset(bags, 4)
+            bags.append((f"b{i}", label, feats, None))
+        ds = make_dataset(bags)
         _, rec = self_train(ds, small_config(epochs=2))
         assert rec.rows[-1].pseudo_precision is None
         assert rec.rows[-1].pseudo_accuracy is None
@@ -297,21 +296,21 @@ class TestBenchmarkCv:
         seen = self._record_training_sets(monkeypatch)
         cfg = small_config(epochs=1)
         src = small_dataset(n_bags=12, bag_size=5)
-        first = Dataset(src.bags[:10], src.feature_dim)
+        first = src.subset(range(10))
         benchmark_cv(first, cfg, [0.2], [1], k=2)
         stale_id = id(first)
         del first
         # successive datasets over all 12 bags, until one reuses the id
         alive = []
         for _ in range(10_000):
-            alive.append(Dataset(src.bags, src.feature_dim))
+            alive.append(src.subset(range(12)))
             if id(alive[-1]) == stale_id:
                 break
         seen.clear()
         benchmark_cv(alive[-1], cfg, [0.2], [1], k=2)
         # with k=2 every bag is in exactly one of the two training sets
-        assert (sorted(id(b) for ds in seen for b in ds.bags)
-                == sorted(id(b) for b in alive[-1].bags))
+        assert (sorted(i for ds in seen for i in ds.bag_ids)
+                == sorted(alive[-1].bag_ids))
 
     def test_folds_built_once_per_call(self, monkeypatch):
         self._record_training_sets(monkeypatch)
