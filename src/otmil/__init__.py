@@ -10,7 +10,7 @@ generators, and entropy analytics round out the toolkit.
 """
 
 from .baselines import (AttentionParams, PoolParams, attention_instance_scores,
-                        baseline_bag_scores, baseline_instance_scores,
+                        baseline_instance_scores, baseline_scores,
                         pool_bags, pool_baseline_train)
 from .data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
                    generate_hard_bags, generate_normal_bags, kfold_split,
@@ -19,9 +19,9 @@ from .data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
 from .labeling import (MuSchedule, PredictionMatrix, PseudoLabelMatrix,
                        SinkhornAssignment, SinkhornConfig, adaptive_mu,
                        apply_local_constraint, naive_assign, sinkhorn_assign)
-from .metrics import (EntropyPoint, RocResult, bag_predict, entropy_curve,
-                      pseudo_label_metrics, roc_auc, segment_bag_scores,
-                      write_entropy_csv)
+from .metrics import (EntropyPoint, RocResult, bag_predict, dataset_aucs,
+                      dataset_scores, entropy_curve, pseudo_label_metrics,
+                      roc_auc, segment_bag_scores, write_entropy_csv)
 from .model import (ClassifierParams, Gradients, SgdConfig, backward, forward,
                     init_classifier, load_checkpoint, save_checkpoint,
                     sgd_step, soft_cross_entropy)
@@ -39,9 +39,10 @@ __all__ = [
     "SgdConfig", "SinkhornAssignment", "SinkhornConfig", "TrainConfig",
     "adaptive_mu", "apply_local_constraint", "attention_instance_scores",
     "backward", "bag_predict", "bags_from_arrays",
-    "baseline_bag_scores", "baseline_instance_scores", "benchmark_cv",
-    "entropy_curve", "forward", "generate_hard_bags", "generate_normal_bags",
-    "init_classifier", "kfold_split", "load_benchmark_csv", "load_checkpoint",
+    "baseline_instance_scores", "baseline_scores", "benchmark_cv",
+    "dataset_aucs", "dataset_scores", "entropy_curve", "forward",
+    "generate_hard_bags", "generate_normal_bags", "init_classifier",
+    "kfold_split", "load_benchmark_csv", "load_checkpoint",
     "load_idx_mnist", "load_ndjson", "mixed_batches", "naive_assign",
     "pool_bags", "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
     "run_ablation_suite", "save_checkpoint", "save_ndjson",

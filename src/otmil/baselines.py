@@ -10,7 +10,9 @@ cross entropy against the bag labels.
 Instance scores are derived afterwards: the attention arm exposes its
 per-instance attention weights (min-max normalized over the whole
 corpus), the max and mean arms score each instance by running it through
-the head alone.
+the head alone. ``baseline_scores`` is the baseline counterpart of
+``metrics.dataset_scores``: it returns the (instance, bag) scores that
+``metrics.dataset_aucs`` turns into AUCs.
 """
 
 from __future__ import annotations
@@ -199,8 +201,9 @@ def attention_instance_scores(attn: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def _split_scores(params: PoolParams, dataset) -> tuple[np.ndarray, np.ndarray]:
-    """(instance scores, bag scores) of a split, one pooling pass.
+def baseline_scores(params: PoolParams, dataset
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(instance scores, bag scores) of a dataset, one pooling pass.
 
     Attention instance scores are the normalized attention weights of that
     pass; max and mean score each instance by the head alone. Bag scores
@@ -216,9 +219,4 @@ def _split_scores(params: PoolParams, dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def baseline_instance_scores(params: PoolParams, dataset) -> np.ndarray:
     """Per-instance positive scores, corpus order = dataset bag order."""
-    return _split_scores(params, dataset)[0]
-
-
-def baseline_bag_scores(params: PoolParams, dataset) -> np.ndarray:
-    """Positive-class probability per bag, in dataset order."""
-    return _split_scores(params, dataset)[1]
+    return baseline_scores(params, dataset)[0]

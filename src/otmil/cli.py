@@ -19,21 +19,26 @@ import sys
 from pathlib import Path
 
 from . import data as datamod
-from .baselines import _split_scores, pool_baseline_train
+from .baselines import baseline_scores, pool_baseline_train
 from .labeling import MuSchedule, SinkhornConfig
-from .metrics import entropy_curve, write_entropy_csv
+from .metrics import (dataset_aucs, dataset_scores, entropy_curve,
+                      write_entropy_csv)
 from .model import SgdConfig, load_checkpoint, save_checkpoint
-from .trainer import (TrainConfig, _auc_or_none, _eval_metrics, benchmark_cv,
-                      run_ablation_suite, self_train, write_run_csv,
-                      write_run_summary)
+from .trainer import (TrainConfig, benchmark_cv, run_ablation_suite,
+                      self_train, write_run_csv, write_run_summary)
+
+
+def _write_json(path: Path, blob, default=None) -> None:
+    """Every JSON output: one-space indent, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(blob, fh, indent=1, sort_keys=True, default=default)
+        fh.write("\n")
 
 
 def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
     blob = {k: v for k, v in vars(args).items() if k != "func"}
     blob["out"] = str(blob["out"])
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(blob, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(out_dir / "config.json", blob, default=str)
 
 
 def _load_dataset(path) -> datamod.Dataset:
@@ -137,9 +142,7 @@ def cmd_gen(args, out_dir: Path) -> None:
                           "instances": ds.n_instances}
                    for name, ds in splits.items()},
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_train(args, out_dir: Path) -> None:
@@ -154,8 +157,9 @@ def cmd_train(args, out_dir: Path) -> None:
 def cmd_eval(args, out_dir: Path) -> None:
     params = load_checkpoint(args.checkpoint)
     dataset = _load_dataset(args.data)
-    instance_auc, bag_auc, bag_scores = _eval_metrics(
-        params, dataset, args.bag_inference)
+    instance_scores, bag_scores = dataset_scores(params, dataset,
+                                                 args.bag_inference)
+    instance_auc, bag_auc = dataset_aucs(dataset, instance_scores, bag_scores)
     with open(out_dir / "bag_scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bag_id", "label", "score"])
@@ -163,11 +167,9 @@ def cmd_eval(args, out_dir: Path) -> None:
                                         dataset.bag_labels.tolist(),
                                         bag_scores.tolist()):
             writer.writerow([bag_id, label, repr(score)])
-    result = {"instance_auc": instance_auc, "bag_auc": bag_auc,
-              "n_bags": len(dataset.bag_ids)}
-    with open(out_dir / "eval.json", "w") as fh:
-        json.dump(result, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "eval.json",
+                {"instance_auc": instance_auc, "bag_auc": bag_auc,
+                 "n_bags": len(dataset.bag_ids)})
 
 
 def cmd_sweep(args, out_dir: Path) -> None:
@@ -206,10 +208,8 @@ def cmd_sweep(args, out_dir: Path) -> None:
         best = best[1]
         header = ["mu", "warmup", "instance_auc", "bag_auc"]
     _write_table_csv(out_dir / "sweep.csv", header, rows)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump({"rows": rows, "best": best, "seed": args.seed}, fh,
-                  indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json",
+                {"rows": rows, "best": best, "seed": args.seed})
 
 
 def cmd_ablation(args, out_dir: Path) -> None:
@@ -220,10 +220,7 @@ def cmd_ablation(args, out_dir: Path) -> None:
               "instance_auc", "bag_auc", "positive_pseudo_fraction"]
     _write_table_csv(out_dir / "ablation.csv", header, table)
     summary = [{k: row[k] for k in header} for row in table]
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump({"rows": summary, "seed": args.seed}, fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", {"rows": summary, "seed": args.seed})
 
 
 def cmd_baseline(args, out_dir: Path) -> None:
@@ -238,13 +235,10 @@ def cmd_baseline(args, out_dir: Path) -> None:
     splits = {"train": train_ds, **tests}
     report = {"kind": args.kind, "seed": args.seed, "splits": {}}
     for name, ds in splits.items():
-        instance_scores, bag_scores = _split_scores(params, ds)
-        report["splits"][name] = {
-            "instance_auc": _auc_or_none(instance_scores, ds.instance_labels),
-            "bag_auc": _auc_or_none(bag_scores, ds.bag_labels)}
-    with open(out_dir / "baseline.json", "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        instance_auc, bag_auc = dataset_aucs(ds, *baseline_scores(params, ds))
+        report["splits"][name] = {"instance_auc": instance_auc,
+                                  "bag_auc": bag_auc}
+    _write_json(out_dir / "baseline.json", report)
 
 
 def parse_k_values(text: str) -> list[int]:

@@ -258,28 +258,24 @@ def sinkhorn_assign(
     )
 
 
-def naive_assign(pred: PredictionMatrix, hard: bool = False) -> PseudoLabelMatrix:
-    """Unconstrained pseudo labels: the predictions themselves (or their
-    row argmax as one-hots). Kept as the degeneration-prone reference arm."""
-    labels = PseudoLabelMatrix(pred.values.copy(), pred.bag_index.copy())
-    return labels.hardened() if hard else labels
+def naive_assign(pred: PredictionMatrix) -> PseudoLabelMatrix:
+    """Unconstrained pseudo labels: a copy of the predictions themselves.
+    Kept as the degeneration-prone reference arm."""
+    return PseudoLabelMatrix(pred.values.copy(), pred.bag_index.copy())
 
 
-def apply_local_constraint(
-    labels: PseudoLabelMatrix,
-    by: PredictionMatrix | None = None,
-    expected_bags: int | None = None,
-) -> PseudoLabelMatrix:
+def apply_local_constraint(labels: PseudoLabelMatrix,
+                           expected_bags: int | None = None
+                           ) -> PseudoLabelMatrix:
     """Pin the top positive row of every positive bag to a hard [1, 0].
 
-    The argmax is taken over the assignment itself by default, or over ``by``
-    (the raw predictions) when given. Ties break toward the lowest row index.
-    Rows of one bag need not be contiguous: a stable sort by bag groups
-    each bag's rows in row order, and the bag's top row is the first of its
-    group whose score equals the group maximum. All other rows pass through
-    unchanged; the operation is idempotent.
+    The argmax is taken over the assignment's positive column; ties break
+    toward the lowest row index. Rows of one bag need not be contiguous: a
+    stable sort by bag groups each bag's rows in row order, and the bag's
+    top row is the first of its group whose score equals the group maximum.
+    All other rows pass through unchanged; the operation is idempotent.
     """
-    scores = labels.values[:, 0] if by is None else by.values[:, 0]
+    scores = labels.values[:, 0]
     order = np.argsort(labels.bag_index, kind="stable")
     sorted_bags = labels.bag_index[order]
     first = np.ones(order.size, dtype=bool)

@@ -1,5 +1,7 @@
 """Evaluation metrics: tied-rank ROC AUC, bag-level inference, pseudo-label
-quality, and the instance-vs-bag label entropy analytics."""
+quality, and the instance-vs-bag label entropy analytics. All scoring
+goes through ``dataset_scores`` (one ``forward``, then a segment max or
+mean) and ``dataset_aucs``, which also takes a pooling baseline's scores."""
 
 from __future__ import annotations
 
@@ -90,6 +92,24 @@ def segment_bag_scores(instance_scores: np.ndarray, offsets: np.ndarray,
     if mode == "max":
         return np.maximum.reduceat(instance_scores, offsets[:-1])
     return np.add.reduceat(instance_scores, offsets[:-1]) / sizes
+
+
+def dataset_scores(params: ClassifierParams, dataset, mode: str = "max"
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(instance scores, bag scores) of a ``data.Dataset``, both in bag
+    order: one forward pass, then each bag's max (or mean) of its rows."""
+    scores = forward(params, dataset.features)[:, 0]
+    return scores, segment_bag_scores(scores, dataset.offsets, mode)
+
+
+def dataset_aucs(dataset, instance_scores, bag_scores
+                 ) -> tuple[float | None, float | None]:
+    """(instance AUC, bag AUC) against a dataset's labels; either is None
+    when a label is unknown (-1) or only one class is present."""
+    return tuple(None if y.min() < 0 or not 0 < y.sum() < y.size
+                 else roc_auc(scores, y).auc for scores, y in
+                 ((instance_scores, dataset.instance_labels),
+                  (bag_scores, dataset.bag_labels)))
 
 
 @dataclass

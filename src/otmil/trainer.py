@@ -10,6 +10,9 @@ bag instances carry their pseudo-label row.
 
 The positive-mass target mu_t can warm up from 0.5 toward its final value
 so early epochs stay exploratory while the classifier is still random.
+
+``_train_epochs`` runs that loop and only trains; ``self_train`` adds the
+per-epoch report, and ``benchmark_cv`` scores only each held-out fold.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from .data import kfold_split
 from .labeling import (MuSchedule, PredictionMatrix, SinkhornConfig,
                        adaptive_mu, apply_local_constraint, naive_assign,
                        sinkhorn_assign)
-# bag_predict is not called here; perfbench/spans.py wraps trainer.bag_predict
-from .metrics import (bag_predict, pseudo_label_metrics, roc_auc,
-                      segment_bag_scores)
+# bag_predict and roc_auc are not called here; perfbench/spans.py wraps
+# trainer.bag_predict and trainer.roc_auc
+from .metrics import (bag_predict, dataset_aucs, dataset_scores,
+                      pseudo_label_metrics, roc_auc)
 from .model import (ClassifierParams, SgdConfig, backward, forward,
                     init_classifier, sgd_step)
 from .numkit import Rng
@@ -50,7 +54,6 @@ class TrainConfig:
     soft_labels: bool = True
     constrain: bool = True
     adaptive: bool = True
-    constraint_on_predictions: bool = False
     bag_inference: str = "max"
     seed: int = 0
 
@@ -61,6 +64,9 @@ class TrainConfig:
             raise ValueError("bag_inference must be 'max' or 'mean'")
         if self.arch not in ("linear", "mlp"):
             raise ValueError("arch must be 'linear' or 'mlp'")
+        if self.sgd.seed != self.seed:
+            raise ValueError(f"sgd.seed ({self.sgd.seed}) must equal seed "
+                             f"({self.seed}): training draws from seed alone")
 
 
 @dataclass
@@ -120,11 +126,10 @@ def _corpus(dataset):
 
     Corpus order is positive-bag instances (dataset bag order, instance
     order within each bag) followed by negative-bag instances. Returns
-    (x, targets, bag_index, true_pos): the (N, d) features; the (N, 2)
-    targets, whose negative rows hold [0, 1] and whose first
-    ``len(bag_index)`` rows ``mixed_batches`` fills with pseudo labels;
-    the positive bag of each pseudo-label row; and the true labels of
-    those rows, or None when any instance label is unknown.
+    (x, targets, bag_index): the (N, d) features; the (N, 2) targets,
+    whose negative rows hold [0, 1] and whose first ``len(bag_index)``
+    rows ``mixed_batches`` fills with pseudo labels; and the positive bag
+    of each pseudo-label row.
     """
     sizes = np.diff(dataset.offsets)
     positive = dataset.bag_labels == 1
@@ -139,9 +144,7 @@ def _corpus(dataset):
     targets = np.zeros((x.shape[0], 2))
     targets[pos_rows.size:, 1] = 1.0
     bag_index = np.repeat(np.arange(int(positive.sum())), sizes[positive])
-    labels = dataset.instance_labels
-    true_pos = None if labels.min() < 0 else labels[pos_rows]
-    return x, targets, bag_index, true_pos
+    return x, targets, bag_index
 
 
 def mixed_batches(x: np.ndarray, targets: np.ndarray, n_pos: int,
@@ -178,10 +181,8 @@ def _assign(params, cfg: TrainConfig, pos_x, bag_index, mu_t, n_pos_bags):
     if cfg.constrain:
         result = sinkhorn_assign(pred, mu_t, cfg.sinkhorn)
         converged = result.converged
-        labels = apply_local_constraint(
-            result.labels,
-            by=pred if cfg.constraint_on_predictions else None,
-            expected_bags=n_pos_bags)
+        labels = apply_local_constraint(result.labels,
+                                        expected_bags=n_pos_bags)
     else:
         labels = naive_assign(pred)
     if not cfg.soft_labels:
@@ -189,50 +190,19 @@ def _assign(params, cfg: TrainConfig, pos_x, bag_index, mu_t, n_pos_bags):
     return labels.values, converged
 
 
-def _auc_or_none(scores, labels):
-    """AUC of scores against 0/1 labels; None when any label is unknown
-    (-1) or the labels hold one class only."""
-    if labels.min() < 0 or not 0 < labels.sum() < labels.size:
-        return None
-    return roc_auc(scores, labels).auc
-
-
-def _eval_metrics(params, dataset, mode):
-    """(instance_auc, bag_auc, bag_scores) on an evaluation set.
-
-    One forward pass scores every instance; each bag's score is the max
-    (or mean) of its rows. Either AUC is None when its labels make it
-    undefined.
-    """
-    scores = forward(params, dataset.features)[:, 0]
-    bag_scores = segment_bag_scores(scores, dataset.offsets, mode)
-    return (_auc_or_none(scores, dataset.instance_labels),
-            _auc_or_none(bag_scores, dataset.bag_labels), bag_scores)
-
-
-def self_train(dataset, cfg: TrainConfig, eval_dataset=None
-               ) -> tuple[ClassifierParams, RunRecord]:
-    """Run the alternating loop; deterministic for a given config and seed.
-
-    Metrics in the returned record refer to eval_dataset when given, else
-    to the training set. Pseudo-label precision/accuracy always refer to
-    the training positive bags and are None unless every training instance
-    label is known.
-    """
-    x, targets, bag_index, true_pos = _corpus(dataset)
-    eval_set = dataset if eval_dataset is None else eval_dataset
+def _train_epochs(dataset, cfg: TrainConfig):
+    """The alternating loop, training only. After each epoch's SGD pass it
+    yields (mu_t, mean loss, pseudo labels, converged, params), params
+    being the live classifier that the next epoch updates in place."""
+    x, targets, bag_index = _corpus(dataset)
     n_pos = bag_index.size
     pos_x = x[:n_pos]
     n_pos_bags = int(bag_index[-1]) + 1
-
-    init_rng = Rng(cfg.seed, stream=_INIT_STREAM)
-    shuffle_rng = Rng(cfg.seed, stream=_SHUFFLE_STREAM)
     params = init_classifier(dataset.feature_dim, arch=cfg.arch,
-                             hidden=cfg.hidden, rng=init_rng)
-
-    record = RunRecord()
+                             hidden=cfg.hidden,
+                             rng=Rng(cfg.seed, stream=_INIT_STREAM))
+    shuffle_rng = Rng(cfg.seed, stream=_SHUFFLE_STREAM)
     q_values = None
-    converged = True
     for epoch in range(cfg.sgd.epochs):
         mu_t = (adaptive_mu(epoch, cfg.schedule) if cfg.adaptive
                 else cfg.schedule.mu_final)
@@ -247,15 +217,34 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
             sgd_step(params, grads, cfg.sgd.learning_rate)
             loss_sum += loss * xb.shape[0]
             n_seen += xb.shape[0]
+        yield mu_t, loss_sum / n_seen, q_values, converged, params
+
+
+def self_train(dataset, cfg: TrainConfig, eval_dataset=None
+               ) -> tuple[ClassifierParams, RunRecord]:
+    """Run the alternating loop; deterministic for a given config and seed.
+
+    Metrics in the returned record refer to eval_dataset when given, else
+    to the training set. Pseudo-label precision/accuracy always refer to
+    the training positive bags and are None unless every training instance
+    label is known.
+    """
+    eval_set = dataset if eval_dataset is None else eval_dataset
+    labels = dataset.instance_labels
+    # true labels of the pseudo-label rows: positive-bag rows in bag order
+    true_pos = None if labels.min() < 0 else labels[
+        np.repeat(dataset.bag_labels == 1, np.diff(dataset.offsets))]
+    record = RunRecord()
+    for epoch, (mu_t, loss, q_values, converged, params) in enumerate(
+            _train_epochs(dataset, cfg)):
         pseudo_p = pseudo_a = None
         if true_pos is not None:
             rep = pseudo_label_metrics(q_values, true_pos)
             pseudo_p, pseudo_a = rep.precision, rep.accuracy
-        inst_auc, bag_auc, _ = _eval_metrics(params, eval_set,
-                                             cfg.bag_inference)
-        record.rows.append(EpochRow(epoch, mu_t, loss_sum / n_seen,
-                                    pseudo_p, pseudo_a, inst_auc, bag_auc,
-                                    converged))
+        inst_auc, bag_auc = dataset_aucs(eval_set, *dataset_scores(
+            params, eval_set, cfg.bag_inference))
+        record.rows.append(EpochRow(epoch, mu_t, loss, pseudo_p, pseudo_a,
+                                    inst_auc, bag_auc, converged))
 
     final = record.rows[-1]
     first = record.rows[0]
@@ -311,11 +300,9 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
 def bag_accuracy(params: ClassifierParams, dataset, mode: str) -> float:
     """Fraction of bags whose thresholded score matches the bag label.
 
-    Every bag is scored from one forward pass, its score the max (or mean)
-    of its instances' scores.
+    Every bag is scored by ``metrics.dataset_scores``.
     """
-    scores = segment_bag_scores(forward(params, dataset.features)[:, 0],
-                                dataset.offsets, mode)
+    _, scores = dataset_scores(params, dataset, mode)
     hits = int(np.sum((scores > 0.5) == (dataset.bag_labels == 1)))
     return hits / len(scores)
 
@@ -324,10 +311,10 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
                  k: int = 10) -> dict:
     """Grid-search mu and the warmup length by k-fold bag accuracy.
 
-    Each grid cell trains k models (one per fold) and scores held-out
-    bags at threshold 0.5. The folds depend only on the dataset, k and
-    the seed, so they are drawn once per call; each fold's arrays are
-    sliced out once and serve every cell before the next fold's are.
+    Each grid cell trains k models (one per fold) and scores only the
+    held-out bags, at threshold 0.5. The folds depend only on the dataset,
+    k and the seed, so they are drawn once per call; each fold's arrays
+    are sliced out once and serve every cell before the next fold's are.
     Returns every cell plus the best one.
     """
     cells = [{"mu": mu, "warmup": warmup, "fold_accuracies": []}
@@ -337,7 +324,8 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
             cfg = dataclasses.replace(
                 base_cfg, schedule=MuSchedule(mu_final=cell["mu"],
                                               warmup_epochs=cell["warmup"]))
-            params, _ = self_train(train_ds, cfg)
+            for *_, params in _train_epochs(train_ds, cfg):
+                pass
             cell["fold_accuracies"].append(
                 bag_accuracy(params, test_ds, cfg.bag_inference))
     for cell in cells:

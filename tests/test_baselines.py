@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from otmil.baselines import (POOL_KINDS, AttentionParams, PoolGradients,
                              PoolParams, attention_instance_scores,
-                             baseline_bag_scores, baseline_instance_scores,
+                             baseline_instance_scores, baseline_scores,
                              init_pool_params, pool_bags, pool_baseline_train,
                              pool_loss_and_grads)
 from otmil.data import GenConfig, generate_normal_bags
@@ -279,7 +279,7 @@ class TestStackedMatchesPerBag:
         params, bags, _ = ragged_case(kind, sizes, seed)
         ds = make_dataset([(f"b{i}", i % 2, bag, None)
                            for i, bag in enumerate(bags)])
-        close(baseline_bag_scores(params, ds), ref_bag_scores(params, ds))
+        close(baseline_scores(params, ds)[1], ref_bag_scores(params, ds))
         close(baseline_instance_scores(params, ds),
               ref_instance_scores(params, ds))
 
@@ -330,7 +330,7 @@ class TestTraining:
             params = pool_baseline_train(
                 ds, kind, SgdConfig(learning_rate=0.05, batch_size=16,
                                     epochs=60, seed=1))
-            auc = roc_auc(baseline_bag_scores(params, ds), labels).auc
+            auc = roc_auc(baseline_scores(params, ds)[1], labels).auc
             assert auc >= 0.99, f"{kind} bag AUC {auc:.3f}"
 
     def test_single_class_rejected(self):

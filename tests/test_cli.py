@@ -1,5 +1,7 @@
 """End-to-end command-line flows on tiny datasets."""
 
+import ast
+import inspect
 import json
 
 import pytest
@@ -198,3 +200,13 @@ class TestConfigEcho:
         assert echoed["command"] == "entropy"
         assert echoed["p_steps"] == 3
         assert echoed["seed"] == 0
+
+
+class TestImports:
+    def test_no_private_name_from_another_module(self):
+        from otmil import cli
+        tree = ast.parse(inspect.getsource(cli))
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []

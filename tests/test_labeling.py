@@ -242,7 +242,7 @@ class TestNaiveAssign:
     def test_hard_is_row_argmax(self):
         pred = PredictionMatrix(np.array([[0.6, 0.4], [0.2, 0.8]]),
                                 np.zeros(2, dtype=int))
-        labels = naive_assign(pred, hard=True)
+        labels = naive_assign(pred).hardened()
         assert np.array_equal(labels.values, [[1.0, 0.0], [0.0, 1.0]])
 
 
@@ -275,23 +275,15 @@ class TestLocalConstraint:
         assert np.array_equal(out.values[0], [1.0, 0.0])
         assert np.array_equal(out.values[1], [0.5, 0.5])
 
-    def test_argmax_source_can_be_predictions(self):
-        labels = self._labels([[0.9, 0.1], [0.1, 0.9]], [0, 0])
-        pred = PredictionMatrix(np.array([[0.2, 0.8], [0.8, 0.2]]),
-                                np.array([0, 0]))
-        out = apply_local_constraint(labels, by=pred)
-        assert np.array_equal(out.values[1], [1.0, 0.0])
-        assert np.allclose(out.values[0], [0.9, 0.1])
-
     def test_missing_bag_detected(self):
         labels = self._labels([[0.5, 0.5]], [0])
         with pytest.raises(ValueError, match="empty bag"):
             apply_local_constraint(labels, expected_bags=2)
 
 
-def local_constraint_by_loop(labels, by=None, expected_bags=None):
+def local_constraint_by_loop(labels, expected_bags=None):
     """Reference: the per-bag scan apply_local_constraint replaced."""
-    scores = labels.values[:, 0] if by is None else by.values[:, 0]
+    scores = labels.values[:, 0]
     bag_ids = np.unique(labels.bag_index)
     if expected_bags is not None and len(bag_ids) < expected_bags:
         raise ValueError("empty bag in assignment")
@@ -310,15 +302,14 @@ TIE_HEAVY = (st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
 
 @st.composite
 def interleaved_assignments(draw):
-    """(bag_index, positive column, argmax column or None, expected_bags),
-    with rows of one bag scattered over the matrix."""
+    """(bag_index, positive column, expected_bags), with rows of one bag
+    scattered over the matrix."""
     n = draw(st.integers(1, 40))
     n_bags = draw(st.integers(1, 6))
     rows = st.lists(TIE_HEAVY, min_size=n, max_size=n)
     bag_index = draw(st.lists(st.integers(0, n_bags - 1), min_size=n,
                               max_size=n))
     return (np.array(bag_index), np.array(draw(rows)),
-            draw(st.none() | rows.map(np.array)),
             draw(st.none() | st.integers(1, n_bags + 1)))
 
 
@@ -326,19 +317,16 @@ class TestLocalConstraintMatchesLoop:
     @settings(max_examples=300, deadline=None)
     @given(interleaved_assignments())
     def test_equals_per_bag_loop(self, case):
-        bag_index, pos, by_pos, expected_bags = case
+        bag_index, pos, expected_bags = case
         labels = PseudoLabelMatrix(np.stack([pos, 1 - pos], axis=1),
                                    bag_index)
-        by = (None if by_pos is None else
-              PredictionMatrix(np.stack([by_pos, 1 - by_pos], axis=1),
-                               bag_index))
         try:
-            reference = local_constraint_by_loop(labels, by, expected_bags)
+            reference = local_constraint_by_loop(labels, expected_bags)
         except ValueError:
             with pytest.raises(ValueError, match="empty bag"):
-                apply_local_constraint(labels, by, expected_bags)
+                apply_local_constraint(labels, expected_bags)
             return
-        out = apply_local_constraint(labels, by, expected_bags)
+        out = apply_local_constraint(labels, expected_bags)
         assert np.array_equal(out.values, reference)
         assert np.array_equal(out.bag_index, bag_index)
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmil.metrics import (_average_ranks, bag_predict, entropy_curve,
-                           pseudo_label_metrics, roc_auc, segment_bag_scores,
-                           write_entropy_csv)
+from otmil.metrics import (_average_ranks, bag_predict, dataset_aucs,
+                           dataset_scores, entropy_curve, pseudo_label_metrics,
+                           roc_auc, segment_bag_scores, write_entropy_csv)
 from otmil.model import forward, init_classifier
 from otmil.numkit import Rng
 
@@ -107,6 +107,38 @@ class TestSegmentBagScores:
     def test_empty_bag(self):
         with pytest.raises(ValueError, match="empty"):
             segment_bag_scores(np.zeros(3), np.array([0, 1, 1, 3]), "max")
+
+
+class TestDatasetScores:
+    def _dataset(self, bag_labels, instance_labels):
+        rng = Rng(6)
+        return make_dataset([(f"b{i}", label, rng.standard_normal((3, 4)),
+                              labs) for i, (label, labs) in
+                             enumerate(zip(bag_labels, instance_labels))])
+
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    def test_one_forward_then_segment(self, mode):
+        params = init_classifier(4, arch="mlp", hidden=5, rng=Rng(1))
+        ds = self._dataset([1, 0, 1], [[0, 1, 0], [0, 0, 0], None])
+        instance, bags = dataset_scores(params, ds, mode)
+        want = forward(params, ds.features)[:, 0]
+        assert instance.tobytes() == want.tobytes()
+        assert (bags.tobytes()
+                == segment_bag_scores(want, ds.offsets, mode).tobytes())
+
+    def test_aucs_match_roc_auc(self):
+        ds = self._dataset([1, 0, 1], [[0, 1, 0], [0, 0, 0], [1, 1, 0]])
+        instance, bags = np.linspace(0.0, 1.0, 9), np.array([0.7, 0.2, 0.4])
+        assert dataset_aucs(ds, instance, bags) == (
+            roc_auc(instance, ds.instance_labels).auc,
+            roc_auc(bags, ds.bag_labels).auc)
+
+    def test_undefined_auc_is_none(self):
+        # one unknown instance label, then bags of one class only
+        ds = self._dataset([1, 0], [[0, 1, None], [0, 0, 0]])
+        assert dataset_aucs(ds, np.zeros(6), np.array([0.9, 0.1]))[0] is None
+        ds = self._dataset([0, 0], [[0, 0, 0], [0, 0, 0]])
+        assert dataset_aucs(ds, np.zeros(6), np.zeros(2)) == (None, None)
 
 
 class TestBagPredict:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmil import trainer
+from otmil import metrics, trainer
 from otmil.data import GenConfig, generate_normal_bags, kfold_split
 from otmil.labeling import MuSchedule, SinkhornConfig
 from otmil.model import SgdConfig
@@ -37,7 +37,7 @@ def small_config(epochs=6, seed=0, **kw):
 
 def corpus(ds):
     """(x, targets, n_pos): the leading arguments of mixed_batches."""
-    x, targets, bag_index, _ = _corpus(ds)
+    x, targets, bag_index = _corpus(ds)
     return x, targets, bag_index.size
 
 
@@ -48,6 +48,14 @@ def ref_mixed_batches(x, targets, n_pos, q_values, batch_size, rng):
     for start in range(0, perm.size, batch_size):
         idx = perm[start:start + batch_size]
         yield x[idx], targets[idx]
+
+
+class TestTrainConfig:
+    def test_sgd_seed_must_equal_seed(self):
+        # self_train draws its init and shuffle streams from seed alone
+        with pytest.raises(ValueError, match=r"sgd.seed \(5\).*seed \(0\)"):
+            TrainConfig(sgd=SgdConfig(seed=5))
+        assert TrainConfig(sgd=SgdConfig(seed=5), seed=5).seed == 5
 
 
 class TestMixedBatches:
@@ -198,6 +206,16 @@ class TestSelfTrain:
         # the recorded positive fraction comes from a 0/1 matrix
         assert 0.0 <= rec.summary["positive_pseudo_fraction"] <= 1.0
 
+    def test_training_loop_ends_at_self_trains_params(self):
+        ds = small_dataset()
+        cfg = small_config(epochs=3)
+        params, _ = self_train(ds, cfg)
+        for *_, loop_params in trainer._train_epochs(ds, cfg):
+            pass
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            assert_same_bits(getattr(loop_params, name),
+                             getattr(params, name))
+
     def test_eval_dataset_used_for_auc(self):
         train = small_dataset(seed=1)
         test = small_dataset(seed=99)
@@ -278,18 +296,35 @@ class TestBenchmarkCv:
         for cell in out["grid"]:
             assert len(cell["fold_accuracies"]) == 3
 
+    def test_trains_without_scoring_the_training_set(self, monkeypatch):
+        # instance labels are known, so an epoch report would take AUCs
+        ds = small_dataset(n_bags=12, bag_size=10)
+        cfg = small_config(epochs=2)
+        want = benchmark_cv(ds, cfg, [0.2, 0.3], [1], k=3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("benchmark_cv scored a training run")
+
+        for module, name in ((metrics, "roc_auc"), (trainer, "roc_auc"),
+                             (trainer, "self_train")):
+            monkeypatch.setattr(module, name, forbidden)
+        got = benchmark_cv(ds, cfg, [0.2, 0.3], [1], k=3)
+        assert ([c["fold_accuracies"] for c in got["grid"]]
+                == [c["fold_accuracies"] for c in want["grid"]])
+
     @staticmethod
     def _record_training_sets(monkeypatch):
-        """Stub self_train so a CV run only records its training sets."""
+        """Stub the training loop so a CV run only records its training
+        sets."""
         params, _ = self_train(small_dataset(n_bags=12, bag_size=5),
                                small_config(epochs=1))
         seen = []
 
-        def fake_self_train(train_ds, cfg):
+        def fake_train_epochs(train_ds, cfg):
             seen.append(train_ds)
-            return params, None
+            yield None, None, None, None, params
 
-        monkeypatch.setattr(trainer, "self_train", fake_self_train)
+        monkeypatch.setattr(trainer, "_train_epochs", fake_train_epochs)
         return seen
 
     def test_folds_hold_only_the_given_datasets_bags(self, monkeypatch):
