@@ -16,9 +16,9 @@ from .data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
                    generate_hard_bags, generate_normal_bags, kfold_split,
                    load_benchmark_csv, load_idx_mnist, load_ndjson,
                    save_ndjson)
-from .labeling import (MuSchedule, PredictionMatrix, PseudoLabelMatrix,
-                       SinkhornAssignment, SinkhornConfig, adaptive_mu,
-                       apply_local_constraint, naive_assign, sinkhorn_assign)
+from .labeling import (MuSchedule, SinkhornAssignment, SinkhornConfig,
+                       adaptive_mu, apply_local_constraint, harden,
+                       sinkhorn_assign)
 from .metrics import (EntropyPoint, RocResult, bag_predict, dataset_aucs,
                       dataset_scores, entropy_curve, pseudo_label_metrics,
                       roc_auc, segment_bag_scores, write_entropy_csv)
@@ -27,26 +27,24 @@ from .model import (ClassifierParams, Gradients, SgdConfig, backward, forward,
                     sgd_step, soft_cross_entropy)
 from .numkit import Rng
 from .trainer import (RunRecord, TrainConfig, benchmark_cv, mixed_batches,
-                      run_ablation_suite, self_train, write_run_csv,
-                      write_run_summary)
+                      run_ablation_suite, self_train, train, write_run_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttentionParams", "Bag", "ClassifierParams", "Dataset", "EntropyPoint",
     "GenConfig", "Gradients", "Instance", "MuSchedule", "PoolParams",
-    "PredictionMatrix", "PseudoLabelMatrix", "RocResult", "Rng", "RunRecord",
-    "SgdConfig", "SinkhornAssignment", "SinkhornConfig", "TrainConfig",
+    "RocResult", "Rng", "RunRecord", "SgdConfig", "SinkhornAssignment",
+    "SinkhornConfig", "TrainConfig",
     "adaptive_mu", "apply_local_constraint", "attention_instance_scores",
     "backward", "bag_predict", "bags_from_arrays",
     "baseline_instance_scores", "baseline_scores", "benchmark_cv",
     "dataset_aucs", "dataset_scores", "entropy_curve", "forward",
-    "generate_hard_bags", "generate_normal_bags", "init_classifier",
+    "generate_hard_bags", "generate_normal_bags", "harden", "init_classifier",
     "kfold_split", "load_benchmark_csv", "load_checkpoint",
-    "load_idx_mnist", "load_ndjson", "mixed_batches", "naive_assign",
+    "load_idx_mnist", "load_ndjson", "mixed_batches",
     "pool_bags", "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
     "run_ablation_suite", "save_checkpoint", "save_ndjson",
     "segment_bag_scores", "self_train", "sgd_step", "sinkhorn_assign",
-    "soft_cross_entropy", "write_entropy_csv",
-    "write_run_csv", "write_run_summary",
+    "soft_cross_entropy", "train", "write_entropy_csv", "write_run_csv",
 ]

@@ -144,6 +144,8 @@ def init_pool_params(kind: str, feature_dim: int, attention_hidden: int = 64,
     head = init_classifier(feature_dim, arch="linear", rng=rng)
     attn = None
     if kind == "attention":
+        if attention_hidden < 1:
+            raise ValueError("attention_hidden must be >= 1")
         bound_v = 1.0 / np.sqrt(feature_dim)
         bound_w = 1.0 / np.sqrt(attention_hidden)
         attn = AttentionParams(

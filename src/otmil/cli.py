@@ -25,7 +25,7 @@ from .metrics import (dataset_aucs, dataset_scores, entropy_curve,
                       write_entropy_csv)
 from .model import SgdConfig, load_checkpoint, save_checkpoint
 from .trainer import (TrainConfig, benchmark_cv, run_ablation_suite,
-                      self_train, write_run_csv, write_run_summary)
+                      self_train, train, write_run_csv)
 
 
 def _write_json(path: Path, blob, default=None) -> None:
@@ -151,7 +151,7 @@ def cmd_train(args, out_dir: Path) -> None:
     params, record = self_train(train_ds, _train_config(args), eval_ds)
     save_checkpoint(params, out_dir / "checkpoint.json")
     write_run_csv(record, out_dir / "metrics.csv")
-    write_run_summary(record, out_dir / "summary.json")
+    _write_json(out_dir / "summary.json", record.summary)
 
 
 def cmd_eval(args, out_dir: Path) -> None:
@@ -189,17 +189,16 @@ def cmd_sweep(args, out_dir: Path) -> None:
                 for k in ("mu", "warmup", "mean_bag_accuracy")}
         header = ["mu", "warmup", "mean_bag_accuracy"]
     else:
-        eval_ds = _pick_eval(args, tests)
+        eval_ds = _pick_eval(args, tests) or train_ds
         rows, best = [], None
         for mu in args.grid_mu:
             cfg = dataclasses.replace(
                 base, schedule=MuSchedule(mu_final=mu,
                                           warmup_epochs=args.warmup_t))
-            _, record = self_train(train_ds, cfg, eval_ds)
-            final = record.rows[-1]
+            instance_auc, bag_auc = dataset_aucs(eval_ds, *dataset_scores(
+                train(train_ds, cfg), eval_ds, cfg.bag_inference))
             row = {"mu": mu, "warmup": args.warmup_t,
-                   "instance_auc": final.instance_auc,
-                   "bag_auc": final.bag_auc}
+                   "instance_auc": instance_auc, "bag_auc": bag_auc}
             rows.append(row)
             key = row["instance_auc"] if row["instance_auc"] is not None \
                 else row["bag_auc"]

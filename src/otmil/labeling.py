@@ -1,77 +1,38 @@
 """Constrained pseudo-label assignment for positive-bag instances.
 
 The classifier's class probabilities over all positive-bag instances form a
-prediction matrix (rows = instances, columns = [positive, negative]). Raw
-self-training on those predictions collapses to the all-negative fixed point,
-so assignment is posed as entropically regularized optimal transport over the
-polytope of soft label matrices whose rows sum to one and whose column sums
-hit a prescribed positive/negative split: a fraction ``mu`` of all
-positive-bag instances must carry positive mass. With two label columns that
-problem has a single free dual variable, so the solver is a safeguarded
-Newton root-find of one monotone scalar equation; labels come out as
-sigmoids of log-probability margins, evaluated through tanh so large
-sharpness values neither overflow nor underflow.
+plain (N, 2) array (rows = instances, columns = [positive, negative]), and
+the pseudo labels come back in the same layout. Raw self-training on those
+predictions collapses to the all-negative fixed point, so assignment is
+posed as entropically regularized optimal transport over the polytope of
+soft label matrices whose rows sum to one and whose column sums hit a
+prescribed positive/negative split: a fraction ``mu`` of all positive-bag
+instances must carry positive mass. With two label columns that problem has
+a single free dual variable, so the solver is a safeguarded Newton
+root-find of one monotone scalar equation; labels come out as sigmoids of
+log-probability margins, evaluated through tanh so large sharpness values
+neither overflow nor underflow.
 
 On top of the global column constraint, a local per-bag constraint pins the
-best-scoring instance of every positive bag to a hard positive label, and a
-warmup schedule anneals ``mu`` from 0.5 down to its final value.
+best-scoring instance of every positive bag to a hard positive label; bags
+are contiguous row ranges given by offsets, as in ``data.Dataset``. A
+warmup schedule anneals ``mu`` from 0.5 down to its final value, and
+``harden`` turns soft labels into one-hot rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numkit import check_finite
 
-
-@dataclass
-class PredictionMatrix:
-    """Per-instance class probabilities for all positive-bag instances.
-
-    values: (N, 2) float64, rows sum to 1, column 0 is the positive class.
-    bag_index: (N,) int, which positive bag each row belongs to.
-    """
-
-    values: np.ndarray
-    bag_index: np.ndarray
-
-    def __post_init__(self):
-        self.values = check_finite(self.values, "prediction matrix")
-        self.bag_index = np.asarray(self.bag_index, dtype=np.int64)
-        _check_rows(self.values, self.bag_index, tol=1e-9)
-
-
-@dataclass
-class PseudoLabelMatrix:
-    """Soft label assignment with the same layout as ``PredictionMatrix``."""
-
-    values: np.ndarray
-    bag_index: np.ndarray
-
-    def __post_init__(self):
-        self.values = check_finite(self.values, "pseudo label matrix")
-        self.bag_index = np.asarray(self.bag_index, dtype=np.int64)
-        _check_rows(self.values, self.bag_index, tol=1e-6)
-
-    def hardened(self) -> "PseudoLabelMatrix":
-        """One-hot version: each row becomes the indicator of its argmax."""
-        hard = np.zeros_like(self.values)
-        hard[np.arange(len(self.values)), np.argmax(self.values, axis=1)] = 1.0
-        return PseudoLabelMatrix(hard, self.bag_index.copy())
-
-
-def _check_rows(values: np.ndarray, bag_index: np.ndarray, tol: float) -> None:
-    if values.ndim != 2 or values.shape[1] != 2:
-        raise ValueError("expected an (N, 2) matrix")
-    if bag_index.shape != (values.shape[0],):
-        raise ValueError("bag_index length must match row count")
-    if np.any(values < -tol) or np.any(values > 1 + tol):
-        raise ValueError("entries must lie in [0, 1]")
-    if np.max(np.abs(values.sum(axis=1) - 1.0)) > tol:
-        raise ValueError("rows must sum to 1")
+# probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before logs
+PROB_FLOOR = 1e-8
+# converged once the positive column sum is within MARGINAL_TOL * N of target
+MARGINAL_TOL = 1e-6
 
 
 @dataclass
@@ -80,25 +41,17 @@ class SinkhornConfig:
 
     sharpness: weight on the transport cost relative to the entropy term;
         larger values sharpen the assignment toward the unregularized optimum.
-    max_iters: cap on root-find steps.
-    marginal_tol: convergence when the positive column sum is within
-        ``marginal_tol * N`` of its target.
-    prob_floor: probabilities are clamped to [prob_floor, 1 - prob_floor]
-        before taking logs.
+    max_iters: cap on root-find steps, at least one.
     """
 
     sharpness: float = 5.0
     max_iters: int = 1000
-    marginal_tol: float = 1e-6
-    prob_floor: float = 1e-8
 
     def __post_init__(self):
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
-        if self.marginal_tol <= 0:
-            raise ValueError("marginal_tol must be positive")
-        if not 0 < self.prob_floor < 1e-3:
-            raise ValueError("prob_floor must lie in (0, 1e-3)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -129,11 +82,12 @@ def adaptive_mu(t: int, schedule: MuSchedule) -> float:
 class SinkhornAssignment:
     """Result of one assignment: the labels plus convergence diagnostics.
 
+    labels is the (N, 2) soft label array, rows in the input's order.
     iterations counts root-find steps; marginal_error is the distance of the
     positive column sum from mu*N. objective is the transport cost
-    <Q, -log P> of the returned labels. objective_trace (when tracked)
-    records the dual once per step: the convex function of the column
-    offset c, (const + sum_i logaddexp(k_i0 + c, k_i1) - c*mu*N) / sharpness
+    <Q, -log P> of the returned labels. objective_trace records the dual
+    once per step: the convex function of the column offset c,
+    (const + sum_i logaddexp(k_i0 + c, k_i1) - c*mu*N) / sharpness
     with k = sharpness * log P, whose derivative is the column residual. A
     step never raises it, so the trace is non-increasing by construction,
     and at convergence -trace[-1] equals the regularized cost of the
@@ -146,12 +100,12 @@ class SinkhornAssignment:
     toward the optimum from below.
     """
 
-    labels: PseudoLabelMatrix
+    labels: np.ndarray
     converged: bool
     iterations: int
     marginal_error: float
     objective: float
-    objective_trace: list = field(default_factory=list)
+    objective_trace: list[float]
 
 
 def transport_objective(q: np.ndarray, p_clamped: np.ndarray) -> float:
@@ -159,38 +113,49 @@ def transport_objective(q: np.ndarray, p_clamped: np.ndarray) -> float:
     return float(np.sum(q * -np.log(p_clamped)))
 
 
-def sinkhorn_assign(
-    pred: PredictionMatrix,
-    mu: float,
-    cfg: SinkhornConfig,
-    track_objective: bool = False,
-) -> SinkhornAssignment:
+def _check_probs(probs) -> np.ndarray:
+    """Class probabilities as a finite (N, 2) float64 array whose entries
+    lie in [0, 1] and whose rows sum to 1, each up to 1e-9."""
+    p = check_finite(probs, "predictions")
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise ValueError("predictions must be an (N, 2) array")
+    if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
+        raise ValueError("predictions must lie in [0, 1]")
+    if p.size and np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+        raise ValueError("prediction rows must sum to 1")
+    return p
+
+
+def sinkhorn_assign(probs, mu: float, cfg: SinkhornConfig
+                    ) -> SinkhornAssignment:
     """Assign soft pseudo labels by solving for the one column dual variable.
 
-    Finds the minimizer of the entropically regularized transport cost over
-    matrices with unit row sums and column sums [mu*N, (1-mu)*N]. With two
-    columns the optimum is q_i0 = sigmoid(a_i + c) for the cost margins
+    ``probs`` is the (N, 2) array of class probabilities, positive class
+    first. Finds the minimizer of the entropically regularized transport
+    cost over matrices with unit row sums and column sums
+    [mu*N, (1-mu)*N]. With two columns the optimum is
+    q_i0 = sigmoid(a_i + c) for the cost margins
     a_i = sharpness * (log p_i0 - log p_i1) and a single offset c, the root
     of the increasing function sum_i sigmoid(a_i + c) - mu*N. That root lies
     in the bracket [logit(mu) - max a, logit(mu) - min a]. Each step takes
     the Newton point (or the bracket midpoint when that leaves the bracket)
     and halves it back toward the current offset until the dual does not
     rise. Convergence is declared when the positive column sum is within
-    ``marginal_tol * N`` of its target; rows sum to one by construction.
+    ``MARGINAL_TOL * N`` of its target; rows sum to one by construction.
 
     Non-convergence returns the last iterate with ``converged=False`` and a
     warning, so a surrounding training loop can proceed and reassign later.
-    With ``track_objective`` the dual is recorded after every step; see
-    ``SinkhornAssignment`` for what that sequence means.
+    The dual is recorded after every step; see ``SinkhornAssignment`` for
+    what that sequence means.
     """
+    p = _check_probs(probs)
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie strictly between 0 and 1")
-    p = pred.values
     n = p.shape[0]
     if mu * n < 1.0:
         raise ValueError("marginal below one instance")
 
-    p_clamped = np.clip(p, cfg.prob_floor, 1.0 - cfg.prob_floor)
+    p_clamped = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     log_kernel = cfg.sharpness * np.log(p_clamped)  # (n, 2)
     margin = log_kernel[:, 0] - log_kernel[:, 1]
     target = mu * n
@@ -212,9 +177,8 @@ def sinkhorn_assign(
     t = half_tanh(c)
     residual = 0.5 * (n + float(t.sum())) - target
     phi = dual(c)
-    trace: list = []
+    trace = []
     converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         if residual > 0:
             hi = c
@@ -232,9 +196,8 @@ def sinkhorn_assign(
         phi = trial
         t = half_tanh(c)
         residual = 0.5 * (n + float(t.sum())) - target
-        if track_objective:
-            trace.append(phi)
-        if abs(residual) <= cfg.marginal_tol * n:
+        trace.append(phi)
+        if abs(residual) <= MARGINAL_TOL * n:
             converged = True
             break
 
@@ -247,9 +210,8 @@ def sinkhorn_assign(
         )
 
     q = np.stack([0.5 * (1.0 + t), 0.5 * (1.0 - t)], axis=1)
-    labels = PseudoLabelMatrix(q, pred.bag_index.copy())
     return SinkhornAssignment(
-        labels=labels,
+        labels=q,
         converged=converged,
         iterations=iterations,
         marginal_error=err,
@@ -258,35 +220,33 @@ def sinkhorn_assign(
     )
 
 
-def naive_assign(pred: PredictionMatrix) -> PseudoLabelMatrix:
-    """Unconstrained pseudo labels: a copy of the predictions themselves.
-    Kept as the degeneration-prone reference arm."""
-    return PseudoLabelMatrix(pred.values.copy(), pred.bag_index.copy())
+def harden(q: np.ndarray) -> np.ndarray:
+    """One-hot labels: each row becomes the indicator of its argmax (ties
+    go to the positive column)."""
+    hard = np.zeros_like(q)
+    hard[np.arange(len(q)), np.argmax(q, axis=1)] = 1.0
+    return hard
 
 
-def apply_local_constraint(labels: PseudoLabelMatrix,
-                           expected_bags: int | None = None
-                           ) -> PseudoLabelMatrix:
+def apply_local_constraint(q: np.ndarray, offsets) -> np.ndarray:
     """Pin the top positive row of every positive bag to a hard [1, 0].
 
-    The argmax is taken over the assignment's positive column; ties break
-    toward the lowest row index. Rows of one bag need not be contiguous: a
-    stable sort by bag groups each bag's rows in row order, and the bag's
-    top row is the first of its group whose score equals the group maximum.
-    All other rows pass through unchanged; the operation is idempotent.
+    Bag i owns rows ``offsets[i]:offsets[i + 1]``, as in ``data.Dataset``;
+    every bag needs at least one row. The top row is the first row of its
+    bag whose positive-column score equals the bag maximum, so ties break
+    toward the lowest row index. All other rows pass through unchanged;
+    the operation is idempotent and returns a new array.
     """
-    scores = labels.values[:, 0]
-    order = np.argsort(labels.bag_index, kind="stable")
-    sorted_bags = labels.bag_index[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = sorted_bags[1:] != sorted_bags[:-1]
-    starts = np.flatnonzero(first)
-    if expected_bags is not None and starts.size < expected_bags:
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != len(q):
+        raise ValueError("bag offsets must run from 0 to the row count")
+    if np.any(sizes < 1):
         raise ValueError("empty bag in assignment")
-    grouped = scores[order]
-    group_max = np.maximum.reduceat(grouped, starts)
+    scores = q[:, 0]
+    starts = offsets[:-1]
     hits = np.flatnonzero(
-        grouped == np.repeat(group_max, np.diff(np.r_[starts, order.size])))
-    out = labels.values.copy()
-    out[order[hits[np.searchsorted(hits, starts)]]] = (1.0, 0.0)
-    return PseudoLabelMatrix(out, labels.bag_index.copy())
+        scores == np.repeat(np.maximum.reduceat(scores, starts), sizes))
+    out = q.copy()
+    out[hits[np.searchsorted(hits, starts)]] = (1.0, 0.0)
+    return out

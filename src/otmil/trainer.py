@@ -2,8 +2,8 @@
 
 One epoch has two phases. First the current classifier scores every
 instance inside the positive bags and those scores are converted into
-pseudo labels, by the transport assignment (optionally followed by the
-per-bag local constraint) or by the naive per-row rule when ablated.
+pseudo labels, by the transport assignment (followed by the per-bag
+local constraint), or taken straight from the predictions when ablated.
 Second the classifier takes plain SGD steps over shuffled mixed batches:
 negative-bag instances carry their true one-hot negative target, positive
 bag instances carry their pseudo-label row.
@@ -11,23 +11,22 @@ bag instances carry their pseudo-label row.
 The positive-mass target mu_t can warm up from 0.5 toward its final value
 so early epochs stay exploratory while the classifier is still random.
 
-``_train_epochs`` runs that loop and only trains; ``self_train`` adds the
-per-epoch report, and ``benchmark_cv`` scores only each held-out fold.
+``_train_epochs`` runs that loop and only trains; ``train`` runs it to
+its end, ``self_train`` adds the per-epoch report, and ``benchmark_cv``
+scores only each held-out fold.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import kfold_split
-from .labeling import (MuSchedule, PredictionMatrix, SinkhornConfig,
-                       adaptive_mu, apply_local_constraint, naive_assign,
-                       sinkhorn_assign)
+from .labeling import (MuSchedule, SinkhornConfig, adaptive_mu,
+                       apply_local_constraint, harden, sinkhorn_assign)
 # bag_predict and roc_auc are not called here; perfbench/spans.py wraps
 # trainer.bag_predict and trainer.roc_auc
 from .metrics import (bag_predict, dataset_aucs, dataset_scores,
@@ -58,6 +57,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if self.reassign_every < 1:
             raise ValueError("reassign_every must be >= 1")
         if self.bag_inference not in ("max", "mean"):
@@ -115,21 +116,15 @@ def write_run_csv(record: RunRecord, path) -> None:
                               r.converged)])
 
 
-def write_run_summary(record: RunRecord, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(record.summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _corpus(dataset):
     """Training arrays in corpus order, built once per run.
 
     Corpus order is positive-bag instances (dataset bag order, instance
     order within each bag) followed by negative-bag instances. Returns
-    (x, targets, bag_index): the (N, d) features; the (N, 2) targets,
-    whose negative rows hold [0, 1] and whose first ``len(bag_index)``
-    rows ``mixed_batches`` fills with pseudo labels; and the positive bag
-    of each pseudo-label row.
+    (x, targets, pos_offsets): the (N, d) features; the (N, 2) targets,
+    whose negative rows hold [0, 1] and whose first ``pos_offsets[-1]``
+    rows ``mixed_batches`` fills with pseudo labels; and the offsets of
+    the positive bags within those rows, as in ``data.Dataset``.
     """
     sizes = np.diff(dataset.offsets)
     positive = dataset.bag_labels == 1
@@ -143,8 +138,8 @@ def _corpus(dataset):
         [pos_rows, np.flatnonzero(~row_positive)])]
     targets = np.zeros((x.shape[0], 2))
     targets[pos_rows.size:, 1] = 1.0
-    bag_index = np.repeat(np.arange(int(positive.sum())), sizes[positive])
-    return x, targets, bag_index
+    pos_offsets = np.concatenate([[0], np.cumsum(sizes[positive])])
+    return x, targets, pos_offsets
 
 
 def mixed_batches(x: np.ndarray, targets: np.ndarray, n_pos: int,
@@ -173,31 +168,27 @@ def mixed_batches(x: np.ndarray, targets: np.ndarray, n_pos: int,
         yield x.take(idx, axis=0), targets.take(idx, axis=0)
 
 
-def _assign(params, cfg: TrainConfig, pos_x, bag_index, mu_t, n_pos_bags):
-    """One pseudo-label assignment pass; returns (q_values, converged)."""
-    probs = forward(params, pos_x)
-    pred = PredictionMatrix(probs, bag_index)
+def _assign(params, cfg: TrainConfig, pos_x, pos_offsets, mu_t):
+    """One pseudo-label assignment pass; returns (q_values, converged).
+    Unconstrained, the pseudo labels are the predictions themselves."""
+    q_values = forward(params, pos_x)
     converged = True
     if cfg.constrain:
-        result = sinkhorn_assign(pred, mu_t, cfg.sinkhorn)
+        result = sinkhorn_assign(q_values, mu_t, cfg.sinkhorn)
         converged = result.converged
-        labels = apply_local_constraint(result.labels,
-                                        expected_bags=n_pos_bags)
-    else:
-        labels = naive_assign(pred)
+        q_values = apply_local_constraint(result.labels, pos_offsets)
     if not cfg.soft_labels:
-        labels = labels.hardened()
-    return labels.values, converged
+        q_values = harden(q_values)
+    return q_values, converged
 
 
 def _train_epochs(dataset, cfg: TrainConfig):
     """The alternating loop, training only. After each epoch's SGD pass it
     yields (mu_t, mean loss, pseudo labels, converged, params), params
     being the live classifier that the next epoch updates in place."""
-    x, targets, bag_index = _corpus(dataset)
-    n_pos = bag_index.size
+    x, targets, pos_offsets = _corpus(dataset)
+    n_pos = int(pos_offsets[-1])
     pos_x = x[:n_pos]
-    n_pos_bags = int(bag_index[-1]) + 1
     params = init_classifier(dataset.feature_dim, arch=cfg.arch,
                              hidden=cfg.hidden,
                              rng=Rng(cfg.seed, stream=_INIT_STREAM))
@@ -207,8 +198,8 @@ def _train_epochs(dataset, cfg: TrainConfig):
         mu_t = (adaptive_mu(epoch, cfg.schedule) if cfg.adaptive
                 else cfg.schedule.mu_final)
         if q_values is None or epoch % cfg.reassign_every == 0:
-            q_values, converged = _assign(params, cfg, pos_x, bag_index,
-                                          mu_t, n_pos_bags)
+            q_values, converged = _assign(params, cfg, pos_x, pos_offsets,
+                                          mu_t)
         loss_sum = 0.0
         n_seen = 0
         for xb, tb in mixed_batches(x, targets, n_pos, q_values,
@@ -218,6 +209,14 @@ def _train_epochs(dataset, cfg: TrainConfig):
             loss_sum += loss * xb.shape[0]
             n_seen += xb.shape[0]
         yield mu_t, loss_sum / n_seen, q_values, converged, params
+
+
+def train(dataset, cfg: TrainConfig) -> ClassifierParams:
+    """The alternating loop run to its end, with no scoring; the returned
+    parameters equal ``self_train``'s for the same dataset and config."""
+    for *_, params in _train_epochs(dataset, cfg):
+        pass
+    return params
 
 
 def self_train(dataset, cfg: TrainConfig, eval_dataset=None
@@ -324,10 +323,8 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
             cfg = dataclasses.replace(
                 base_cfg, schedule=MuSchedule(mu_final=cell["mu"],
                                               warmup_epochs=cell["warmup"]))
-            for *_, params in _train_epochs(train_ds, cfg):
-                pass
-            cell["fold_accuracies"].append(
-                bag_accuracy(params, test_ds, cfg.bag_inference))
+            cell["fold_accuracies"].append(bag_accuracy(
+                train(train_ds, cfg), test_ds, cfg.bag_inference))
     for cell in cells:
         cell["mean_bag_accuracy"] = float(np.mean(cell["fold_accuracies"]))
     best = max(cells, key=lambda c: c["mean_bag_accuracy"])

@@ -17,8 +17,8 @@ from otmil.baselines import baseline_instance_scores, init_pool_params, \
     pool_baseline_train, pool_loss_and_grads
 from otmil.data import GenConfig, generate_hard_bags, generate_normal_bags, \
     load_benchmark_csv
-from otmil.labeling import MuSchedule, PredictionMatrix, SinkhornConfig, \
-    adaptive_mu, sinkhorn_assign
+from otmil.labeling import MuSchedule, SinkhornConfig, adaptive_mu, \
+    sinkhorn_assign
 from otmil.metrics import entropy_curve, roc_auc
 from otmil.model import SgdConfig, backward, forward, init_classifier
 from otmil.numkit import Rng
@@ -99,10 +99,8 @@ def test_criterion_01_sinkhorn_property_ensemble():
         # the solver rejects mu*n < 1, so small n pins mu above 1/n
         mu = max(float(rng.uniform(0.05, 0.5)), 1.05 / n)
         pos = rng.uniform(1e-3, 1 - 1e-3, n)
-        pred = PredictionMatrix(np.stack([pos, 1 - pos], axis=1),
-                                np.zeros(n, dtype=int))
-        res = sinkhorn_assign(pred, mu, cfg, track_objective=True)
-        q = res.labels.values
+        res = sinkhorn_assign(np.stack([pos, 1 - pos], axis=1), mu, cfg)
+        q = res.labels
         assert abs(q[:, 0].sum() - mu * n) <= 1e-4 * n
         assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-6
         trace = np.asarray(res.objective_trace)
@@ -121,9 +119,7 @@ def test_criterion_02_matches_exact_small_optimum():
         n = int(rng.integers(3, 7))
         mu = float(rng.uniform(max(0.08, 1.05 / n), 0.45))
         pos = rng.uniform(0.05, 0.95, n)
-        pred = PredictionMatrix(np.stack([pos, 1 - pos], axis=1),
-                                np.zeros(n, dtype=int))
-        res = sinkhorn_assign(pred, mu, cfg)
+        res = sinkhorn_assign(np.stack([pos, 1 - pos], axis=1), mu, cfg)
         exact = lp_optimum(pos, mu)
         worst = max(worst, abs(res.objective - exact) / exact)
     elapsed = time.perf_counter() - start

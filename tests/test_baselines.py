@@ -212,6 +212,10 @@ class TestPooling:
                            forward(params.head, inst))
 
 
+    def test_attention_hidden_must_be_positive(self):
+        with pytest.raises(ValueError, match="attention_hidden"):
+            init_pool_params("attention", 3, attention_hidden=0, rng=Rng(0))
+
     def test_empty_bag_rejected_every_kind(self):
         x = Rng(3).standard_normal((4, 3))
         for kind in POOL_KINDS:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from otmil import metrics
 from otmil.cli import main, parse_k_values
 
 GEN_FLAGS = ["--bags", "12", "--test-bags", "6", "--bag-size", "12",
@@ -93,6 +94,12 @@ class TestTrain:
         assert run(["train", "--data", tmp_path / "nope", "--out", out]) != 0
         assert (out / ".failed").exists()
 
+    def test_zero_hidden_names_the_field(self, dataset_dir, tmp_path):
+        out = tmp_path / "t"
+        assert run(["train", "--data", dataset_dir, *FAST_TRAIN,
+                    "--hidden", "0", "--out", out]) != 0
+        assert "hidden must be >= 1" in (out / ".failed").read_text()
+
 
 class TestEval:
     def test_scores_checkpoint(self, tmp_path):
@@ -135,6 +142,24 @@ class TestSweep:
         assert summary["best"]["mu"] in (0.2, 0.3)
         assert len(summary["rows"]) == 2
 
+    def test_holdout_grid_scores_each_model_once(self, tmp_path,
+                                                 monkeypatch):
+        # one instance AUC and one bag AUC per grid point, none per epoch
+        d, s = tmp_path / "d", tmp_path / "s"
+        run(["gen", *GEN_FLAGS, "--out", d])
+        calls = []
+        real = metrics.roc_auc
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "roc_auc", spy)
+        grid = ["0.2", "0.25", "0.3"]
+        assert run(["sweep", "--data", d, *FAST_TRAIN, "--grid-mu", *grid,
+                    "--out", s]) == 0
+        assert len(calls) == 2 * len(grid)
+
     def test_kfold_mode(self, tmp_path):
         d, s = tmp_path / "d", tmp_path / "s"
         run(["gen", *GEN_FLAGS, "--out", d])
@@ -169,6 +194,13 @@ class TestBaseline:
         assert "test_pos0" in report["splits"]
         assert "test_pos8" in report["splits"]
         assert "instance_auc" in report["splits"]["test_pos0"]
+
+    def test_zero_attention_hidden_names_the_field(self, tmp_path):
+        d, b = tmp_path / "d", tmp_path / "b"
+        run(["gen", *GEN_FLAGS, "--out", d])
+        assert run(["baseline", "--kind", "attention", "--data", d,
+                    "--attn-hidden", "0", "--out", b]) != 0
+        assert "attention_hidden must be >= 1" in (b / ".failed").read_text()
 
 
 class TestEntropy:

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmil.labeling import (MuSchedule, PredictionMatrix, PseudoLabelMatrix,
-                            SinkhornConfig, adaptive_mu, apply_local_constraint,
-                            naive_assign, sinkhorn_assign,
-                            transport_objective)
+from otmil.labeling import (PROB_FLOOR, MuSchedule, SinkhornConfig,
+                            adaptive_mu, apply_local_constraint, harden,
+                            sinkhorn_assign, transport_objective)
 
 
 def regularized_objective(
@@ -32,19 +31,14 @@ def regularized_objective(
     return transport_objective(q, p_clamped) + kl / sharpness
 
 
-def random_pred(rng, n, n_bags=1):
+def random_pred(rng, n):
     pos = rng.uniform(1e-4, 1 - 1e-4, n)
-    if n_bags == 1:
-        bag_index = np.zeros(n, dtype=int)
-    else:
-        bag_index = np.sort(rng.integers(0, n_bags, n))
-    return PredictionMatrix(np.stack([pos, 1 - pos], axis=1), bag_index)
+    return np.stack([pos, 1 - pos], axis=1)
 
 
 def saturated_pred(rng, n):
     pos = rng.choice([0.0, 1e-9, 1 - 1e-9, 1.0], n)
-    return PredictionMatrix(np.stack([pos, 1 - pos], axis=1),
-                            np.zeros(n, dtype=int))
+    return np.stack([pos, 1 - pos], axis=1)
 
 
 # (prediction maker, sharpness) inputs beyond the moderate default ensemble:
@@ -91,7 +85,7 @@ class TestSinkhornAssign:
             n = int(rng.integers(4, 400))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
             res = sinkhorn_assign(random_pred(rng, n), mu, cfg)
-            q = res.labels.values
+            q = res.labels
             assert res.converged
             assert np.all(q >= 0)
             assert np.abs(q.sum(axis=1) - 1).max() <= 1e-9
@@ -103,10 +97,9 @@ class TestSinkhornAssign:
         for _ in range(25):
             n = int(rng.integers(4, 300))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
-            res = sinkhorn_assign(random_pred(rng, n), mu, cfg,
-                                  track_objective=True)
+            res = sinkhorn_assign(random_pred(rng, n), mu, cfg)
             trace = np.asarray(res.objective_trace)
-            assert len(trace) >= 1
+            assert len(trace) == res.iterations >= 1
             assert np.all(np.diff(trace) <= 1e-9)
 
     @pytest.mark.parametrize("make_pred,sharpness", HARD_INPUTS)
@@ -117,7 +110,7 @@ class TestSinkhornAssign:
             n = int(rng.integers(4, 400))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
             res = sinkhorn_assign(make_pred(rng, n), mu, cfg)
-            q = res.labels.values
+            q = res.labels
             assert res.converged
             assert res.iterations <= 50
             assert np.all(q >= 0)
@@ -132,8 +125,7 @@ class TestSinkhornAssign:
         for _ in range(25):
             n = int(rng.integers(4, 300))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
-            res = sinkhorn_assign(make_pred(rng, n), mu, cfg,
-                                  track_objective=True)
+            res = sinkhorn_assign(make_pred(rng, n), mu, cfg)
             trace = np.asarray(res.objective_trace)
             assert res.converged
             assert res.iterations <= 50
@@ -149,9 +141,9 @@ class TestSinkhornAssign:
             n = int(rng.integers(4, 200))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
             pred = random_pred(rng, n)
-            res = sinkhorn_assign(pred, mu, cfg, track_objective=True)
-            p_cl = np.clip(pred.values, cfg.prob_floor, 1 - cfg.prob_floor)
-            primal = regularized_objective(res.labels.values, p_cl, mu,
+            res = sinkhorn_assign(pred, mu, cfg)
+            p_cl = np.clip(pred, PROB_FLOOR, 1 - PROB_FLOOR)
+            primal = regularized_objective(res.labels, p_cl, mu,
                                            cfg.sharpness)
             assert abs(-res.objective_trace[-1] - primal) <= 1e-4 * max(
                 1.0, abs(primal))
@@ -164,7 +156,7 @@ class TestSinkhornAssign:
             mu = max(rng.uniform(0.1, 0.5), 1.1 / n)
             pred = random_pred(rng, n)
             res = sinkhorn_assign(pred, mu, cfg)
-            exact = lp_optimum(pred.values[:, 0], mu)
+            exact = lp_optimum(pred[:, 0], mu)
             assert res.objective <= exact * 1.01 + 1e-9
             assert res.objective >= exact * 0.99 - 1e-9
 
@@ -173,7 +165,7 @@ class TestSinkhornAssign:
         rng = np.random.default_rng(9)
         pred = random_pred(rng, 6)
         mu = 1.0 / 3.0
-        exact = lp_optimum(pred.values[:, 0], mu)
+        exact = lp_optimum(pred[:, 0], mu)
         gaps = []
         for lam in (2.0, 10.0, 50.0):
             res = sinkhorn_assign(pred, mu,
@@ -181,7 +173,7 @@ class TestSinkhornAssign:
                                                  max_iters=500_000))
             gaps.append(res.objective - exact)
         assert gaps[0] > gaps[1] > gaps[2]
-        # residual column infeasibility can undercut by O(marginal_tol * n)
+        # residual column infeasibility can undercut by O(MARGINAL_TOL * n)
         assert gaps[2] > -1e-5
 
     def test_permutation_equivariance(self):
@@ -189,18 +181,14 @@ class TestSinkhornAssign:
         pred = random_pred(rng, 50)
         perm = rng.permutation(50)
         res = sinkhorn_assign(pred, 0.3, SinkhornConfig())
-        permuted = PredictionMatrix(pred.values[perm], pred.bag_index[perm])
-        res_p = sinkhorn_assign(permuted, 0.3, SinkhornConfig())
-        assert np.allclose(res.labels.values[perm], res_p.labels.values,
-                           atol=1e-9)
+        res_p = sinkhorn_assign(pred[perm], 0.3, SinkhornConfig())
+        assert np.allclose(res.labels[perm], res_p.labels, atol=1e-9)
 
     def test_identical_rows_get_identical_labels(self):
         values = np.tile([0.7, 0.3], (12, 1))
-        pred = PredictionMatrix(values, np.zeros(12, dtype=int))
-        res = sinkhorn_assign(pred, 0.25, SinkhornConfig())
-        assert np.allclose(res.labels.values, res.labels.values[0],
-                           atol=1e-12)
-        assert abs(res.labels.values[0, 0] - 0.25) < 1e-6
+        res = sinkhorn_assign(values, 0.25, SinkhornConfig())
+        assert np.allclose(res.labels, res.labels[0], atol=1e-12)
+        assert abs(res.labels[0, 0] - 0.25) < 1e-6
 
     def test_mu_bounds_rejected(self):
         pred = random_pred(np.random.default_rng(0), 10)
@@ -213,6 +201,21 @@ class TestSinkhornAssign:
         with pytest.raises(ValueError, match="marginal"):
             sinkhorn_assign(pred, 0.05, SinkhornConfig())
 
+    def test_rows_must_sum_to_one(self):
+        bad = np.array([[0.7, 0.7], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            sinkhorn_assign(bad, 0.5, SinkhornConfig())
+
+    @pytest.mark.parametrize("bad,match", [
+        (np.array([[np.nan, 0.5], [0.5, 0.5]]), "non-finite"),
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), r"\[0, 1\]"),
+        (np.full((4, 3), 1.0 / 3.0), r"\(N, 2\)"),
+        (np.full(4, 0.5), r"\(N, 2\)"),
+    ])
+    def test_bad_predictions_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            sinkhorn_assign(bad, 0.5, SinkhornConfig())
+
     def test_nonconvergence_warns_and_flags(self):
         pred = random_pred(np.random.default_rng(2), 60)
         cfg = SinkhornConfig(sharpness=100.0, max_iters=3)
@@ -222,7 +225,14 @@ class TestSinkhornAssign:
         assert not res.converged
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         # row sums still exact: final renormalization is unconditional
-        assert np.abs(res.labels.values.sum(axis=1) - 1).max() <= 1e-9
+        assert np.abs(res.labels.sum(axis=1) - 1).max() <= 1e-9
+
+
+class TestSinkhornConfig:
+    def test_max_iters_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SinkhornConfig(max_iters=0)
+        assert SinkhornConfig(max_iters=1).max_iters == 1
 
 
 class TestTransportObjective:
@@ -233,65 +243,63 @@ class TestTransportObjective:
         assert abs(transport_objective(q, p) - expected) < 1e-12
 
 
-class TestNaiveAssign:
-    def test_soft_copies_predictions(self):
-        pred = random_pred(np.random.default_rng(1), 20)
-        labels = naive_assign(pred)
-        assert np.allclose(labels.values, pred.values)
-
+class TestHarden:
     def test_hard_is_row_argmax(self):
-        pred = PredictionMatrix(np.array([[0.6, 0.4], [0.2, 0.8]]),
-                                np.zeros(2, dtype=int))
-        labels = naive_assign(pred).hardened()
-        assert np.array_equal(labels.values, [[1.0, 0.0], [0.0, 1.0]])
+        hard = harden(np.array([[0.6, 0.4], [0.2, 0.8]]))
+        assert np.array_equal(hard, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_hardened(self):
+        labels = np.array([[0.6, 0.4], [0.45, 0.55]])
+        hard = harden(labels)
+        assert np.array_equal(hard, [[1.0, 0.0], [0.0, 1.0]])
+        # original untouched
+        assert np.allclose(labels[0], [0.6, 0.4])
+
+    def test_tie_goes_to_positive_column(self):
+        assert np.array_equal(harden(np.array([[0.5, 0.5]])), [[1.0, 0.0]])
 
 
 class TestLocalConstraint:
-    def _labels(self, values, bag_index):
-        return PseudoLabelMatrix(np.asarray(values, float),
-                                 np.asarray(bag_index))
-
     def test_pins_top_row_per_bag(self):
-        labels = self._labels([[0.2, 0.8], [0.4, 0.6], [0.1, 0.9], [0.3, 0.7]],
-                              [0, 0, 1, 1])
-        out = apply_local_constraint(labels)
-        assert np.array_equal(out.values[1], [1.0, 0.0])
-        assert np.array_equal(out.values[3], [1.0, 0.0])
+        labels = np.array([[0.2, 0.8], [0.4, 0.6], [0.1, 0.9], [0.3, 0.7]])
+        out = apply_local_constraint(labels, [0, 2, 4])
+        assert np.array_equal(out[1], [1.0, 0.0])
+        assert np.array_equal(out[3], [1.0, 0.0])
         # untouched rows keep their mass
-        assert np.allclose(out.values[0], [0.2, 0.8])
+        assert np.allclose(out[0], [0.2, 0.8])
+        # the input is not modified
+        assert np.array_equal(labels[1], [0.4, 0.6])
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         pos = rng.uniform(0, 1, 30)
-        labels = self._labels(np.stack([pos, 1 - pos], axis=1),
-                              np.repeat(np.arange(5), 6))
-        once = apply_local_constraint(labels)
-        twice = apply_local_constraint(once)
-        assert np.array_equal(once.values, twice.values)
+        offsets = np.arange(0, 31, 6)
+        once = apply_local_constraint(np.stack([pos, 1 - pos], axis=1),
+                                      offsets)
+        twice = apply_local_constraint(once, offsets)
+        assert np.array_equal(once, twice)
 
     def test_tie_breaks_to_lowest_index(self):
-        labels = self._labels([[0.5, 0.5], [0.5, 0.5]], [0, 0])
-        out = apply_local_constraint(labels)
-        assert np.array_equal(out.values[0], [1.0, 0.0])
-        assert np.array_equal(out.values[1], [0.5, 0.5])
+        out = apply_local_constraint(np.array([[0.5, 0.5], [0.5, 0.5]]),
+                                     [0, 2])
+        assert np.array_equal(out[0], [1.0, 0.0])
+        assert np.array_equal(out[1], [0.5, 0.5])
 
     def test_missing_bag_detected(self):
-        labels = self._labels([[0.5, 0.5]], [0])
         with pytest.raises(ValueError, match="empty bag"):
-            apply_local_constraint(labels, expected_bags=2)
+            apply_local_constraint(np.array([[0.5, 0.5]]), [0, 1, 1])
+
+    @pytest.mark.parametrize("offsets", [[0, 1], [0, 1, 3], [1, 2]])
+    def test_offsets_must_cover_rows(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            apply_local_constraint(np.full((2, 2), 0.5), offsets)
 
 
-def local_constraint_by_loop(labels, expected_bags=None):
+def local_constraint_by_loop(q, offsets):
     """Reference: the per-bag scan apply_local_constraint replaced."""
-    scores = labels.values[:, 0]
-    bag_ids = np.unique(labels.bag_index)
-    if expected_bags is not None and len(bag_ids) < expected_bags:
-        raise ValueError("empty bag in assignment")
-    out = labels.values.copy()
-    for bag in bag_ids:
-        rows = np.flatnonzero(labels.bag_index == bag)
-        top = rows[int(np.argmax(scores[rows]))]
-        out[top] = (1.0, 0.0)
+    out = q.copy()
+    for start, end in zip(offsets[:-1], offsets[1:]):
+        out[start + int(np.argmax(q[start:end, 0]))] = (1.0, 0.0)
     return out
 
 
@@ -301,34 +309,23 @@ TIE_HEAVY = (st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 @st.composite
-def interleaved_assignments(draw):
-    """(bag_index, positive column, expected_bags), with rows of one bag
-    scattered over the matrix."""
-    n = draw(st.integers(1, 40))
-    n_bags = draw(st.integers(1, 6))
-    rows = st.lists(TIE_HEAVY, min_size=n, max_size=n)
-    bag_index = draw(st.lists(st.integers(0, n_bags - 1), min_size=n,
-                              max_size=n))
-    return (np.array(bag_index), np.array(draw(rows)),
-            draw(st.none() | st.integers(1, n_bags + 1)))
+def bagged_assignments(draw):
+    """(offsets, positive column): 1 to 6 contiguous bags of 1 to 8 rows."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    pos = draw(st.lists(TIE_HEAVY, min_size=int(offsets[-1]),
+                        max_size=int(offsets[-1])))
+    return offsets, np.array(pos)
 
 
 class TestLocalConstraintMatchesLoop:
     @settings(max_examples=300, deadline=None)
-    @given(interleaved_assignments())
+    @given(bagged_assignments())
     def test_equals_per_bag_loop(self, case):
-        bag_index, pos, expected_bags = case
-        labels = PseudoLabelMatrix(np.stack([pos, 1 - pos], axis=1),
-                                   bag_index)
-        try:
-            reference = local_constraint_by_loop(labels, expected_bags)
-        except ValueError:
-            with pytest.raises(ValueError, match="empty bag"):
-                apply_local_constraint(labels, expected_bags)
-            return
-        out = apply_local_constraint(labels, expected_bags)
-        assert np.array_equal(out.values, reference)
-        assert np.array_equal(out.bag_index, bag_index)
+        offsets, pos = case
+        q = np.stack([pos, 1 - pos], axis=1)
+        out = apply_local_constraint(q, offsets)
+        assert np.array_equal(out, local_constraint_by_loop(q, offsets))
 
 
 class TestMuSchedule:
@@ -361,18 +358,3 @@ class TestMuSchedule:
             MuSchedule(mu_final=0.2, warmup_epochs=0)
         with pytest.raises(ValueError):
             adaptive_mu(-1, MuSchedule(mu_final=0.2, warmup_epochs=5))
-
-
-class TestMatrixTypes:
-    def test_prediction_rows_must_sum_to_one(self):
-        bad = np.array([[0.7, 0.7]])
-        with pytest.raises(ValueError):
-            PredictionMatrix(bad, np.array([0]))
-
-    def test_hardened(self):
-        labels = PseudoLabelMatrix(np.array([[0.6, 0.4], [0.45, 0.55]]),
-                                   np.array([0, 0]))
-        hard = labels.hardened()
-        assert np.array_equal(hard.values, [[1.0, 0.0], [0.0, 1.0]])
-        # original untouched
-        assert np.allclose(labels.values[0], [0.6, 0.4])

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otmil import metrics, trainer
+from otmil.cli import _write_json
 from otmil.data import GenConfig, generate_normal_bags, kfold_split
-from otmil.labeling import MuSchedule, SinkhornConfig
-from otmil.model import SgdConfig
+from otmil.labeling import MuSchedule, SinkhornConfig, harden
+from otmil.model import SgdConfig, forward, init_classifier
 from otmil.numkit import Rng
-from otmil.trainer import (CSV_HEADER, TrainConfig, _corpus, bag_accuracy,
-                           benchmark_cv, mixed_batches, run_ablation_suite,
-                           self_train, write_run_csv, write_run_summary)
+from otmil.trainer import (CSV_HEADER, TrainConfig, _assign, _corpus,
+                           bag_accuracy, benchmark_cv, mixed_batches,
+                           run_ablation_suite, self_train, train,
+                           write_run_csv)
 
 from test_data import make_dataset
 from test_model import assert_same_bits
@@ -37,8 +39,8 @@ def small_config(epochs=6, seed=0, **kw):
 
 def corpus(ds):
     """(x, targets, n_pos): the leading arguments of mixed_batches."""
-    x, targets, bag_index = _corpus(ds)
-    return x, targets, bag_index.size
+    x, targets, pos_offsets = _corpus(ds)
+    return x, targets, int(pos_offsets[-1])
 
 
 def ref_mixed_batches(x, targets, n_pos, q_values, batch_size, rng):
@@ -56,6 +58,47 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"sgd.seed \(5\).*seed \(0\)"):
             TrainConfig(sgd=SgdConfig(seed=5))
         assert TrainConfig(sgd=SgdConfig(seed=5), seed=5).seed == 5
+
+    def test_hidden_must_be_positive(self):
+        with pytest.raises(ValueError, match="hidden"):
+            TrainConfig(hidden=0)
+        assert TrainConfig(hidden=1).hidden == 1
+
+
+class TestAssign:
+    @staticmethod
+    def _inputs(ds):
+        x, _, pos_offsets = _corpus(ds)
+        params = init_classifier(ds.feature_dim, arch="mlp", hidden=8,
+                                 rng=Rng(4))
+        return params, x[:pos_offsets[-1]], pos_offsets
+
+    def test_corpus_offsets_are_the_positive_bags(self):
+        ds = small_dataset()
+        _, _, pos_offsets = _corpus(ds)
+        sizes = np.diff(ds.offsets)[ds.bag_labels == 1]
+        assert np.array_equal(np.diff(pos_offsets), sizes)
+        assert pos_offsets[0] == 0
+
+    def test_naive_arm_uses_predictions(self):
+        ds = small_dataset()
+        params, pos_x, pos_offsets = self._inputs(ds)
+        probs = forward(params, pos_x)
+        q, converged = _assign(params, small_config(constrain=False), pos_x,
+                               pos_offsets, 0.2)
+        assert converged
+        assert_same_bits(q, probs)
+        q, _ = _assign(params, small_config(constrain=False,
+                                            soft_labels=False),
+                       pos_x, pos_offsets, 0.2)
+        assert_same_bits(q, harden(probs))
+
+    def test_constrained_arm_pins_one_row_per_bag(self):
+        ds = small_dataset()
+        params, pos_x, pos_offsets = self._inputs(ds)
+        q, _ = _assign(params, small_config(), pos_x, pos_offsets, 0.2)
+        for start, end in zip(pos_offsets[:-1], pos_offsets[1:]):
+            assert np.any(np.all(q[start:end] == [1.0, 0.0], axis=1))
 
 
 class TestMixedBatches:
@@ -210,8 +253,7 @@ class TestSelfTrain:
         ds = small_dataset()
         cfg = small_config(epochs=3)
         params, _ = self_train(ds, cfg)
-        for *_, loop_params in trainer._train_epochs(ds, cfg):
-            pass
+        loop_params = train(ds, cfg)
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
             assert_same_bits(getattr(loop_params, name),
                              getattr(params, name))
@@ -258,9 +300,9 @@ class TestRunCsv:
         ds = small_dataset()
         _, rec = self_train(ds, small_config(epochs=2))
         path = tmp_path / "s.json"
-        write_run_summary(rec, path)
+        _write_json(path, rec.summary)
         blob = json.loads(path.read_text())
-        assert blob["seed"] == rec.summary["seed"]
+        assert blob == rec.summary
 
 
 class TestAblationSuite:
