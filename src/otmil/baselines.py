@@ -81,7 +81,8 @@ def pool_bags(params: PoolParams, x: np.ndarray, offsets: np.ndarray
 
 def _pool(params: PoolParams, x: np.ndarray, offsets: np.ndarray):
     """``pool_bags`` plus the attention arm's (N, L) hidden layer
-    tanh(x V^T), which its gradient reuses (None for max and mean)."""
+    tanh(x V^T), which its gradient reuses and then overwrites (None for
+    max and mean)."""
     x = np.asarray(x, dtype=np.float64)
     offsets = np.asarray(offsets)
     sizes = np.diff(offsets)
@@ -94,7 +95,8 @@ def _pool(params: PoolParams, x: np.ndarray, offsets: np.ndarray):
         return np.maximum.reduceat(x, starts, axis=0), None, None
     if params.kind == "mean":
         return np.add.reduceat(x, starts, axis=0) / sizes[:, None], None, None
-    hidden = np.tanh(x @ params.attention.v.T)
+    hidden = x @ params.attention.v.T
+    np.tanh(hidden, out=hidden)
     scores = hidden @ params.attention.w
     e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), sizes))
     weights = e / np.repeat(np.add.reduceat(e, starts), sizes)
@@ -110,7 +112,12 @@ def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
     once and pooled as ``pool_bags`` pools them; the head's loss and
     gradients come from ``model.backward`` on the pooled vectors. Max and
     mean pooling have no parameters below the head; the attention arm also
-    backpropagates, row by row, through its per-bag softmax into w and V.
+    backpropagates through its per-bag softmax into w and V, in one
+    vectorised pass over the stacked rows. That pass holds two (N, L)
+    buffers: the hidden layer, which becomes 1 - tanh^2 in place, and
+    d(loss)/d(pre-activation); each has the bits of the out-of-place
+    expression. Neither the bags, the targets nor the parameters are
+    modified.
     """
     targets = np.asarray(targets, dtype=np.float64)
     n = len(bag_feats)
@@ -132,7 +139,11 @@ def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
     d_scores = weights * (d_weights - np.repeat(
         np.add.reduceat(weights * d_weights, offsets[:-1]), sizes))
     grads.w = hidden.T @ d_scores
-    d_pre = np.outer(d_scores, params.attention.w) * (1.0 - hidden ** 2)
+    # hidden may be overwritten only now that grads.w has been taken
+    np.square(hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    d_pre = d_scores[:, None] * params.attention.w
+    d_pre *= hidden
     grads.v = d_pre.T @ x
     return loss, grads
 
@@ -183,8 +194,10 @@ def pool_baseline_train(dataset, kind: str, sgd: SgdConfig,
                                            targets[idx])
             sgd_step(params.head, grads.head, sgd.learning_rate)
             if params.attention is not None:
-                params.attention.v -= sgd.learning_rate * grads.v
-                params.attention.w -= sgd.learning_rate * grads.w
+                grads.v *= sgd.learning_rate
+                params.attention.v -= grads.v
+                grads.w *= sgd.learning_rate
+                params.attention.w -= grads.w
     return params
 
 

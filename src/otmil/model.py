@@ -209,7 +209,12 @@ def backward(params: ClassifierParams, features: np.ndarray,
 
 
 def sgd_step(params: ClassifierParams, grads: Gradients, lr: float) -> ClassifierParams:
-    """In-place update: every array moves by -lr times its gradient."""
+    """In-place update: every array moves by -lr times its gradient.
+
+    The gradients are consumed: each is scaled by lr in place before it is
+    subtracted, which gives the bits of ``arr -= lr * g`` without
+    allocating ``lr * g``.
+    """
     pairs = [(params.w_out, grads.w_out), (params.b_out, grads.b_out)]
     if params.arch == "mlp":
         pairs += [(params.w_hidden, grads.w_hidden),
@@ -217,7 +222,8 @@ def sgd_step(params: ClassifierParams, grads: Gradients, lr: float) -> Classifie
     for arr, g in pairs:
         if g is None or arr.shape != g.shape:
             raise ValueError("gradient shape mismatch")
-        arr -= lr * g
+        g *= lr
+        arr -= g
     return params
 
 

@@ -1,5 +1,7 @@
 """Pooling baselines: attention math, gradients, training sanity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,12 @@ from otmil.baselines import (POOL_KINDS, AttentionParams, PoolGradients,
                              pool_loss_and_grads)
 from otmil.data import GenConfig, generate_normal_bags
 from otmil.metrics import roc_auc
-from otmil.model import (Gradients, SgdConfig, forward, init_classifier,
-                         soft_cross_entropy)
+from otmil.model import (Gradients, SgdConfig, backward, forward,
+                         init_classifier, soft_cross_entropy)
 from otmil.numkit import Rng
 
 from test_data import make_dataset
+from test_model import assert_same_bits
 from test_numkit import softmax
 
 
@@ -286,6 +289,106 @@ class TestStackedMatchesPerBag:
         close(baseline_scores(params, ds)[1], ref_bag_scores(params, ds))
         close(baseline_instance_scores(params, ds),
               ref_instance_scores(params, ds))
+
+
+# --- reference: the attention step with out-of-place (N, L) temporaries ----
+
+def oop_attention_pool(params: PoolParams, x, offsets):
+    """The attention arm of ``baselines._pool``, one new array per step."""
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    hidden = np.tanh(x @ params.attention.v.T)
+    scores = hidden @ params.attention.w
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), sizes))
+    weights = e / np.repeat(np.add.reduceat(e, starts), sizes)
+    pooled = np.add.reduceat(weights[:, None] * x, starts, axis=0)
+    return pooled, weights, hidden
+
+
+def oop_attention_loss_and_grads(params: PoolParams, bag_feats, targets):
+    """``pool_loss_and_grads`` on the attention arm, one new array per step."""
+    n = len(bag_feats)
+    x = np.concatenate(bag_feats, dtype=np.float64)
+    offsets = np.concatenate([[0], np.cumsum([len(f) for f in bag_feats])])
+    pooled, weights, hidden = oop_attention_pool(params, x, offsets)
+    loss, head_grads = backward(params.head, pooled, targets)
+    sizes = np.diff(offsets)
+    d_pooled = (forward(params.head, pooled) - targets) / n @ params.head.w_out
+    d_weights = np.einsum("ij,ij->i", x, np.repeat(d_pooled, sizes, axis=0))
+    d_scores = weights * (d_weights - np.repeat(
+        np.add.reduceat(weights * d_weights, offsets[:-1]), sizes))
+    g_w = hidden.T @ d_scores
+    d_pre = np.outer(d_scores, params.attention.w) * (1.0 - hidden ** 2)
+    return loss, PoolGradients(head_grads, v=d_pre.T @ x, w=g_w)
+
+
+@st.composite
+def attention_batches(draw):
+    """(params, bags, targets): 1 to 8 ragged bags of 1 to 6 rows (a size-1
+    bag's d_scores is exactly zero), L from 1 to 70, and features scaled so
+    that tanh is linear-ish, bending or saturated (1 - h^2 exactly 0)."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    dim = draw(st.integers(1, 5))
+    hidden = draw(st.integers(1, 70))
+    scale = draw(st.sampled_from([0.1, 1.0, 100.0]))
+    hard = draw(st.booleans())
+    rng = Rng(draw(st.integers(0, 2 ** 32 - 1)), stream=5)
+    params = init_pool_params("attention", dim, hidden, rng)
+    bags = [scale * rng.standard_normal((k, dim)) for k in sizes]
+    q = rng.uniform(0.0, 1.0, len(sizes))
+    if hard:
+        q = np.round(q)
+    return params, bags, np.stack([q, 1.0 - q], axis=1)
+
+
+class TestAttentionStepMatchesOutOfPlace:
+    """The attention step's in-place buffers against the out-of-place
+    expressions above: every output bit for bit, and no input written."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(attention_batches())
+    def test_pool_and_loss_and_grads(self, case):
+        params, bags, targets = case
+        bags_before = [b.copy() for b in bags]
+        targets_before = targets.copy()
+        arrays = (params.attention.v, params.attention.w, params.head.w_out,
+                  params.head.b_out)
+        arrays_before = [a.copy() for a in arrays]
+        x = np.concatenate(bags)
+        offsets = np.concatenate([[0], np.cumsum([len(b) for b in bags])])
+        pooled, weights = pool_bags(params, x, offsets)
+        ref_pooled, ref_weights, _ = oop_attention_pool(params, x, offsets)
+        assert_same_bits(pooled, ref_pooled)
+        assert_same_bits(weights, ref_weights)
+        loss, grads = pool_loss_and_grads(params, bags, targets)
+        ref_loss, ref = oop_attention_loss_and_grads(params, bags, targets)
+        assert_same_bits(loss, ref_loss)
+        for got, want in ((grads.head.w_out, ref.head.w_out),
+                          (grads.head.b_out, ref.head.b_out),
+                          (grads.v, ref.v), (grads.w, ref.w)):
+            assert_same_bits(got, want)
+        for bag, before in zip(bags, bags_before):
+            assert_same_bits(bag, before)
+        assert_same_bits(targets, targets_before)
+        for arr, before in zip(arrays, arrays_before):
+            assert_same_bits(arr, before)
+
+    def test_peak_memory_of_one_step(self):
+        # 16 bags of 100 rows at d 16 and L 64: the step may hold two (N, L)
+        # buffers and four (N, d) ones; six (N, L) temporaries exceed this
+        n_bags, rows, dim, hidden = 16, 100, 16, 64
+        rng = Rng(0)
+        params = init_pool_params("attention", dim, hidden, rng)
+        bags = [rng.standard_normal((rows, dim)) for _ in range(n_bags)]
+        targets = np.tile([1.0, 0.0], (n_bags, 1))
+        pool_loss_and_grads(params, bags, targets)
+        tracemalloc.start()
+        try:
+            pool_loss_and_grads(params, bags, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = n_bags * rows
+        assert peak <= (2 * n * hidden + 4 * n * dim) * 8 + 64 * 1024
 
 
 class TestNormalization:

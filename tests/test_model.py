@@ -309,6 +309,25 @@ class TestSgd:
         sgd_step(params, grads, 0.1)
         assert id(params.w_out) == w_id
 
+    @pytest.mark.parametrize("arch,dim,hidden", [
+        ("linear", 5, 128), ("mlp", 5, 3), ("mlp", 166, 128)])
+    def test_matches_out_of_place_update(self, arch, dim, hidden):
+        # scaling the gradient in place gives the bits of arr - lr * g
+        rng = Rng(7)
+        params = init_classifier(dim, arch=arch, hidden=hidden, rng=rng)
+        x = rng.standard_normal((64, dim))
+        q = rng.uniform(0.0, 1.0, 64)
+        _, grads = backward(params, x, np.stack([q, 1.0 - q], axis=1))
+        lr = 0.37
+        names = ["w_out", "b_out"]
+        if arch == "mlp":
+            names += ["w_hidden", "b_hidden"]
+        want = {name: getattr(params, name) - lr * getattr(grads, name)
+                for name in names}
+        sgd_step(params, grads, lr)
+        for name in names:
+            assert_same_bits(getattr(params, name), want[name])
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
