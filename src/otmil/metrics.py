@@ -80,12 +80,18 @@ def segment_bag_scores(instance_scores: np.ndarray, offsets: np.ndarray,
     """Per-bag max (or mean) of instance scores in bag order.
 
     Bag i owns ``instance_scores[offsets[i]:offsets[i + 1]]``, as in
-    ``data.Dataset``. Max picks the same value ``bag_predict`` would
-    from the same scores; mean sums each bag left to right, so it may
+    ``data.Dataset``: the offsets run from 0 to the number of scores, and
+    every bag needs at least one. Max picks the same value ``bag_predict``
+    would from the same scores; mean sums each bag left to right, so it may
     differ from ``np.mean``'s pairwise sum in the last bits.
     """
     if mode not in ("max", "mean"):
         raise ValueError(f"unknown bag inference mode: {mode!r}")
+    offsets = np.asarray(offsets)
+    if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+            or offsets[-1] != len(instance_scores)):
+        raise ValueError("bag offsets must be a 1-D run from 0 to the "
+                         "number of instance scores")
     sizes = np.diff(offsets)
     if np.any(sizes < 1):
         raise ValueError("empty bag")

@@ -11,6 +11,13 @@ import numpy as np
 from .numkit import Rng
 
 PROB_CLAMP = 1e-12  # floor inside log() of the cross-entropy
+# Rows per ``forward`` block of the MLP. Blocks must give the bits of one
+# whole-array pass (tests/test_model.py): OpenBLAS changes the bits of the
+# (n, hidden) @ (hidden, 2) product with n below about 600 rows, and at some
+# hidden widths above 192 those of x @ W.T in the rows of a block's last
+# 12-row tile. So no block is shorter than this, and all but the last are a
+# whole number of tiles.
+_BLOCK_ROWS = 1536
 
 
 @dataclass
@@ -126,28 +133,43 @@ def _softmax2(logits: np.ndarray) -> np.ndarray:
 def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
     """Class probabilities for one feature vector (2,) or a batch (n, 2).
 
-    The hidden layer is built in one (n, hidden) buffer: the bias and the
-    ReLU are applied in place, the same arithmetic as
-    ``np.maximum(x @ W.T + b, 0)``, so a forward pass over a whole dataset
-    holds one hidden-sized array. The logits buffer likewise takes the
-    output bias and becomes the probabilities in place; the two-column
-    softmax (``_softmax2``) gives a shift-stabilized softmax's bits.
-    Neither ``features`` nor the parameters are modified.
+    The MLP runs over the rows in blocks of ``_BLOCK_ROWS`` to
+    ``2 * _BLOCK_ROWS - 1`` (the last block takes the remainder), each
+    written into one (n, 2) result, so scoring a whole dataset holds one
+    block's hidden layer rather than all n rows of it. Per block, the
+    hidden layer takes its bias and ReLU in place, the same arithmetic as
+    ``np.maximum(x @ W.T + b, 0)``, and the logits take the output bias
+    and become the probabilities in place; the two-column softmax
+    (``_softmax2``) gives a shift-stabilized softmax's bits. Neither
+    ``features`` nor the parameters are modified.
     """
     x = np.asarray(features, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"features must be one vector or an (n, d) batch, "
+                         f"got shape {x.shape}")
     if x.shape[-1] != params.feature_dim:
         raise ValueError("feature dimension mismatch")
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim == 1:
+        return _block_probs(params, x[None, :])[0]
+    n = x.shape[0]
+    if params.arch == "linear" or n < 2 * _BLOCK_ROWS:
+        return _block_probs(params, x)
+    probs = np.empty((n, 2))
+    starts = range(0, n - _BLOCK_ROWS + 1, _BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        probs[start:stop] = _block_probs(params, x[start:stop])
+    return probs
+
+
+def _block_probs(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
+    """``forward`` over the rows of one (n, d) block, in fresh buffers."""
     if params.arch == "mlp":
         h = x @ params.w_hidden.T
         h += params.b_hidden
         x = np.maximum(h, 0.0, out=h)
     logits = x @ params.w_out.T
     logits += params.b_out
-    probs = _softmax2(logits)
-    return probs[0] if single else probs
+    return _softmax2(logits)
 
 
 def soft_cross_entropy(pred, target) -> float:

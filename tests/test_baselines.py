@@ -1,7 +1,5 @@
 """Pooling baselines: attention math, gradients, training sanity."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,7 +370,7 @@ class TestAttentionStepMatchesOutOfPlace:
         for arr, before in zip(arrays, arrays_before):
             assert_same_bits(arr, before)
 
-    def test_peak_memory_of_one_step(self):
+    def test_peak_memory_of_one_step(self, traced_peak):
         # 16 bags of 100 rows at d 16 and L 64: the step may hold two (N, L)
         # buffers and four (N, d) ones; six (N, L) temporaries exceed this
         n_bags, rows, dim, hidden = 16, 100, 16, 64
@@ -381,12 +379,7 @@ class TestAttentionStepMatchesOutOfPlace:
         bags = [rng.standard_normal((rows, dim)) for _ in range(n_bags)]
         targets = np.tile([1.0, 0.0], (n_bags, 1))
         pool_loss_and_grads(params, bags, targets)
-        tracemalloc.start()
-        try:
-            pool_loss_and_grads(params, bags, targets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(pool_loss_and_grads, params, bags, targets)
         n = n_bags * rows
         assert peak <= (2 * n * hidden + 4 * n * dim) * 8 + 64 * 1024
 

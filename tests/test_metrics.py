@@ -108,6 +108,15 @@ class TestSegmentBagScores:
         with pytest.raises(ValueError, match="empty"):
             segment_bag_scores(np.zeros(3), np.array([0, 1, 1, 3]), "max")
 
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    @pytest.mark.parametrize("offsets", [
+        [0, 5, 8], [2, 5, 10], [0, 5, 11], [[0, 5, 10]], []])
+    def test_offsets_must_run_over_every_score(self, offsets, mode):
+        # [0, 5, 8] used to pool rows 8-9 into the last bag (mean 11.67,
+        # above its max of 9) and [2, 5, 10] to drop rows 0-1
+        with pytest.raises(ValueError, match="offsets"):
+            segment_bag_scores(np.arange(10.0), np.array(offsets), mode)
+
 
 class TestDatasetScores:
     def _dataset(self, bag_labels, instance_labels):

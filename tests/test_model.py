@@ -1,16 +1,21 @@
 """Classifier: forward, loss, analytic gradients, SGD, checkpoints."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmil.model import (PROB_CLAMP, ClassifierParams, Gradients, SgdConfig,
-                         _softmax2, backward, forward, init_classifier,
-                         load_checkpoint, save_checkpoint, sgd_step,
-                         soft_cross_entropy)
+from otmil.model import (_BLOCK_ROWS, PROB_CLAMP, ClassifierParams,
+                         Gradients, SgdConfig, _softmax2, backward, forward,
+                         init_classifier, load_checkpoint, save_checkpoint,
+                         sgd_step, soft_cross_entropy)
 from otmil.numkit import Rng
 
 from test_numkit import softmax
@@ -92,6 +97,16 @@ class TestForward:
         params = init_classifier(4, arch="linear", rng=Rng(1))
         with pytest.raises(ValueError, match="dimension"):
             forward(params, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("shape", [(3, 5, 4), ()])
+    def test_rejects_input_that_is_not_one_or_two_dimensional(self, arch,
+                                                             shape):
+        # a (3, 5, 4) batch used to come back with rows summing to 1.08,
+        # 0.92, 2.07, ...
+        params = init_classifier(4, arch=arch, hidden=3, rng=Rng(1))
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            forward(params, np.zeros(shape))
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_equals_out_of_place_expression(self, arch):
@@ -218,6 +233,71 @@ class TestMatchesOutOfPlaceReference:
         got = _softmax2(logits)
         assert got is logits
         assert_same_bits(got, want)
+
+
+C = _BLOCK_ROWS
+BLOCK_CASES = [(n, hidden, d)
+               for n in (2 * C - 1, 2 * C, 2 * C + 1, 3 * C - 1, 3 * C,
+                         10_000, 10_001)
+               for hidden in (1, 16, 128, 300) for d in (1, 16, 166)]
+
+
+def block_mismatches(cases) -> list[list[int]]:
+    """The (n, hidden, d) cases in which the MLP's ``forward`` differs from
+    ``ref_forward`` in any bit, or writes to its features or parameters."""
+    bad = []
+    for n, hidden, d in cases:
+        rng = Rng(n + hidden + d)
+        params = init_classifier(d, arch="mlp", hidden=hidden, rng=rng)
+        x = rng.standard_normal((n, d))
+        x_before, params_before = x.copy(), clone_params(params)
+        same = forward(params, x).tobytes() == ref_forward(params, x).tobytes()
+        untouched = x.tobytes() == x_before.tobytes() and all(
+            a.tobytes() == b.tobytes() for a, b in
+            zip(_arrays(params), _arrays(params_before)))
+        if not (same and untouched):
+            bad.append([n, hidden, d])
+    return bad
+
+
+class TestBlockedForward:
+    """``forward`` runs the MLP over blocks of C to 2C - 1 rows; every
+    block boundary must give the bits of one whole-array pass."""
+
+    def test_default_width_matches_whole_array_pass(self):
+        assert block_mismatches(
+            [case for case in BLOCK_CASES if case[1] == 128]) == []
+
+    def test_every_width_matches_whole_array_pass_on_one_blas_thread(self):
+        # With several threads, OpenBLAS's whole-array product itself
+        # changes bits with its thread partition at some shapes: at n 3,073,
+        # hidden 1, d 166 and at n 10,000, hidden 300, the unblocked forward
+        # differs between one and two threads. So the full grid runs in a
+        # child interpreter with one BLAS thread, where only the blocking
+        # can move a bit.
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       [str(here), str(here.parent / "src")]))
+        script = ("import json, sys; from test_model import BLOCK_CASES, "
+                  "block_mismatches; print(json.dumps(block_mismatches("
+                  "BLOCK_CASES)))")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
+    def test_peak_memory_of_one_forward(self, traced_peak):
+        # 10,000 rows at d 16 and hidden 128: a pass may hold one block's
+        # hidden layer (under 2C rows) and the (N, 2) result; one
+        # (N, hidden) buffer exceeds this
+        n, dim, hidden = 10_000, 16, 128
+        rng = Rng(0)
+        params = init_classifier(dim, arch="mlp", hidden=hidden, rng=rng)
+        x = rng.standard_normal((n, dim))
+        forward(params, x)
+        peak = traced_peak(forward, params, x)
+        assert peak <= (2 * C * hidden + 2 * n) * 8 + 64 * 1024
 
 
 class TestInit:
