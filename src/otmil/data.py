@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -274,9 +276,26 @@ def _json_label(value, unknown_ok: bool) -> int:
     return value
 
 
+def _json_features(rows) -> np.ndarray:
+    """A bag's feature rows as float64 if every value is a JSON number;
+    else ValueError (bools, strings and nulls are not numbers)."""
+    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        bad = next(v for v in chain.from_iterable(rows)
+                   if type(v) not in (float, int))
+        raise ValueError("feature values must be JSON numbers, not "
+                         f"{json.dumps(bad)}")
+    return np.array(rows, dtype=np.float64)
+
+
 def load_ndjson(path) -> Dataset:
-    """Parse and validate an NDJSON bag file; errors carry line numbers."""
-    blocks, ids, bag_labels, labels = [], [], [], []
+    """Parse and validate an NDJSON bag file; errors carry line numbers.
+
+    Feature values must be JSON numbers and bag ids JSON strings. Each
+    bag's rows are appended to one growing buffer that the dataset then
+    views, so loading holds the features once.
+    """
+    feats, labels = array("d"), array("q")
+    offsets, ids, bag_labels = [0], [], []
     feature_dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -289,15 +308,18 @@ def load_ndjson(path) -> Dataset:
                 raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})")
             try:
                 instances = rec["instances"]
-                block = np.array([inst["features"] for inst in instances],
-                                 dtype=np.float64)
+                block = _json_features([inst["features"]
+                                        for inst in instances])
                 inst_labels = [_json_label(inst.get("label"), True)
                                for inst in instances]
                 label = _json_label(rec["label"], False)
-                bag_id = str(rec["bag_id"])
+                bag_id = rec["bag_id"]
+                if type(bag_id) is not str:
+                    raise ValueError("bag_id must be a string, not "
+                                     f"{json.dumps(bag_id)}")
             except (KeyError, TypeError, AttributeError) as exc:
                 raise ValueError(f"line {lineno}: missing or bad field ({exc})")
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"line {lineno}: {exc}")
             if block.size == 0:
                 raise ValueError(f"line {lineno}: a bag needs at least one "
@@ -311,17 +333,20 @@ def load_ndjson(path) -> Dataset:
             if -1 not in inst_labels and label != int(1 in inst_labels):
                 raise ValueError(f"line {lineno}: bag {bag_id!r}: label "
                                  "inconsistent with instance labels")
-            blocks.append(block)
+            feats.frombytes(memoryview(block).cast("B"))
+            labels.extend(inst_labels)
+            offsets.append(len(labels))
             ids.append(bag_id)
             bag_labels.append(label)
-            labels += inst_labels
-    if not blocks:
+    if not ids:
         raise ValueError("no bags in file")
     name = str(path).rsplit("/", 1)[-1]
     name = name[:-7] if name.endswith(".ndjson") else name
-    return Dataset(np.concatenate(blocks),
-                   np.cumsum([0] + [len(b) for b in blocks]), ids,
-                   bag_labels, labels, name=name)
+    # the buffer keeps its spare capacity (at most 1/16): trimming it
+    # would be the very copy this layout avoids
+    return Dataset(np.frombuffer(feats).reshape(-1, feature_dim), offsets,
+                   ids, bag_labels, np.frombuffer(labels, dtype=np.int64),
+                   name=name)
 
 
 def load_benchmark_csv(path) -> Dataset:

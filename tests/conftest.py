@@ -8,12 +8,18 @@ import pytest
 @pytest.fixture
 def traced_peak():
     """``traced_peak(fn, *args)``: the peak bytes that tracemalloc sees
-    allocated while ``fn(*args)`` runs."""
+    allocated while ``fn(*args)`` runs, above what was traced before it.
+    Under ``python -X tracemalloc`` tracing is already on and stays on."""
     def measure(fn, *args):
-        tracemalloc.start()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
         try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
             fn(*args)
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
-            tracemalloc.stop()
+            if started:
+                tracemalloc.stop()
     return measure

@@ -336,6 +336,54 @@ class TestNdjson:
         with pytest.raises(ValueError, match="line 2: non-finite"):
             load_ndjson(path)
 
+    @pytest.mark.parametrize("bad", ["1.5", True, False, None, [1.0]])
+    def test_non_number_feature_names_line(self, tmp_path, bad):
+        path = tmp_path / "bad.ndjson"
+        rows = [
+            {"bag_id": "a", "label": 0,
+             "instances": [{"features": [1.0, 2.0], "label": 0}]},
+            {"bag_id": "b", "label": 0,
+             "instances": [{"features": [1.0, 2.0], "label": 0},
+                           {"features": [1.5, bad], "label": 0}]},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError,
+                           match="line 2: feature values must be JSON num"):
+            load_ndjson(path)
+
+    def test_out_of_range_integer_feature_names_line(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(json.dumps(
+            {"bag_id": "a", "label": 0,
+             "instances": [{"features": [10 ** 400], "label": 0}]}) + "\n")
+        with pytest.raises(ValueError, match="line 1: "):
+            load_ndjson(path)
+
+    @pytest.mark.parametrize("bad", [None, 5, 1.5, True, ["a"]])
+    def test_non_string_bag_id_names_line(self, tmp_path, bad):
+        path = tmp_path / "bad.ndjson"
+        rows = [
+            {"bag_id": "a", "label": 0,
+             "instances": [{"features": [1.0], "label": 0}]},
+            {"bag_id": bad, "label": 0,
+             "instances": [{"features": [1.0], "label": 0}]},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValueError,
+                           match="line 2: bag_id must be a string"):
+            load_ndjson(path)
+
+    def test_peak_memory_of_one_load(self, tmp_path, traced_peak):
+        # 200 bags of 100 rows at d 16: the features once, the growing
+        # buffer's spare capacity and one line's objects fit; per-bag
+        # blocks joined by a copy hold the features twice
+        path = tmp_path / "bags.ndjson"
+        save_ndjson(generate_normal_bags(GenConfig(
+            n_bags=200, bag_size=100, feature_dim=16, seed=0)), path)
+        load_ndjson(path)
+        peak = traced_peak(load_ndjson, path)
+        assert peak <= 1.6 * 200 * 100 * 16 * 8
+
 
 class TestBenchmarkCsv:
     def _write(self, path, rows, dim=2):
