@@ -15,8 +15,11 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import data as datamod
 from .baselines import baseline_scores, pool_baseline_train
@@ -145,13 +148,23 @@ def cmd_gen(args, out_dir: Path) -> None:
     _write_json(out_dir / "manifest.json", manifest)
 
 
+def _provenance() -> dict:
+    """What a run's bits depend on beyond its config: the numpy build and
+    the BLAS thread counts (a matmul's rounding can follow its thread
+    split), each variable None when unset."""
+    return {"numpy": np.__version__,
+            **{var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def cmd_train(args, out_dir: Path) -> None:
     train_ds, tests = _load_splits(args.data)
     eval_ds = _pick_eval(args, tests)
     params, record = self_train(train_ds, _train_config(args), eval_ds)
     save_checkpoint(params, out_dir / "checkpoint.json")
     write_run_csv(record, out_dir / "metrics.csv")
-    _write_json(out_dir / "summary.json", record.summary)
+    _write_json(out_dir / "summary.json",
+                {**record.summary, "provenance": _provenance()})
 
 
 def cmd_eval(args, out_dir: Path) -> None:

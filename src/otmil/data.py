@@ -163,6 +163,8 @@ class GenConfig:
             raise ValueError("bag_size must be >= 1")
         if self.n_bags < 2:
             raise ValueError("need at least 2 bags")
+        if self.test_bags < 2:  # a test split needs a bag of each label
+            raise ValueError("test_bags must be >= 2")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
 

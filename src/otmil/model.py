@@ -249,6 +249,9 @@ def sgd_step(params: ClassifierParams, grads: Gradients, lr: float) -> Classifie
     return params
 
 
+_LAYERS = ("w_hidden", "b_hidden", "w_out", "b_out")  # checkpoint layer names
+
+
 def save_checkpoint(params: ClassifierParams, path) -> None:
     """JSON checkpoint: arch descriptor plus full-precision flat arrays."""
     blob = {
@@ -257,8 +260,7 @@ def save_checkpoint(params: ClassifierParams, path) -> None:
         "hidden": params.hidden,
         "layers": {},
     }
-    names = ["w_hidden", "b_hidden", "w_out", "b_out"]
-    for name in names:
+    for name in _LAYERS:
         arr = getattr(params, name)
         if arr is None:
             continue
@@ -269,24 +271,49 @@ def save_checkpoint(params: ClassifierParams, path) -> None:
         fh.write("\n")
 
 
+def _json_field(blob, key: str, kind: type, where: str = ""):
+    """``blob[key]`` if it is there and of JSON type ``kind`` (a bool is not
+    an int); else a ValueError that names the field."""
+    if not isinstance(blob, dict) or key not in blob:
+        raise ValueError(f"checkpoint: missing field {where}{key}")
+    value = blob[key]
+    if type(value) is not kind:
+        raise ValueError(f"checkpoint: field {where}{key} must be a JSON "
+                         f"{kind.__name__}, not {json.dumps(value)}")
+    return value
+
+
 def load_checkpoint(path) -> ClassifierParams:
-    """Inverse of save_checkpoint; ``ClassifierParams`` validates every layer's
-    shape against the arch, feature_dim and hidden in the header."""
+    """Inverse of save_checkpoint. A missing or mistyped field, a layer
+    value that is not a JSON number, or an unknown layer is a ValueError
+    naming it; ``ClassifierParams`` then validates every layer's shape,
+    a missing layer's included, against the arch, feature_dim and hidden in
+    the header."""
     with open(path) as fh:
         blob = json.load(fh)
+    header = {key: _json_field(blob, key, kind) for key, kind in
+              (("arch", str), ("feature_dim", int), ("hidden", int))}
     layers = {}
-    for name, entry in blob["layers"].items():
-        arr = np.array(entry["data"], dtype=np.float64)
-        if arr.size != int(np.prod(entry["shape"])):
+    for name, entry in _json_field(blob, "layers", dict).items():
+        if name not in _LAYERS:
+            raise ValueError(f"checkpoint: unknown layer {name}")
+        where = f"layers.{name}."
+        shape = _json_field(entry, "shape", list, where)
+        data = _json_field(entry, "data", list, where)
+        if not all(type(v) is int and v >= 0 for v in shape):
+            raise ValueError(f"checkpoint: field {where}shape must hold "
+                             f"sizes, not {json.dumps(shape)}")
+        bad = [v for v in data if type(v) not in (float, int)]
+        if bad:
+            raise ValueError(f"checkpoint: field {where}data must hold JSON "
+                             f"numbers, not {json.dumps(bad[0])}")
+        try:
+            arr = np.array(data, dtype=np.float64)
+        except OverflowError as exc:  # an integer past float64's range
+            raise ValueError(f"checkpoint: field {where}data: {exc}")
+        if arr.size != int(np.prod(shape)):
             raise ValueError(f"layer {name}: {arr.size} values do not fill "
-                             f"shape {entry['shape']}")
-        layers[name] = arr.reshape(entry["shape"])
-    return ClassifierParams(
-        arch=blob["arch"],
-        feature_dim=int(blob["feature_dim"]),
-        hidden=int(blob["hidden"]),
-        w_hidden=layers.get("w_hidden"),
-        b_hidden=layers.get("b_hidden"),
-        w_out=layers["w_out"],
-        b_out=layers["b_out"],
-    )
+                             f"shape {shape}")
+        layers[name] = arr.reshape(shape)
+    return ClassifierParams(**header,
+                            **{name: layers.get(name) for name in _LAYERS})

@@ -125,6 +125,10 @@ def _corpus(dataset):
     whose negative rows hold [0, 1] and whose first ``pos_offsets[-1]``
     rows ``mixed_batches`` fills with pseudo labels; and the offsets of
     the positive bags within those rows, as in ``data.Dataset``.
+
+    When the positive bags already lead, as in every generated dataset,
+    ``x`` is the dataset's own read-only feature matrix; only a dataset
+    whose bags interleave is copied into corpus order.
     """
     sizes = np.diff(dataset.offsets)
     positive = dataset.bag_labels == 1
@@ -132,13 +136,15 @@ def _corpus(dataset):
         raise ValueError("no positive bags")
     if positive.all():
         raise ValueError("no negative bags")
-    row_positive = np.repeat(positive, sizes)
-    pos_rows = np.flatnonzero(row_positive)
-    x = dataset.features[np.concatenate(
-        [pos_rows, np.flatnonzero(~row_positive)])]
-    targets = np.zeros((x.shape[0], 2))
-    targets[pos_rows.size:, 1] = 1.0
     pos_offsets = np.concatenate([[0], np.cumsum(sizes[positive])])
+    n_pos = int(pos_offsets[-1])
+    row_positive = np.repeat(positive, sizes)
+    x = dataset.features
+    if not row_positive[:n_pos].all():
+        x = x[np.concatenate([np.flatnonzero(row_positive),
+                              np.flatnonzero(~row_positive)])]
+    targets = np.zeros((x.shape[0], 2))
+    targets[n_pos:, 1] = 1.0
     return x, targets, pos_offsets
 
 

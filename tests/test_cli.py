@@ -3,7 +3,11 @@
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
 
+import numpy
 import pytest
 
 from otmil import metrics
@@ -56,6 +60,14 @@ class TestGen:
         assert run(["gen", "--dim", "0", "--out", out]) == 2
         assert "feature_dim must be >= 1" in (out / ".failed").read_text()
 
+    @pytest.mark.parametrize("scheme", ["normal", "hard"])
+    def test_one_test_bag_fails_with_reason(self, tmp_path, scheme):
+        out = tmp_path / "d"
+        assert run(["gen", "--scheme", scheme, *GEN_FLAGS, "--test-bags", "1",
+                    "--out", out]) == 2
+        assert "test_bags must be >= 2" in (out / ".failed").read_text()
+        assert not list(out.glob("*.ndjson"))
+
 
 class TestTrain:
     @pytest.fixture
@@ -99,6 +111,24 @@ class TestTrain:
         assert run(["train", "--data", dataset_dir, *FAST_TRAIN,
                     "--hidden", "0", "--out", out]) != 0
         assert "hidden must be >= 1" in (out / ".failed").read_text()
+
+    def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
+                                                    tmp_path):
+        # thread counts are read at BLAS load, so set them in a child
+        out = tmp_path / "t"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        subprocess.run([sys.executable, "-m", "otmil.cli", "train", "--data",
+                        str(dataset_dir), *FAST_TRAIN, "--out", str(out)],
+                       env=env, check=True)
+        provenance = json.loads((out / "summary.json").read_text())[
+            "provenance"]
+        assert provenance == {"numpy": numpy.__version__,
+                              "OPENBLAS_NUM_THREADS": "1",
+                              "OMP_NUM_THREADS": None,
+                              "MKL_NUM_THREADS": None}
 
 
 class TestEval:

@@ -221,6 +221,12 @@ class TestHardGenerator:
         frac = first.mean()
         assert 0.4 < frac < 0.6
 
+    @pytest.mark.parametrize("scheme", ["normal", "hard"])
+    @pytest.mark.parametrize("test_bags", [0, 1])
+    def test_fewer_than_two_test_bags_rejected(self, scheme, test_bags):
+        with pytest.raises(ValueError, match="test_bags must be >= 2"):
+            GenConfig(scheme=scheme, test_bags=test_bags, n_concepts=2)
+
     def test_requires_two_concepts(self):
         cfg = GenConfig(scheme="hard", n_bags=4, bag_size=10,
                         positive_ratio=0.2, feature_dim=4, n_concepts=1)

@@ -445,6 +445,52 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="b_out"):
             load_checkpoint(path)
 
+    @staticmethod
+    def _saved_blob(tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_classifier(4, arch="mlp", hidden=3, rng=Rng(2)),
+                        path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("field,message", [
+        ("arch", "missing field arch$"), ("layers", "missing field layers$"),
+        ("layers.w_out.shape", "missing field layers.w_out.shape$"),
+        ("layers.w_out", "layer w_out: shape None")])
+    def test_missing_field_named(self, tmp_path, field, message):
+        path, blob = self._saved_blob(tmp_path)
+        *parents, key = field.split(".")
+        entry = blob
+        for name in parents:
+            entry = entry[name]
+        del entry[key]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    def test_fractional_hidden_rejected(self, tmp_path):
+        path, blob = self._saved_blob(tmp_path)
+        blob["hidden"] = 4.7
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="field hidden .* not 4.7"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value,message", [
+        (True, "data must hold JSON numbers, not true"),
+        (10 ** 400, "data: int too large")])
+    def test_bad_layer_value_named(self, tmp_path, value, message):
+        path, blob = self._saved_blob(tmp_path)
+        blob["layers"]["b_hidden"]["data"][1] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"layers.b_hidden.{message}"):
+            load_checkpoint(path)
+
+    def test_unknown_layer_rejected(self, tmp_path):
+        path, blob = self._saved_blob(tmp_path)
+        blob["layers"]["w_extra"] = blob["layers"]["b_out"]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="unknown layer w_extra"):
+            load_checkpoint(path)
+
     def test_clone_is_independent(self):
         params = init_classifier(3, arch="linear", rng=Rng(0))
         twin = clone_params(params)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from otmil import metrics, trainer
 from otmil.cli import _write_json
-from otmil.data import GenConfig, generate_normal_bags, kfold_split
+from otmil.data import (GenConfig, bags_from_arrays, generate_normal_bags,
+                        kfold_split)
 from otmil.labeling import MuSchedule, SinkhornConfig, harden
 from otmil.model import SgdConfig, forward, init_classifier
 from otmil.numkit import Rng
@@ -99,6 +100,38 @@ class TestAssign:
         q, _ = _assign(params, small_config(), pos_x, pos_offsets, 0.2)
         for start, end in zip(pos_offsets[:-1], pos_offsets[1:]):
             assert np.any(np.all(q[start:end] == [1.0, 0.0], axis=1))
+
+
+class TestCorpus:
+    def test_positive_first_dataset_is_not_copied(self):
+        ds = small_dataset()
+        assert np.shares_memory(_corpus(ds)[0], ds.features)
+
+    def test_peak_memory_of_training(self, traced_peak):
+        # the corpus is the dataset's own rows: no (N, d) copy per run
+        ds = generate_normal_bags(GenConfig(n_bags=40, bag_size=100,
+                                            feature_dim=64, seed=1))
+        cfg = small_config(epochs=2, hidden=8)
+        train(ds, cfg)  # warm-up: first-call allocations are not the run's
+        assert traced_peak(train, ds, cfg) <= 0.5 * ds.features.nbytes
+
+    def test_interleaved_bags_train_as_their_positive_first_order(self):
+        rng = Rng(9)
+        mask = np.arange(600) < 60
+        pool = rng.standard_normal((600, 6))
+        pool[mask, 0] += 5.0
+        ds = bags_from_arrays(pool, mask, GenConfig(
+            bag_size=15, positive_ratio=0.2, feature_dim=6, seed=3))
+        lead = ds.subset(np.concatenate([np.flatnonzero(ds.bag_labels == 1),
+                                         np.flatnonzero(ds.bag_labels == 0)]))
+        got, want = _corpus(ds), _corpus(lead)
+        assert not np.shares_memory(got[0], ds.features)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+        cfg = small_config(epochs=3)
+        a, b = train(ds, cfg), train(lead, cfg)
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestMixedBatches:
