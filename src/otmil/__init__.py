@@ -26,8 +26,9 @@ from .model import (ClassifierParams, Gradients, SgdConfig, backward, forward,
                     init_classifier, load_checkpoint, save_checkpoint,
                     sgd_step, soft_cross_entropy)
 from .numkit import Rng
-from .trainer import (RunRecord, TrainConfig, benchmark_cv, mixed_batches,
-                      run_ablation_suite, self_train, train, write_run_csv)
+from .trainer import (RunRecord, TrainConfig, benchmark_cv, holdout_sweep,
+                      mixed_batches, run_ablation_suite, self_train, train,
+                      write_run_csv)
 
 __version__ = "0.1.0"
 
@@ -40,7 +41,8 @@ __all__ = [
     "backward", "bag_predict", "bags_from_arrays",
     "baseline_instance_scores", "baseline_scores", "benchmark_cv",
     "dataset_aucs", "dataset_scores", "entropy_curve", "forward",
-    "generate_hard_bags", "generate_normal_bags", "harden", "init_classifier",
+    "generate_hard_bags", "generate_normal_bags", "harden", "holdout_sweep",
+    "init_classifier",
     "kfold_split", "load_benchmark_csv", "load_checkpoint",
     "load_idx_mnist", "load_ndjson", "mixed_batches",
     "pool_bags", "pool_baseline_train", "pseudo_label_metrics", "roc_auc",

@@ -27,8 +27,8 @@ from .labeling import MuSchedule, SinkhornConfig
 from .metrics import (dataset_aucs, dataset_scores, entropy_curve,
                       write_entropy_csv)
 from .model import SgdConfig, load_checkpoint, save_checkpoint
-from .trainer import (TrainConfig, benchmark_cv, run_ablation_suite,
-                      self_train, train, write_run_csv)
+from .trainer import (TrainConfig, benchmark_cv, holdout_sweep,
+                      run_ablation_suite, self_train, write_run_csv)
 
 
 def _write_json(path: Path, blob, default=None) -> None:
@@ -204,12 +204,8 @@ def cmd_sweep(args, out_dir: Path) -> None:
     else:
         eval_ds = _pick_eval(args, tests) or train_ds
         rows, best = [], None
-        for mu in args.grid_mu:
-            cfg = dataclasses.replace(
-                base, schedule=MuSchedule(mu_final=mu,
-                                          warmup_epochs=args.warmup_t))
-            instance_auc, bag_auc = dataset_aucs(eval_ds, *dataset_scores(
-                train(train_ds, cfg), eval_ds, cfg.bag_inference))
+        for mu, (instance_auc, bag_auc) in zip(args.grid_mu, holdout_sweep(
+                train_ds, base, args.grid_mu, eval_ds)):
             row = {"mu": mu, "warmup": args.warmup_t,
                    "instance_auc": instance_auc, "bag_auc": bag_auc}
             rows.append(row)
@@ -221,7 +217,8 @@ def cmd_sweep(args, out_dir: Path) -> None:
         header = ["mu", "warmup", "instance_auc", "bag_auc"]
     _write_table_csv(out_dir / "sweep.csv", header, rows)
     _write_json(out_dir / "summary.json",
-                {"rows": rows, "best": best, "seed": args.seed})
+                {"rows": rows, "best": best, "seed": args.seed,
+                 "provenance": _provenance()})
 
 
 def cmd_ablation(args, out_dir: Path) -> None:
@@ -232,7 +229,8 @@ def cmd_ablation(args, out_dir: Path) -> None:
               "instance_auc", "bag_auc", "positive_pseudo_fraction"]
     _write_table_csv(out_dir / "ablation.csv", header, table)
     summary = [{k: row[k] for k in header} for row in table]
-    _write_json(out_dir / "summary.json", {"rows": summary, "seed": args.seed})
+    _write_json(out_dir / "summary.json", {"rows": summary, "seed": args.seed,
+                                           "provenance": _provenance()})
 
 
 def cmd_baseline(args, out_dir: Path) -> None:

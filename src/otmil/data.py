@@ -18,9 +18,10 @@ from __future__ import annotations
 import json
 import struct
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -468,13 +469,33 @@ def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,
                    np.tile([1, 0], rounds), positive_mask[order], name=name)
 
 
+class _Folds(Sequence):
+    """The k (train, test) pairs of a k-fold split. Pair i is sliced out of
+    the dataset each time it is read, by index or by iteration, so a caller
+    that keeps no pair holds one fold's copy of the rows at a time."""
+
+    def __init__(self, dataset: Dataset, fold: np.ndarray, k: int):
+        self._dataset, self._fold, self._k = dataset, fold, k
+
+    def __len__(self) -> int:
+        return self._k
+
+    def __getitem__(self, i: int) -> tuple[Dataset, Dataset]:
+        i = range(self._k)[i]  # i < 0 counts from the end, i >= k raises
+        name = self._dataset.name
+        return (self._dataset.subset(np.flatnonzero(self._fold != i),
+                                     f"{name}-fold{i}-train"),
+                self._dataset.subset(np.flatnonzero(self._fold == i),
+                                     f"{name}-fold{i}-test"))
+
+
 def kfold_split(dataset: Dataset, k: int, seed: int = 0
-                ) -> Iterator[tuple[Dataset, Dataset]]:
+                ) -> Sequence[tuple[Dataset, Dataset]]:
     """Label-stratified k-fold partition of bags, deterministic per seed.
 
     The folds are drawn at once; each (train, test) pair is sliced out of
-    the dataset when iteration reaches it, so a caller that keeps no pair
-    holds one fold's copy of the rows at a time.
+    the dataset when it is read (see ``_Folds``), so fold i can be read
+    on its own, without slicing the folds before it.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -485,8 +506,4 @@ def kfold_split(dataset: Dataset, k: int, seed: int = 0
     for label in (1, 0):  # this draw order fixes each seed's folds
         bags = np.flatnonzero(dataset.bag_labels == label)
         fold[bags[rng.permutation(bags.size)]] = np.arange(bags.size) % k
-    return ((dataset.subset(np.flatnonzero(fold != i),
-                            f"{dataset.name}-fold{i}-train"),
-             dataset.subset(np.flatnonzero(fold == i),
-                            f"{dataset.name}-fold{i}-test"))
-            for i in range(k))
+    return _Folds(dataset, fold, k)

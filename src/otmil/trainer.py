@@ -13,13 +13,17 @@ so early epochs stay exploratory while the classifier is still random.
 
 ``_train_epochs`` runs that loop and only trains; ``train`` runs it to
 its end, ``self_train`` adds the per-epoch report, and ``benchmark_cv``
-scores only each held-out fold.
+scores only each held-out fold. The ablation rows, the k-fold folds and
+the holdout ``mu`` grid are independent runs; ``_fan_out`` spreads them
+over forked worker processes, one per usable CPU, with the same outputs
+as one loop.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,10 +290,13 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
     Rows go from everything off (hard naive labels) to the full method,
     all at the same seed so differences come from the switches alone.
     """
+    def row_record(i):
+        cfg = dataclasses.replace(base_cfg, **ABLATION_ROWS[i][1])
+        return self_train(dataset, cfg, eval_dataset)[1]
+
     table = []
-    for name, flags in ABLATION_ROWS:
-        cfg = dataclasses.replace(base_cfg, **flags)
-        _, record = self_train(dataset, cfg, eval_dataset)
+    for (name, flags), record in zip(
+            ABLATION_ROWS, _fan_out(row_record, len(ABLATION_ROWS))):
         final = record.rows[-1]
         table.append({
             "name": name,
@@ -318,25 +325,127 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
 
     Each grid cell trains k models (one per fold) and scores only the
     held-out bags, at threshold 0.5. The folds depend only on the dataset,
-    k and the seed, so they are drawn once per call; each fold's arrays
-    are sliced out once and serve every cell before the next fold's are.
+    k and the seed, so they are drawn once per call; each fold is a job of
+    ``_fan_out`` that slices its arrays out and trains every cell on them.
     Returns every cell plus the best one.
     """
+    folds = kfold_split_cached(dataset, k, base_cfg.seed)
     cells = [{"mu": mu, "warmup": warmup, "fold_accuracies": []}
              for mu in mu_grid for warmup in warmup_grid]
-    for train_ds, test_ds in kfold_split_cached(dataset, k, base_cfg.seed):
-        for cell in cells:
-            cfg = dataclasses.replace(
-                base_cfg, schedule=MuSchedule(mu_final=cell["mu"],
-                                              warmup_epochs=cell["warmup"]))
-            cell["fold_accuracies"].append(bag_accuracy(
-                train(train_ds, cfg), test_ds, cfg.bag_inference))
+    cfgs = [dataclasses.replace(
+        base_cfg, schedule=MuSchedule(mu_final=cell["mu"],
+                                      warmup_epochs=cell["warmup"]))
+            for cell in cells]
+
+    def fold_accuracies(i):
+        train_ds, test_ds = folds[i]
+        return [bag_accuracy(train(train_ds, cfg), test_ds, cfg.bag_inference)
+                for cfg in cfgs]
+
+    for accuracies in _fan_out(fold_accuracies, len(folds)):
+        for cell, accuracy in zip(cells, accuracies):
+            cell["fold_accuracies"].append(accuracy)
     for cell in cells:
         cell["mean_bag_accuracy"] = float(np.mean(cell["fold_accuracies"]))
     best = max(cells, key=lambda c: c["mean_bag_accuracy"])
     return {"grid": cells, "best": best}
 
 
+def holdout_sweep(dataset, base_cfg: TrainConfig, mu_grid, eval_dataset
+                  ) -> list[tuple[float | None, float | None]]:
+    """Train one model per ``mu`` in the grid (``base_cfg`` otherwise) and
+    score it once on ``eval_dataset``: its (instance AUC, bag AUC), per
+    ``metrics.dataset_aucs``, in grid order. Each model is a job of
+    ``_fan_out``."""
+    def aucs(i):
+        cfg = dataclasses.replace(base_cfg, schedule=dataclasses.replace(
+            base_cfg.schedule, mu_final=mu_grid[i]))
+        return dataset_aucs(eval_dataset, *dataset_scores(
+            train(dataset, cfg), eval_dataset, cfg.bag_inference))
+
+    return _fan_out(aucs, len(mu_grid))
+
+
 # benchmark_cv looks the folds up under this name only because
 # perfbench/spans.py wraps trainer.kfold_split_cached to time them
 kfold_split_cached = kfold_split
+
+
+def _fan_out(job, n_jobs: int) -> list:
+    """``[job(i) for i in range(n_jobs)]``, computed in forked workers.
+
+    Worker w of W runs jobs w, w + W, w + 2W, ... in turn and sends back
+    only their results: it reaches its inputs through the fork, so no
+    dataset is pickled. W is the number of usable CPUs, at most n_jobs.
+    The jobs run in this process when fan-out cannot help: one usable
+    CPU, one job, or no ``fork`` start method. A worker's exception is
+    raised here with its type and message, and every worker has been
+    joined (after ``terminate`` if this call failed) before it returns or
+    raises.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    n_workers = min(cpus, n_jobs)
+    if n_workers > 1:
+        # imported here: about 0.6 MB and 18 ms that runs which never fan
+        # out should not pay
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            n_workers = 1
+    if n_workers < 2:
+        return [job(i) for i in range(n_jobs)]
+
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for w in range(n_workers):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_work, args=(job, range(w, n_jobs, n_workers), sender))
+            workers.append((process, receiver))
+            process.start()
+            sender.close()  # so that recv sees EOF if the worker dies
+        results = [None] * n_jobs
+        for w, (process, receiver) in enumerate(workers):
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"worker {w} exited with code "
+                                   f"{process.exitcode} before sending its "
+                                   "results") from None
+            if not ok:
+                raise payload
+            results[w::n_workers] = payload
+        return results
+    except BaseException:
+        for process, _ in workers:
+            if process.pid is not None:
+                process.terminate()
+        raise
+    finally:
+        for process, receiver in workers:
+            if process.pid is not None:
+                process.join()
+                process.close()
+            receiver.close()
+
+
+def _work(job, indices, sender) -> None:
+    """A worker's whole life: run its share of the jobs, then send
+    ``(True, results)``, or ``(False, exception)`` for the first job that
+    raised."""
+    try:
+        message = True, [job(i) for i in indices]
+    except Exception as exc:  # the parent re-raises it
+        message = False, exc
+    try:
+        sender.send(message)
+    except Exception as exc:  # a result or exception that does not pickle
+        failure = exc if message[0] else message[1]
+        sender.send((False, RuntimeError(
+            f"{type(failure).__name__}: {failure}")))
+    finally:
+        sender.close()

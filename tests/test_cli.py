@@ -23,6 +23,32 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture
+def dataset_dir(tmp_path):
+    out = tmp_path / "d"
+    run(["gen", *GEN_FLAGS, "--seed", "1", "--out", out])
+    return out
+
+
+def summary_provenance(argv, out):
+    """Run ``otmil ARGV --out OUT`` in a child with only
+    OPENBLAS_NUM_THREADS=1 set of the BLAS thread variables (they are read
+    at BLAS load), and return its summary.json's provenance block."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    subprocess.run([sys.executable, "-m", "otmil.cli", *map(str, argv),
+                    "--out", str(out)], env=env, check=True)
+    return json.loads((out / "summary.json").read_text())["provenance"]
+
+
+PROVENANCE_WITH_ONE_THREAD = {"numpy": numpy.__version__,
+                              "OPENBLAS_NUM_THREADS": "1",
+                              "OMP_NUM_THREADS": None,
+                              "MKL_NUM_THREADS": None}
+
+
 class TestGen:
     def test_normal_writes_files_and_manifest(self, tmp_path):
         out = tmp_path / "d"
@@ -70,12 +96,6 @@ class TestGen:
 
 
 class TestTrain:
-    @pytest.fixture
-    def dataset_dir(self, tmp_path):
-        out = tmp_path / "d"
-        run(["gen", *GEN_FLAGS, "--seed", "1", "--out", out])
-        return out
-
     def test_outputs_and_summary(self, dataset_dir, tmp_path):
         out = tmp_path / "t"
         assert run(["train", "--data", dataset_dir, *FAST_TRAIN,
@@ -114,21 +134,9 @@ class TestTrain:
 
     def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
                                                     tmp_path):
-        # thread counts are read at BLAS load, so set them in a child
-        out = tmp_path / "t"
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["OPENBLAS_NUM_THREADS"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(sys.path)
-        subprocess.run([sys.executable, "-m", "otmil.cli", "train", "--data",
-                        str(dataset_dir), *FAST_TRAIN, "--out", str(out)],
-                       env=env, check=True)
-        provenance = json.loads((out / "summary.json").read_text())[
-            "provenance"]
-        assert provenance == {"numpy": numpy.__version__,
-                              "OPENBLAS_NUM_THREADS": "1",
-                              "OMP_NUM_THREADS": None,
-                              "MKL_NUM_THREADS": None}
+        provenance = summary_provenance(
+            ["train", "--data", dataset_dir, *FAST_TRAIN], tmp_path / "t")
+        assert provenance == PROVENANCE_WITH_ONE_THREAD
 
 
 class TestEval:
@@ -177,17 +185,19 @@ class TestSweep:
         # one instance AUC and one bag AUC per grid point, none per epoch
         d, s = tmp_path / "d", tmp_path / "s"
         run(["gen", *GEN_FLAGS, "--out", d])
-        calls = []
+        log = tmp_path / "roc_auc_calls"
         real = metrics.roc_auc
 
         def spy(*args, **kwargs):
-            calls.append(1)
+            with open(log, "a") as fh:  # the models train in worker processes
+                fh.write("1\n")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "roc_auc", spy)
         grid = ["0.2", "0.25", "0.3"]
         assert run(["sweep", "--data", d, *FAST_TRAIN, "--grid-mu", *grid,
                     "--out", s]) == 0
+        calls = log.read_text().splitlines()
         assert len(calls) == 2 * len(grid)
 
     def test_kfold_mode(self, tmp_path):
@@ -200,6 +210,14 @@ class TestSweep:
         assert lines[0] == "mu,warmup,mean_bag_accuracy"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("mode", [[], ["--grid-T", "2", "--kfold", "3"]])
+    def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
+                                                    tmp_path, mode):
+        provenance = summary_provenance(
+            ["sweep", "--data", dataset_dir / "train.ndjson", *FAST_TRAIN,
+             "--grid-mu", "0.2", "0.3", *mode], tmp_path / "s")
+        assert provenance == PROVENANCE_WITH_ONE_THREAD
+
 
 class TestAblation:
     def test_four_rows(self, tmp_path):
@@ -211,6 +229,12 @@ class TestAblation:
         assert lines[0].startswith("name,soft_labels,constrain,adaptive")
         assert lines[1].startswith("hard-naive,False,False,False")
         assert lines[4].startswith("soft-constrained-adaptive,True,True,True")
+
+    def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
+                                                    tmp_path):
+        provenance = summary_provenance(
+            ["ablation", "--data", dataset_dir, *FAST_TRAIN], tmp_path / "a")
+        assert provenance == PROVENANCE_WITH_ONE_THREAD
 
 
 class TestBaseline:

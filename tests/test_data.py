@@ -646,6 +646,18 @@ class TestKfold:
                 assert all(b.feature_matrix().tolist() == rows[b.bag_id]
                            for b in split.bags)
 
+    def test_folds_read_by_index_equal_iteration(self):
+        ds = self._dataset()
+        folds = kfold_split(ds, 3, seed=5)
+        assert len(folds) == 3
+        ids = [[[b.bag_id for b in split.bags] for split in pair]
+               for pair in folds]
+        assert [[[b.bag_id for b in split.bags] for split in folds[i]]
+                for i in (0, 1, 2)] == ids
+        assert folds[-1][1].name == folds[2][1].name == f"{ds.name}-fold2-test"
+        with pytest.raises(IndexError):
+            folds[3]
+
     def test_k_validation(self):
         ds = self._dataset(n_pos=2, n_neg=2)
         with pytest.raises(ValueError, match="at least 2"):

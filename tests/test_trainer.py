@@ -1,6 +1,12 @@
 """Self-training loop: batching, cadence, records, ablations, CV."""
 
 import dataclasses
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -329,7 +335,6 @@ class TestRunCsv:
         assert lines[1].split(",")[0] == "0"
 
     def test_summary_json_round_trip(self, tmp_path):
-        import json
         ds = small_dataset()
         _, rec = self_train(ds, small_config(epochs=2))
         path = tmp_path / "s.json"
@@ -388,22 +393,30 @@ class TestBenchmarkCv:
                 == [c["fold_accuracies"] for c in want["grid"]])
 
     @staticmethod
-    def _record_training_sets(monkeypatch):
+    def _record_training_sets(monkeypatch, log):
         """Stub the training loop so a CV run only records its training
-        sets."""
+        sets: each one's bag ids go to the file ``log`` as one JSON line,
+        since the loop may run in a worker process. Returns a function
+        that reads them back as objects with a ``bag_ids`` field."""
         params, _ = self_train(small_dataset(n_bags=12, bag_size=5),
                                small_config(epochs=1))
-        seen = []
 
         def fake_train_epochs(train_ds, cfg):
-            seen.append(train_ds)
+            with open(log, "a") as fh:
+                fh.write(json.dumps(list(train_ds.bag_ids)) + "\n")
             yield None, None, None, None, params
+
+        def seen():
+            return [SimpleNamespace(bag_ids=json.loads(line))
+                    for line in log.read_text().splitlines()]
 
         monkeypatch.setattr(trainer, "_train_epochs", fake_train_epochs)
         return seen
 
-    def test_folds_hold_only_the_given_datasets_bags(self, monkeypatch):
-        seen = self._record_training_sets(monkeypatch)
+    def test_folds_hold_only_the_given_datasets_bags(self, monkeypatch,
+                                                     tmp_path):
+        log = tmp_path / "training_sets.ndjson"
+        read_seen = self._record_training_sets(monkeypatch, log)
         cfg = small_config(epochs=1)
         src = small_dataset(n_bags=12, bag_size=5)
         first = src.subset(range(10))
@@ -416,26 +429,34 @@ class TestBenchmarkCv:
             alive.append(src.subset(range(12)))
             if id(alive[-1]) == stale_id:
                 break
-        seen.clear()
+        log.unlink()
         benchmark_cv(alive[-1], cfg, [0.2], [1], k=2)
+        seen = read_seen()
         # with k=2 every bag is in exactly one of the two training sets
         assert (sorted(i for ds in seen for i in ds.bag_ids)
                 == sorted(alive[-1].bag_ids))
 
-    def test_folds_built_once_per_call(self, monkeypatch):
-        self._record_training_sets(monkeypatch)
-        calls = []
+    def test_folds_built_once_per_call(self, monkeypatch, tmp_path):
+        self._record_training_sets(monkeypatch, tmp_path / "training_sets")
+        log = tmp_path / "kfold_calls.ndjson"
 
         def spy(dataset, k, seed):
-            calls.append((k, seed))
+            with open(log, "a") as fh:  # a worker's call would show here too
+                fh.write(json.dumps([k, seed]) + "\n")
             return kfold_split(dataset, k, seed)
+
+        def read_calls():
+            return [tuple(json.loads(line))
+                    for line in log.read_text().splitlines()]
 
         monkeypatch.setattr(trainer, "kfold_split_cached", spy)
         ds = small_dataset(n_bags=12, bag_size=5)
         cfg = small_config(epochs=1, seed=4)
         benchmark_cv(ds, cfg, [0.2, 0.3], [1, 2], k=3)
+        calls = read_calls()
         assert calls == [(3, 4)]
         benchmark_cv(ds, cfg, [0.2, 0.3], [1, 2], k=3)
+        calls = read_calls()
         assert calls == [(3, 4), (3, 4)]
 
     def test_bag_accuracy_bounds(self):
@@ -443,3 +464,151 @@ class TestBenchmarkCv:
         params, _ = self_train(ds, small_config(epochs=2))
         acc = bag_accuracy(params, ds, "max")
         assert 0.0 <= acc <= 1.0
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+needs_two_cpus = pytest.mark.skipif(
+    usable_cpus() < 2, reason="fan-out needs two usable CPUs")
+
+
+class TestFanOut:
+    """The ablation rows, the k-fold folds and the holdout grid run as
+    ``trainer._fan_out`` jobs: in forked workers where there are two or
+    more usable CPUs, with the outputs of one in-process loop."""
+
+    def test_ablation_matches_an_in_process_loop(self, tmp_path):
+        ds, test = small_dataset(), small_dataset(seed=3)
+        cfg = small_config(epochs=3)
+        table = run_ablation_suite(ds, cfg, test)
+        assert [row["name"] for row in table] == [
+            name for name, _ in trainer.ABLATION_ROWS]
+        for row, (_, flags) in zip(table, trainer.ABLATION_ROWS):
+            _, want = self_train(ds, dataclasses.replace(cfg, **flags), test)
+            write_run_csv(row["record"], tmp_path / "got.csv")
+            write_run_csv(want, tmp_path / "want.csv")
+            assert ((tmp_path / "got.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes())
+            assert row["record"].summary == want.summary
+
+    def test_cv_matches_an_in_process_loop(self):
+        ds = small_dataset(n_bags=15, bag_size=8)
+        cfg = small_config(epochs=2, seed=5)
+        mu_grid, warmup_grid = [0.2, 0.3], [1, 3]
+        got = benchmark_cv(ds, cfg, mu_grid, warmup_grid, k=3)
+        want = [[] for _ in mu_grid for _ in warmup_grid]
+        for train_ds, test_ds in kfold_split(ds, 3, cfg.seed):
+            cell_cfgs = [dataclasses.replace(cfg, schedule=MuSchedule(
+                mu_final=mu, warmup_epochs=warmup))
+                for mu in mu_grid for warmup in warmup_grid]
+            for accuracies, cell_cfg in zip(want, cell_cfgs):
+                accuracies.append(bag_accuracy(
+                    train(train_ds, cell_cfg), test_ds, "max"))
+        assert [c["fold_accuracies"] for c in got["grid"]] == want
+
+    @needs_two_cpus
+    def test_jobs_run_in_two_or_more_child_processes(self, monkeypatch):
+        real = trainer.self_train
+
+        def stamped(*args):
+            params, record = real(*args)
+            record.summary["pid"] = os.getpid()
+            return params, record
+
+        monkeypatch.setattr(trainer, "self_train", stamped)
+        table = run_ablation_suite(small_dataset(), small_config(epochs=1))
+        pids = {row["record"].summary["pid"] for row in table}
+        assert len(pids) >= 2
+        assert os.getpid() not in pids
+
+    def test_one_usable_cpu_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert trainer._fan_out(lambda i: (i, os.getpid()), 3) == [
+            (0, os.getpid()), (1, os.getpid()), (2, os.getpid())]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        real = trainer.self_train
+
+        def failing(dataset, cfg, eval_dataset=None):
+            if cfg.constrain and not cfg.adaptive:
+                raise ValueError("soft-constrained row failed")
+            return real(dataset, cfg, eval_dataset)
+
+        monkeypatch.setattr(trainer, "self_train", failing)
+        with pytest.raises(ValueError, match="soft-constrained row failed"):
+            run_ablation_suite(small_dataset(), small_config(epochs=1))
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_call(self):
+        assert trainer._fan_out(lambda i: i * i, 5) == [0, 1, 4, 9, 16]
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_worker_that_dies_is_an_error(self):
+        def job(i):
+            if i == 1:
+                os._exit(3)
+            return i
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            trainer._fan_out(job, 2)
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_unpicklable_worker_error_keeps_its_type_and_message(self):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def job(i):
+            raise LocalError(f"job {i} failed")
+
+        with pytest.raises(RuntimeError, match="LocalError: job 0 failed"):
+            trainer._fan_out(job, 2)
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_peak_memory_of_cv_in_the_caller(self, traced_peak):
+        # the workers slice the folds: the caller holds no fold's rows
+        ds = generate_normal_bags(GenConfig(n_bags=60, bag_size=100,
+                                            feature_dim=64, seed=1))
+        cfg = small_config(epochs=1, hidden=8)
+        args = ([0.2], [1], 2)
+        benchmark_cv(small_dataset(), cfg, *args)  # warm-up: lazy imports
+        assert (traced_peak(benchmark_cv, ds, cfg, *args)
+                < 0.5 * ds.features.nbytes)
+
+    def test_workers_forked_after_blas_threads_start(self):
+        # OpenBLAS's thread pool is running when the workers fork; they
+        # must neither hang nor compute other bits than a plain loop
+        script = """
+import dataclasses, io
+import numpy as np
+from otmil.data import GenConfig, generate_normal_bags
+from otmil.labeling import MuSchedule
+from otmil.model import SgdConfig
+from otmil.trainer import (ABLATION_ROWS, TrainConfig, run_ablation_suite,
+                           self_train)
+a = np.random.default_rng(0).random((600, 600))
+assert np.isfinite(a @ a).all()
+ds = generate_normal_bags(GenConfig(n_bags=12, bag_size=10, feature_dim=5,
+                                    positive_ratio=0.2, seed=2))
+cfg = TrainConfig(sgd=SgdConfig(learning_rate=0.01, batch_size=32, epochs=2),
+                  schedule=MuSchedule(mu_final=0.2, warmup_epochs=1))
+got = [row["record"] for row in run_ablation_suite(ds, cfg)]
+want = [self_train(ds, dataclasses.replace(cfg, **flags))[1]
+        for _, flags in ABLATION_ROWS]
+assert got == want, (got, want)
+print("same")
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["same"]
