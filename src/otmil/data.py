@@ -1,6 +1,11 @@
 """Bag-structured datasets: synthetic Gaussian-blob generators, NDJSON and
 CSV ingestion, IDX image files, and stratified k-fold splitting.
 
+NDJSON datasets of more than a few thousand rows, and regular NDJSON files
+of more than a few MiB, are encoded and parsed in chunks of whole bags or
+whole lines, spread over forked workers by ``numkit.fan_out``; the files,
+the loaded arrays and the errors are those of one in-process pass.
+
 A ``Dataset`` is a handful of arrays: every instance's features in bag
 order, the bag offsets, and the bag and instance labels. Bag i owns rows
 ``offsets[i]:offsets[i + 1]``; training, evaluation and the pooling
@@ -16,16 +21,21 @@ need no image data while keeping the same bag construction logic.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import stat
 import struct
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import Rng, sample_gaussian
+from .numkit import Rng, fan_out, sample_gaussian
 
 
 class Instance(NamedTuple):
@@ -51,11 +61,12 @@ class Bag(NamedTuple):
 class Dataset:
     """Bags as arrays; bag i owns rows ``offsets[i]:offsets[i + 1]``.
 
-    ``features`` is (N, d) float64 with d >= 1; ``offsets`` (B + 1,) int64
-    runs from 0 to N with no empty bag; ``bag_labels`` (B,) int64 holds 0
-    or 1 and ``instance_labels`` (N,) int64 holds 0, 1 or -1 (unknown). A
-    bag whose instance labels are all known is positive iff one is. The
-    arrays are read-only views of the inputs.
+    ``features`` is (N, d) float64 with d >= 1, every value finite;
+    ``offsets`` (B + 1,) int64 runs from 0 to N with no empty bag;
+    ``bag_labels`` (B,) int64 holds 0 or 1 and ``instance_labels`` (N,)
+    int64 holds 0, 1 or -1 (unknown). A bag whose instance labels are all
+    known is positive iff one is. The arrays are read-only views of the
+    inputs.
     """
 
     features: np.ndarray
@@ -89,6 +100,14 @@ class Dataset:
             raise ValueError("offsets must run from 0 to N")
         if np.any(np.diff(self.offsets) < 1):
             raise ValueError("bag must contain at least one instance")
+        x = self.features
+        # the min or the max is NaN or infinite iff an entry is; no (N, d)
+        # mask unless one is
+        if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+            row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+            bag = np.searchsorted(self.offsets, row, side="right") - 1
+            raise ValueError(f"bag {self.bag_ids[bag]!r}: non-finite "
+                             "feature value")
         starts = self.offsets[:-1]
         known = np.minimum.reduceat(self.instance_labels, starts) >= 0
         has_pos = np.maximum.reduceat(self.instance_labels, starts) == 1
@@ -251,22 +270,73 @@ def generate_hard_bags(cfg: GenConfig, rng: np.random.Generator | None = None
             _make_bags(cfg, rng, cfg.test_bags, "t8-", "second", "test_pos8"))
 
 
+# NDJSON is read and written in chunks: runs of whole bags (save) or whole
+# lines (load), each a job of numkit.fan_out. Data below two chunks'
+# floor is one chunk: saved as one job in this process, or parsed line by
+# line, without importing multiprocessing. Past that, more chunks mean
+# less for the caller to hold at once, but each load job reads the file
+# from its start to reach its lines, so there are at most _MAX_CHUNKS.
+_SAVE_CHUNK_ROWS = 2000
+_LOAD_CHUNK_CHARS = 1 << 20
+_MAX_CHUNKS = 8
+
+
+def _chunks(ends: list, floor: int) -> list[tuple[int, int]]:
+    """Cut items, whose running size totals are ``ends``, into at most
+    _MAX_CHUNKS runs of whole items of about equal size, each of about
+    ``floor`` or more unless there is one run: (first, stop) index ranges,
+    none empty."""
+    total = ends[-1] if ends else 0
+    n = min(_MAX_CHUNKS, max(1, total // floor))
+    cuts = sorted({0, len(ends)} | {bisect_left(ends, total * c / n) + 1
+                                    for c in range(1, n)})
+    return list(zip(cuts, cuts[1:]))
+
+
 def save_ndjson(dataset: Dataset, path) -> None:
-    """One bag per line: {"bag_id", "label", "instances": [...]}."""
-    labels = [None if v < 0 else v for v in dataset.instance_labels.tolist()]
-    bounds = dataset.offsets.tolist()
-    with open(path, "w") as fh:
-        for bag_id, label, a, b in zip(dataset.bag_ids,
-                                       dataset.bag_labels.tolist(),
-                                       bounds, bounds[1:]):
-            rows = dataset.features[a:b].tolist()
-            rec = {
-                "bag_id": bag_id,
-                "label": label,
-                "instances": [{"features": f, "label": lab}
-                              for f, lab in zip(rows, labels[a:b])],
-            }
-            fh.write(json.dumps(rec) + "\n")
+    """One bag per line: {"bag_id", "label", "instances": [...]}.
+
+    Runs of bags are encoded as jobs of ``numkit.fan_out``; a dataset below
+    two runs' floor is one job, run in this process. The lines go, in file
+    order, to a temporary file next to the file ``path`` names (through
+    any symlinks), which then replaces it with the earlier file's mode: a
+    save that fails leaves any earlier file there as it was. The new file
+    belongs to the saving user, and hard links to the old one keep the old
+    content.
+    """
+    target = os.path.realpath(path)
+    partial = f"{target}.{os.getpid()}.tmp"
+    chunks = _chunks(dataset.offsets[1:].tolist(), _SAVE_CHUNK_ROWS)
+    try:
+        with open(partial, "w") as fh:
+            fan_out(lambda i: list(_ndjson_lines(dataset, *chunks[i])),
+                    len(chunks), fh.writelines)
+        with suppress(FileNotFoundError):  # no earlier file
+            shutil.copymode(target, partial)
+        os.replace(partial, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
+def _ndjson_lines(dataset: Dataset, first: int, stop: int):
+    """Yield bags ``first:stop`` of ``dataset`` as NDJSON lines."""
+    lo = dataset.offsets[first]
+    labels = [None if v < 0 else v for v in
+              dataset.instance_labels[lo:dataset.offsets[stop]].tolist()]
+    bounds = (dataset.offsets[first:stop + 1] - lo).tolist()
+    for bag_id, label, a, b in zip(dataset.bag_ids[first:stop],
+                                   dataset.bag_labels[first:stop].tolist(),
+                                   bounds, bounds[1:]):
+        rows = dataset.features[lo + a:lo + b].tolist()
+        rec = {
+            "bag_id": bag_id,
+            "label": label,
+            "instances": [{"features": f, "label": lab}
+                          for f, lab in zip(rows, labels[a:b])],
+        }
+        yield json.dumps(rec) + "\n"
 
 
 def _json_label(value, unknown_ok: bool) -> int:
@@ -293,15 +363,70 @@ def _json_features(rows) -> np.ndarray:
 def load_ndjson(path) -> Dataset:
     """Parse and validate an NDJSON bag file; errors carry line numbers.
 
-    Feature values must be JSON numbers and bag ids JSON strings. Each
-    bag's rows are appended to one growing buffer that the dataset then
-    views, so loading holds the features once.
+    Feature values must be JSON numbers and bag ids JSON strings. A
+    regular file of two or more runs' floor is counted line by line, cut
+    into runs of about equal text and parsed as jobs of
+    ``numkit.fan_out``; anything else, a pipe say, is read once, in one
+    pass. The bags are appended, in file order, to one growing buffer that
+    the dataset then views, so loading holds the features once, plus one
+    run's bags. A bad file is parsed again in one pass, which raises the
+    first error in file order.
     """
-    feats, labels = array("d"), array("q")
-    offsets, ids, bag_labels = [0], [], []
+    chunks = []
+    info = os.stat(path)
+    if stat.S_ISREG(info.st_mode) and info.st_size >= 2 * _LOAD_CHUNK_CHARS:
+        with open(path) as fh:
+            chunks = _chunks(list(accumulate(map(len, fh))),
+                             _LOAD_CHUNK_CHARS)
+    bags = _Bags()
+    if len(chunks) > 1:
+        try:
+            fan_out(lambda i: list(_parse_lines(path, *chunks[i])),
+                    len(chunks), bags.extend)
+        except Exception:  # whatever failed, one pass finds the first error
+            bags = _Bags()
+    if not bags.ids:  # one chunk, or a chunk failed: one pass, line by line
+        bags.extend(_parse_lines(path, 0, None))
+    if not bags.ids:
+        raise ValueError("no bags in file")
+    name = str(path).rsplit("/", 1)[-1]
+    name = name[:-7] if name.endswith(".ndjson") else name
+    # the buffer keeps its spare capacity (at most 1/16): trimming it
+    # would be the very copy this layout avoids
+    return Dataset(np.frombuffer(bags.feats).reshape(-1, bags.feature_dim),
+                   bags.offsets, bags.ids, bags.bag_labels,
+                   np.frombuffer(bags.labels, dtype=np.int64), name=name)
+
+
+class _Bags:
+    """Parsed bags, appended in file order: their rows in one growing
+    buffer, their instance labels in another."""
+
+    def __init__(self):
+        self.feats, self.labels = array("d"), array("q")
+        self.offsets, self.ids, self.bag_labels = [0], [], []
+        self.feature_dim = None
+
+    def extend(self, parsed) -> None:
+        """Append ``_parse_lines``' bags, which follow these in the file."""
+        for bag_id, label, block, inst_labels in parsed:
+            if self.feature_dim not in (None, block.shape[1]):
+                raise ValueError("inconsistent feature dimension")
+            self.feature_dim = block.shape[1]
+            self.feats.frombytes(memoryview(block).cast("B"))
+            self.labels.extend(inst_labels)
+            self.offsets.append(len(self.labels))
+            self.ids.append(bag_id)
+            self.bag_labels.append(label)
+
+
+def _parse_lines(path, first: int, stop: int | None):
+    """Yield (bag_id, label, rows, instance labels) for each bag on lines
+    ``first + 1`` to ``stop`` (1-based; ``stop`` None for the end of the
+    file), raising at the first bad line."""
     feature_dim = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in islice(enumerate(fh, start=1), first, stop):
             line = line.strip()
             if not line:
                 continue
@@ -336,20 +461,7 @@ def load_ndjson(path) -> Dataset:
             if -1 not in inst_labels and label != int(1 in inst_labels):
                 raise ValueError(f"line {lineno}: bag {bag_id!r}: label "
                                  "inconsistent with instance labels")
-            feats.frombytes(memoryview(block).cast("B"))
-            labels.extend(inst_labels)
-            offsets.append(len(labels))
-            ids.append(bag_id)
-            bag_labels.append(label)
-    if not ids:
-        raise ValueError("no bags in file")
-    name = str(path).rsplit("/", 1)[-1]
-    name = name[:-7] if name.endswith(".ndjson") else name
-    # the buffer keeps its spare capacity (at most 1/16): trimming it
-    # would be the very copy this layout avoids
-    return Dataset(np.frombuffer(feats).reshape(-1, feature_dim), offsets,
-                   ids, bag_labels, np.frombuffer(labels, dtype=np.int64),
-                   name=name)
+            yield bag_id, label, block, inst_labels
 
 
 def load_benchmark_csv(path) -> Dataset:

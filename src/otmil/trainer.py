@@ -14,16 +14,15 @@ so early epochs stay exploratory while the classifier is still random.
 ``_train_epochs`` runs that loop and only trains; ``train`` runs it to
 its end, ``self_train`` adds the per-epoch report, and ``benchmark_cv``
 scores only each held-out fold. The ablation rows, the k-fold folds and
-the holdout ``mu`` grid are independent runs; ``_fan_out`` spreads them
-over forked worker processes, one per usable CPU, with the same outputs
-as one loop.
+the holdout ``mu`` grid are independent runs; ``numkit.fan_out`` spreads
+them over forked worker processes, one per usable CPU, with the same
+outputs as one loop.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ from .metrics import (bag_predict, dataset_aucs, dataset_scores,
                       pseudo_label_metrics, roc_auc)
 from .model import (ClassifierParams, SgdConfig, backward, forward,
                     init_classifier, sgd_step)
-from .numkit import Rng
+from .numkit import Rng, fan_out
 
 # rng stream ids, fixed so that runs are reproducible per seed
 _INIT_STREAM = 1
@@ -294,9 +293,10 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
         cfg = dataclasses.replace(base_cfg, **ABLATION_ROWS[i][1])
         return self_train(dataset, cfg, eval_dataset)[1]
 
+    records = []
+    fan_out(row_record, len(ABLATION_ROWS), records.append)
     table = []
-    for (name, flags), record in zip(
-            ABLATION_ROWS, _fan_out(row_record, len(ABLATION_ROWS))):
+    for (name, flags), record in zip(ABLATION_ROWS, records):
         final = record.rows[-1]
         table.append({
             "name": name,
@@ -326,7 +326,7 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
     Each grid cell trains k models (one per fold) and scores only the
     held-out bags, at threshold 0.5. The folds depend only on the dataset,
     k and the seed, so they are drawn once per call; each fold is a job of
-    ``_fan_out`` that slices its arrays out and trains every cell on them.
+    ``fan_out`` that slices its arrays out and trains every cell on them.
     Returns every cell plus the best one.
     """
     folds = kfold_split_cached(dataset, k, base_cfg.seed)
@@ -342,7 +342,9 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
         return [bag_accuracy(train(train_ds, cfg), test_ds, cfg.bag_inference)
                 for cfg in cfgs]
 
-    for accuracies in _fan_out(fold_accuracies, len(folds)):
+    results = []
+    fan_out(fold_accuracies, len(folds), results.append)
+    for accuracies in results:
         for cell, accuracy in zip(cells, accuracies):
             cell["fold_accuracies"].append(accuracy)
     for cell in cells:
@@ -356,96 +358,18 @@ def holdout_sweep(dataset, base_cfg: TrainConfig, mu_grid, eval_dataset
     """Train one model per ``mu`` in the grid (``base_cfg`` otherwise) and
     score it once on ``eval_dataset``: its (instance AUC, bag AUC), per
     ``metrics.dataset_aucs``, in grid order. Each model is a job of
-    ``_fan_out``."""
+    ``fan_out``."""
     def aucs(i):
         cfg = dataclasses.replace(base_cfg, schedule=dataclasses.replace(
             base_cfg.schedule, mu_final=mu_grid[i]))
         return dataset_aucs(eval_dataset, *dataset_scores(
             train(dataset, cfg), eval_dataset, cfg.bag_inference))
 
-    return _fan_out(aucs, len(mu_grid))
+    results = []
+    fan_out(aucs, len(mu_grid), results.append)
+    return results
 
 
 # benchmark_cv looks the folds up under this name only because
 # perfbench/spans.py wraps trainer.kfold_split_cached to time them
 kfold_split_cached = kfold_split
-
-
-def _fan_out(job, n_jobs: int) -> list:
-    """``[job(i) for i in range(n_jobs)]``, computed in forked workers.
-
-    Worker w of W runs jobs w, w + W, w + 2W, ... in turn and sends back
-    only their results: it reaches its inputs through the fork, so no
-    dataset is pickled. W is the number of usable CPUs, at most n_jobs.
-    The jobs run in this process when fan-out cannot help: one usable
-    CPU, one job, or no ``fork`` start method. A worker's exception is
-    raised here with its type and message, and every worker has been
-    joined (after ``terminate`` if this call failed) before it returns or
-    raises.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    n_workers = min(cpus, n_jobs)
-    if n_workers > 1:
-        # imported here: about 0.6 MB and 18 ms that runs which never fan
-        # out should not pay
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            n_workers = 1
-    if n_workers < 2:
-        return [job(i) for i in range(n_jobs)]
-
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for w in range(n_workers):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_work, args=(job, range(w, n_jobs, n_workers), sender))
-            workers.append((process, receiver))
-            process.start()
-            sender.close()  # so that recv sees EOF if the worker dies
-        results = [None] * n_jobs
-        for w, (process, receiver) in enumerate(workers):
-            try:
-                ok, payload = receiver.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(f"worker {w} exited with code "
-                                   f"{process.exitcode} before sending its "
-                                   "results") from None
-            if not ok:
-                raise payload
-            results[w::n_workers] = payload
-        return results
-    except BaseException:
-        for process, _ in workers:
-            if process.pid is not None:
-                process.terminate()
-        raise
-    finally:
-        for process, receiver in workers:
-            if process.pid is not None:
-                process.join()
-                process.close()
-            receiver.close()
-
-
-def _work(job, indices, sender) -> None:
-    """A worker's whole life: run its share of the jobs, then send
-    ``(True, results)``, or ``(False, exception)`` for the first job that
-    raised."""
-    try:
-        message = True, [job(i) for i in indices]
-    except Exception as exc:  # the parent re-raises it
-        message = False, exc
-    try:
-        sender.send(message)
-    except Exception as exc:  # a result or exception that does not pickle
-        failure = exc if message[0] else message[1]
-        sender.send((False, RuntimeError(
-            f"{type(failure).__name__}: {failure}")))
-    finally:
-        sender.close()

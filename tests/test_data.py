@@ -1,8 +1,13 @@
 """Bag containers, synthetic generators, file formats, fold splitting."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+import threading
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otmil
+from otmil import data
 from otmil.data import (Dataset, GenConfig, bags_from_arrays,
                         generate_hard_bags, generate_normal_bags, kfold_split,
                         load_benchmark_csv, load_idx_mnist, load_ndjson,
                         round_half_up, save_ndjson)
 from otmil.numkit import Rng
+
+from test_numkit import needs_two_cpus
 
 
 def make_dataset(bags, name=""):
@@ -76,6 +84,15 @@ class TestContainers:
     def test_malformed_arrays_rejected(self, args, match):
         with pytest.raises(ValueError, match=match):
             Dataset(*args)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_features_name_the_first_bad_bag(self, bad):
+        feats = np.zeros((5, 2))
+        feats[2, 1] = feats[4, 0] = bad
+        with pytest.raises(ValueError, match="bag 'b': non-finite"):
+            Dataset(feats, [0, 2, 3, 5], ["a", "b", "c"], [0, 0, 0],
+                    [0] * 5)
 
 
 class TestDatasetArrays:
@@ -389,6 +406,307 @@ class TestNdjson:
         load_ndjson(path)
         peak = traced_peak(load_ndjson, path)
         assert peak <= 1.6 * 200 * 100 * 16 * 8
+
+    def test_peak_memory_of_one_save(self, tmp_path, traced_peak):
+        # the text is written one chunk at a time: holding every chunk's
+        # text at once would hold the whole file
+        ds = generate_normal_bags(GenConfig(n_bags=200, bag_size=100,
+                                            feature_dim=16, seed=0))
+        path = tmp_path / "bags.ndjson"
+        save_ndjson(ds, path)
+        peak = traced_peak(save_ndjson, ds, path)
+        assert peak < 0.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("failure", [
+        "raise", pytest.param("exit", marks=needs_two_cpus)])
+    @pytest.mark.parametrize("earlier", ["earlier file\n", None])
+    def test_failed_save_leaves_the_path_as_it_was(
+            self, tmp_path, monkeypatch, failure, earlier):
+        path = tmp_path / "bags.ndjson"
+        if earlier is not None:
+            path.write_text(earlier)
+        ds = generate_normal_bags(GenConfig(n_bags=12, bag_size=5,
+                                            positive_ratio=0.4,
+                                            feature_dim=2, seed=1))
+        monkeypatch.setattr(data, "_SAVE_CHUNK_ROWS", 10)
+        chunks = data._chunks(ds.offsets[1:].tolist(), 10)
+        assert len(chunks) >= 3
+        bad_bag = ds.bag_ids[chunks[-1][0]]  # in the last chunk
+        caller, real_dumps = os.getpid(), json.dumps
+
+        def dumps(obj, *args, **kwargs):
+            if isinstance(obj, dict) and obj.get("bag_id") == bad_bag:
+                if failure == "exit" and os.getpid() != caller:
+                    os._exit(3)
+                raise RuntimeError("encoder failed")
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(data.json, "dumps", dumps)
+        message = "encoder failed" if failure == "raise" else "code 3"
+        with pytest.raises(RuntimeError, match=message):
+            save_ndjson(ds, path)
+        if earlier is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["bags.ndjson"]
+            assert path.read_text() == earlier
+
+    def test_save_over_a_symlink_keeps_the_link_and_the_mode(self, tmp_path):
+        ds = generate_normal_bags(GenConfig(n_bags=12, bag_size=5,
+                                            positive_ratio=0.4,
+                                            feature_dim=2, seed=1))
+        target, link = tmp_path / "target.ndjson", tmp_path / "bags.ndjson"
+        target.write_text("earlier file\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        save_ndjson(ds, link)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["bags.ndjson",
+                                                "target.ndjson"]
+        assert_same_bags(load_ndjson(target), ds)
+
+
+def ragged_bags(n_bags, dim, seed):
+    """A dataset of 1-7 row bags with known and unknown instance labels."""
+    rng = Rng(seed)
+    bags = []
+    for i in range(n_bags):
+        size = int(rng.integers(1, 8))
+        labels = [None if u < 0.3 else int(u > 0.8)
+                  for u in rng.uniform(size=size)]
+        label = int(1 in labels) if None not in labels else i % 2
+        bags.append((f"bag-{i}", label, rng.standard_normal((size, dim)),
+                     labels))
+    return make_dataset(bags, name="bags")
+
+
+def file_chunks(path):
+    """The (first, stop) line ranges load_ndjson cuts ``path`` into."""
+    with open(path) as fh:
+        ends = list(accumulate(map(len, fh)))
+    return data._chunks(ends, data._LOAD_CHUNK_CHARS)
+
+
+def bag_record(bag_id, features, label=0, inst=0):
+    return {"bag_id": bag_id, "label": label,
+            "instances": [{"features": features, "label": inst}]}
+
+
+# TestNdjson's bad files, as (feature dimension, lines, the message after
+# "line N: ", with N the last line's number)
+BAD_FILES = [
+    (1, [bag_record("a", [1.0]), "{broken"], "malformed JSON"),
+    (1, [{"bag_id": "a", "label": 0}], "missing or bad field"),
+    (2, [bag_record("a", [1.0, 2.0]), bag_record("b", [1.0])],
+     "inconsistent feature dimension"),
+    *[(1, [bag_record("a", [1.0], inst=None),
+           bag_record("b", [1.0], bag, inst)], "label must be 0 or 1")
+      for bag, inst in [(1.7, 1), (0.5, 0), ("1", 1), (True, 1), (None, 0),
+                        (2, 0), (1, 1.0), (0, "0"), (1, True), (0, -1)]],
+    (1, [bag_record("a", [1.0]), bag_record("b", [1.0], inst=1)],
+     "bag 'b': label inconsistent"),
+    (1, [bag_record("a", [])], "a bag needs at least one instance"),
+    *[(2, [bag_record("a", [1.0, 2.0]),
+           {"bag_id": "b", "label": 0,
+            "instances": [{"features": [1.0, 2.0], "label": 0},
+                          {"features": [bad, 2.0], "label": 0}]}],
+       "non-finite") for bad in [float("nan"), float("inf"), -float("inf")]],
+    *[(2, [bag_record("a", [1.0, 2.0]),
+           {"bag_id": "b", "label": 0,
+            "instances": [{"features": [1.0, 2.0], "label": 0},
+                          {"features": [1.5, bad], "label": 0}]}],
+       "feature values must be JSON num")
+      for bad in ["1.5", True, False, None, [1.0]]],
+    (1, [bag_record("a", [10 ** 400])], ""),
+    *[(1, [bag_record("a", [1.0]), bag_record(bad, [1.0])],
+       "bag_id must be a string") for bad in [None, 5, 1.5, True, ["a"]]],
+]
+
+
+class TestChunkedNdjson:
+    """Files are saved and loaded in chunks of whole bags or lines, in
+    forked workers where there are two or more usable CPUs; the bytes, the
+    arrays and the errors are those of one pass."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        """Chunk floors that cut small files into many chunks."""
+        monkeypatch.setattr(data, "_SAVE_CHUNK_ROWS", 8)
+        monkeypatch.setattr(data, "_LOAD_CHUNK_CHARS", 200)
+
+    def test_chunks_are_whole_runs_of_about_equal_size(self):
+        ends = list(accumulate([4] * 10))
+        assert data._chunks(ends, 10) == [(0, 3), (3, 5), (5, 8), (8, 10)]
+        assert data._chunks(ends, 1000) == [(0, 10)]
+        # a run ends with the item that reaches its share, so a large item
+        # takes in the shares it covers and no run is empty
+        ends = list(accumulate([5, 1, 1, 30, 1, 1, 1, 1]))
+        assert data._chunks(ends, 10) == [(0, 4), (4, 8)]
+        assert data._chunks([], 10) == []
+        many = data._chunks(list(range(1, 101)), 1)
+        assert len(many) == data._MAX_CHUNKS
+        assert [a for a, _ in many[1:]] == [b for _, b in many[:-1]]
+
+    def test_one_cpu_two_cpus_and_one_chunk_agree(self, tmp_path,
+                                                   monkeypatch):
+        ds = ragged_bags(60, 3, seed=4)
+        got = {}
+        with monkeypatch.context() as m:  # one chunk, as one pass
+            m.setattr(data, "_SAVE_CHUNK_ROWS", 10 ** 9)
+            m.setattr(data, "_LOAD_CHUNK_CHARS", 10 ** 12)
+            got["one-chunk"] = self._round_trip(ds, tmp_path / "one-chunk")
+        monkeypatch.setattr(data, "_SAVE_CHUNK_ROWS", 8)
+        monkeypatch.setattr(data, "_LOAD_CHUNK_CHARS", 1000)
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0},
+                      raising=False)
+            m.setattr(os, "cpu_count", lambda: 1)
+            got["one-cpu"] = self._round_trip(ds, tmp_path / "one-cpu")
+        got["all-cpus"] = self._round_trip(ds, tmp_path / "all-cpus")
+        assert len(data._chunks(ds.offsets[1:].tolist(), 8)) >= 3
+        assert len(file_chunks(tmp_path / "all-cpus" / "bags.ndjson")) >= 3
+        want_text, want = got.pop("one-chunk")
+        assert_same_bags(want, ds)
+        for text, back in got.values():
+            assert text == want_text
+            for field in ("features", "offsets", "bag_labels",
+                          "instance_labels"):
+                assert (getattr(back, field).tobytes()
+                        == getattr(want, field).tobytes())
+            assert back.bag_ids == want.bag_ids == ds.bag_ids
+            assert back.name == want.name == "bags"
+
+    @staticmethod
+    def _round_trip(ds, directory):
+        directory.mkdir()
+        path = directory / "bags.ndjson"
+        save_ndjson(ds, path)
+        return path.read_bytes(), load_ndjson(path)
+
+    @pytest.mark.parametrize("dim, lines, message", BAD_FILES)
+    def test_error_in_the_last_chunk_names_its_line(
+            self, tmp_path, small_chunks, dim, lines, message):
+        good = [json.dumps(bag_record(f"p{k:02d}", [0.5] * dim))
+                for k in range(30)]
+        lines = good + [line if isinstance(line, str) else json.dumps(line)
+                        for line in lines]
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        chunks = file_chunks(path)
+        assert len(chunks) >= 2 and chunks[-1][0] < len(lines)
+        with pytest.raises(ValueError,
+                           match=f"^line {len(lines)}: {message}"):
+            load_ndjson(path)
+
+    @pytest.mark.parametrize("rest", ["first line", "whole chunk"])
+    def test_dimension_change_at_a_later_chunk_names_its_line(
+            self, tmp_path, small_chunks, rest):
+        # equal-length lines, so the chunks do not depend on the change
+        two, one = bag_record("b", [1.5, 2.5]), bag_record("b", [1.500025])
+        assert len(json.dumps(two)) == len(json.dumps(one))
+        lines = [json.dumps(two)] * 40
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        first = file_chunks(path)[1][0]  # 0-based index of its first line
+        if rest == "whole chunk":  # no chunk is inconsistent on its own
+            lines[first:] = [json.dumps(one)] * (len(lines) - first)
+        else:
+            lines[first] = json.dumps(one)
+        path.write_text("\n".join(lines) + "\n")
+        assert file_chunks(path)[1][0] == first
+        with pytest.raises(ValueError, match=f"^line {first + 1}: "
+                           "inconsistent feature dimension"):
+            load_ndjson(path)
+
+    def test_blank_lines_at_chunk_edges(self, tmp_path, small_chunks):
+        ds = ragged_bags(20, 2, seed=6)
+        path = tmp_path / "bags.ndjson"
+        save_ndjson(ds, path)
+        bag_lines = path.read_text().splitlines()
+        # a blank line after every bag, and a blank run as long as a chunk
+        lines = [text for line in bag_lines for text in (line, "  ")]
+        lines[10:10] = [" " * 9] * 200
+        path.write_text("\n".join(lines) + "\n")
+        chunks = file_chunks(path)
+        assert any(all(not line.strip() for line in lines[a:b])
+                   for a, b in chunks)
+        assert any(not lines[a].strip() for a, _ in chunks)
+        assert any(not lines[b - 1].strip() for _, b in chunks)
+        assert_same_bags(load_ndjson(path), ds)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                        reason="needs /dev/fd")
+    def test_loads_a_pipe_in_one_pass(self, tmp_path, small_chunks):
+        # a pipe can be read once: it is parsed in one pass even when a
+        # regular file of its text would be cut into chunks
+        ds = ragged_bags(20, 2, seed=6)
+        path = tmp_path / "bags.ndjson"
+        save_ndjson(ds, path)
+        text = path.read_bytes()
+        assert len(file_chunks(path)) >= 2
+        read_end, write_end = os.pipe()
+
+        def write():
+            with open(write_end, "wb") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            back = load_ndjson(f"/dev/fd/{read_end}")
+        finally:
+            writer.join()
+            os.close(read_end)
+        assert_same_bags(back, ds)
+
+    @needs_two_cpus
+    def test_save_and_load_run_in_two_or_more_child_processes(
+            self, tmp_path, monkeypatch):
+        # 8,000 rows of 16 features, the size of a hard-suite test split,
+        # at the default chunk floors
+        pid_file = tmp_path / "pids"
+
+        def stamped(fn):
+            def record_pid(*args):
+                with open(pid_file, "a") as fh:
+                    fh.write(f"{fn.__name__} {os.getpid()}\n")
+                return fn(*args)
+            return record_pid
+
+        monkeypatch.setattr(data, "_ndjson_lines",
+                            stamped(data._ndjson_lines))
+        monkeypatch.setattr(data, "_parse_lines", stamped(data._parse_lines))
+        ds = generate_normal_bags(GenConfig(n_bags=80, bag_size=100,
+                                            feature_dim=16, seed=0))
+        path = tmp_path / "bags.ndjson"
+        save_ndjson(ds, path)
+        assert_same_bags(load_ndjson(path), ds)
+        pids = {"_ndjson_lines": set(), "_parse_lines": set()}
+        for line in pid_file.read_text().splitlines():
+            name, pid = line.split()
+            pids[name].add(int(pid))
+        for name, seen in pids.items():
+            assert len(seen) >= 2, name
+            assert os.getpid() not in seen, name
+
+    def test_small_files_do_not_import_multiprocessing(self, tmp_path):
+        script = """
+import sys
+from otmil.data import (GenConfig, generate_normal_bags, load_ndjson,
+                        save_ndjson)
+ds = generate_normal_bags(GenConfig(n_bags=10, bag_size=5, feature_dim=3,
+                                    positive_ratio=0.4))
+save_ndjson(ds, sys.argv[1])
+assert load_ndjson(sys.argv[1]).features.tobytes() == ds.features.tobytes()
+print("multiprocessing" in sys.modules)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "bags.ndjson")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 class TestBenchmarkCsv:

@@ -1,9 +1,26 @@
-"""Deterministic RNG and numeric helpers."""
+"""Deterministic RNG, numeric helpers and the process fan-out."""
+
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from otmil.numkit import Rng, check_finite, sample_gaussian
+from otmil.numkit import Rng, check_finite, fan_out, sample_gaussian
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+needs_two_cpus = pytest.mark.skipif(
+    usable_cpus() < 2, reason="fan-out needs two usable CPUs")
 
 
 def softmax(values, axis=-1) -> np.ndarray:
@@ -74,3 +91,91 @@ class TestNumerics:
     def test_sample_gaussian_bad_std(self):
         with pytest.raises(ValueError, match="positive"):
             sample_gaussian(Rng(0), np.zeros(2), 0.0)
+
+
+def running(pid: int) -> bool:
+    """Whether the process exists and is not a zombie, per /proc."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            state = next(line for line in fh if line.startswith("State:"))
+    except FileNotFoundError:
+        return False
+    return state.split()[1] != "Z"
+
+
+class TestFanOut:
+    """``fan_out`` hands each result to ``take`` as it arrives and leaves no
+    worker behind; test_trainer.py's ``TestFanOut`` covers its results,
+    errors and clean-up through the trainer's uses."""
+
+    @needs_two_cpus
+    def test_results_reach_take_before_later_jobs_end(self, tmp_path):
+        # job 3 waits for take to have seen result 0: a helper that sent
+        # or handed over results only at the end would make it time out
+        marker = tmp_path / "took-0"
+
+        def job(i):
+            deadline = time.monotonic() + 10
+            while i == 3 and not marker.exists():
+                if time.monotonic() > deadline:
+                    return "timed out"
+                time.sleep(0.01)
+            return i
+
+        got = []
+
+        def take(result):
+            marker.touch()
+            got.append(result)
+
+        fan_out(job, 4, take)
+        assert got == [0, 1, 2, 3]
+
+    def test_error_in_take_reaches_the_caller(self):
+        def take(result):
+            if result == 1:
+                raise KeyError("take failed")
+
+        with pytest.raises(KeyError, match="take failed"):
+            fan_out(lambda i: i, 4, take)
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc")
+    def test_workers_die_with_a_killed_caller(self, tmp_path):
+        pid_file = tmp_path / "pids"
+        script = """
+import os, sys, time
+from otmil.numkit import fan_out
+def job(i):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(60)
+fan_out(job, 2, lambda result: None)
+"""
+
+        def worker_pids():
+            text = pid_file.read_text() if pid_file.exists() else ""
+            return [int(line) for line in text.splitlines(keepends=True)
+                    if line.endswith("\n")]
+
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        caller = subprocess.Popen([sys.executable, "-c", script,
+                                   str(pid_file)], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(worker_pids()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            caller.send_signal(signal.SIGKILL)
+            caller.wait(timeout=10)
+        workers = worker_pids()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if running(pid)]
+        for pid in orphans:  # leave nothing running when the test fails
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []

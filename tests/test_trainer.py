@@ -19,7 +19,7 @@ from otmil.data import (GenConfig, bags_from_arrays, generate_normal_bags,
                         kfold_split)
 from otmil.labeling import MuSchedule, SinkhornConfig, harden
 from otmil.model import SgdConfig, forward, init_classifier
-from otmil.numkit import Rng
+from otmil.numkit import Rng, fan_out
 from otmil.trainer import (CSV_HEADER, TrainConfig, _assign, _corpus,
                            bag_accuracy, benchmark_cv, mixed_batches,
                            run_ablation_suite, self_train, train,
@@ -27,6 +27,7 @@ from otmil.trainer import (CSV_HEADER, TrainConfig, _assign, _corpus,
 
 from test_data import make_dataset
 from test_model import assert_same_bits
+from test_numkit import needs_two_cpus
 
 
 def small_dataset(seed=2, n_bags=16, bag_size=15, ratio=0.2, dim=6):
@@ -466,19 +467,16 @@ class TestBenchmarkCv:
         assert 0.0 <= acc <= 1.0
 
 
-def usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-needs_two_cpus = pytest.mark.skipif(
-    usable_cpus() < 2, reason="fan-out needs two usable CPUs")
+def fan_out_list(job, n_jobs):
+    """``numkit.fan_out``'s results, collected in job order."""
+    results = []
+    fan_out(job, n_jobs, results.append)
+    return results
 
 
 class TestFanOut:
     """The ablation rows, the k-fold folds and the holdout grid run as
-    ``trainer._fan_out`` jobs: in forked workers where there are two or
+    ``numkit.fan_out`` jobs: in forked workers where there are two or
     more usable CPUs, with the outputs of one in-process loop."""
 
     def test_ablation_matches_an_in_process_loop(self, tmp_path):
@@ -529,7 +527,7 @@ class TestFanOut:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert trainer._fan_out(lambda i: (i, os.getpid()), 3) == [
+        assert fan_out_list(lambda i: (i, os.getpid()), 3) == [
             (0, os.getpid()), (1, os.getpid()), (2, os.getpid())]
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
@@ -546,7 +544,7 @@ class TestFanOut:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_call(self):
-        assert trainer._fan_out(lambda i: i * i, 5) == [0, 1, 4, 9, 16]
+        assert fan_out_list(lambda i: i * i, 5) == [0, 1, 4, 9, 16]
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
@@ -557,7 +555,7 @@ class TestFanOut:
             return i
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            trainer._fan_out(job, 2)
+            fan_out_list(job, 2)
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
@@ -569,7 +567,7 @@ class TestFanOut:
             raise LocalError(f"job {i} failed")
 
         with pytest.raises(RuntimeError, match="LocalError: job 0 failed"):
-            trainer._fan_out(job, 2)
+            fan_out_list(job, 2)
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
