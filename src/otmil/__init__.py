@@ -24,7 +24,7 @@ from .metrics import (EntropyPoint, RocResult, bag_predict, dataset_aucs,
                       roc_auc, segment_bag_scores, write_entropy_csv)
 from .model import (ClassifierParams, Gradients, SgdConfig, backward, forward,
                     init_classifier, load_checkpoint, save_checkpoint,
-                    sgd_step, soft_cross_entropy)
+                    sgd_step)
 from .numkit import Rng
 from .trainer import (RunRecord, TrainConfig, benchmark_cv, holdout_sweep,
                       mixed_batches, run_ablation_suite, self_train, train,
@@ -48,5 +48,5 @@ __all__ = [
     "pool_bags", "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
     "run_ablation_suite", "save_checkpoint", "save_ndjson",
     "segment_bag_scores", "self_train", "sgd_step", "sinkhorn_assign",
-    "soft_cross_entropy", "train", "write_entropy_csv", "write_run_csv",
+    "train", "write_entropy_csv", "write_run_csv",
 ]

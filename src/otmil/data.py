@@ -3,7 +3,8 @@ CSV ingestion, IDX image files, and stratified k-fold splitting.
 
 NDJSON datasets of more than a few thousand rows, and regular NDJSON files
 of more than a few MiB, are encoded and parsed in chunks of whole bags or
-whole lines, spread over forked workers by ``numkit.fan_out``; the files,
+whole lines, spread over forked workers by ``numkit.fan_out``; anything
+smaller is one chunk, run in this process one line at a time. The files,
 the loaded arrays and the errors are those of one in-process pass.
 
 A ``Dataset`` is a handful of arrays: every instance's features in bag
@@ -272,8 +273,8 @@ def generate_hard_bags(cfg: GenConfig, rng: np.random.Generator | None = None
 
 # NDJSON is read and written in chunks: runs of whole bags (save) or whole
 # lines (load), each a job of numkit.fan_out. Data below two chunks'
-# floor is one chunk: saved as one job in this process, or parsed line by
-# line, without importing multiprocessing. Past that, more chunks mean
+# floor is one chunk, saved or parsed line by line in this process,
+# without importing multiprocessing. Past that, more chunks mean
 # less for the caller to hold at once, but each load job reads the file
 # from its start to reach its lines, so there are at most _MAX_CHUNKS.
 _SAVE_CHUNK_ROWS = 2000
@@ -297,20 +298,20 @@ def save_ndjson(dataset: Dataset, path) -> None:
     """One bag per line: {"bag_id", "label", "instances": [...]}.
 
     Runs of bags are encoded as jobs of ``numkit.fan_out``; a dataset below
-    two runs' floor is one job, run in this process. The lines go, in file
-    order, to a temporary file next to the file ``path`` names (through
-    any symlinks), which then replaces it with the earlier file's mode: a
-    save that fails leaves any earlier file there as it was. The new file
-    belongs to the saving user, and hard links to the old one keep the old
-    content.
+    two runs' floor is one job, run in this process one line at a time. The
+    lines go, in file order, to a temporary file next to the file ``path``
+    names (through any symlinks), which then replaces it with the earlier
+    file's mode: a save that fails leaves any earlier file there as it was.
+    The new file belongs to the saving user, and hard links to the old one
+    keep the old content.
     """
     target = os.path.realpath(path)
     partial = f"{target}.{os.getpid()}.tmp"
     chunks = _chunks(dataset.offsets[1:].tolist(), _SAVE_CHUNK_ROWS)
     try:
         with open(partial, "w") as fh:
-            fan_out(lambda i: list(_ndjson_lines(dataset, *chunks[i])),
-                    len(chunks), fh.writelines)
+            fan_out(lambda i: _ndjson_lines(dataset, *chunks[i]),
+                    len(chunks), fh.write)
         with suppress(FileNotFoundError):  # no earlier file
             shutil.copymode(target, partial)
         os.replace(partial, target)
@@ -364,29 +365,23 @@ def load_ndjson(path) -> Dataset:
     """Parse and validate an NDJSON bag file; errors carry line numbers.
 
     Feature values must be JSON numbers and bag ids JSON strings. A
-    regular file of two or more runs' floor is counted line by line, cut
-    into runs of about equal text and parsed as jobs of
-    ``numkit.fan_out``; anything else, a pipe say, is read once, in one
-    pass. The bags are appended, in file order, to one growing buffer that
-    the dataset then views, so loading holds the features once, plus one
-    run's bags. A bad file is parsed again in one pass, which raises the
-    first error in file order.
+    regular file of two or more runs' floor is counted line by line and
+    cut into runs of about equal text; anything else, a pipe say, is one
+    run, read once. Each run is parsed as a job of ``numkit.fan_out``, and
+    its bags are appended, in file order, to one growing buffer that the
+    dataset then views, so loading holds the features once, plus one run's
+    bags. A bad file raises the first error in file order: a run stops at
+    its first bad line, after the bags before it.
     """
-    chunks = []
+    chunks = [(0, None)]
     info = os.stat(path)
     if stat.S_ISREG(info.st_mode) and info.st_size >= 2 * _LOAD_CHUNK_CHARS:
         with open(path) as fh:
             chunks = _chunks(list(accumulate(map(len, fh))),
                              _LOAD_CHUNK_CHARS)
     bags = _Bags()
-    if len(chunks) > 1:
-        try:
-            fan_out(lambda i: list(_parse_lines(path, *chunks[i])),
-                    len(chunks), bags.extend)
-        except Exception:  # whatever failed, one pass finds the first error
-            bags = _Bags()
-    if not bags.ids:  # one chunk, or a chunk failed: one pass, line by line
-        bags.extend(_parse_lines(path, 0, None))
+    fan_out(lambda i: _parse_lines(path, *chunks[i]), len(chunks),
+            bags.append)
     if not bags.ids:
         raise ValueError("no bags in file")
     name = str(path).rsplit("/", 1)[-1]
@@ -407,24 +402,24 @@ class _Bags:
         self.offsets, self.ids, self.bag_labels = [0], [], []
         self.feature_dim = None
 
-    def extend(self, parsed) -> None:
-        """Append ``_parse_lines``' bags, which follow these in the file."""
-        for bag_id, label, block, inst_labels in parsed:
-            if self.feature_dim not in (None, block.shape[1]):
-                raise ValueError("inconsistent feature dimension")
-            self.feature_dim = block.shape[1]
-            self.feats.frombytes(memoryview(block).cast("B"))
-            self.labels.extend(inst_labels)
-            self.offsets.append(len(self.labels))
-            self.ids.append(bag_id)
-            self.bag_labels.append(label)
+    def append(self, parsed) -> None:
+        """Append one of ``_parse_lines``' bags, which follows these in the
+        file; its feature dimension must be the first bag's."""
+        lineno, bag_id, label, block, inst_labels = parsed
+        if self.feature_dim not in (None, block.shape[1]):
+            raise ValueError(f"line {lineno}: inconsistent feature dimension")
+        self.feature_dim = block.shape[1]
+        self.feats.frombytes(memoryview(block).cast("B"))
+        self.labels.extend(inst_labels)
+        self.offsets.append(len(self.labels))
+        self.ids.append(bag_id)
+        self.bag_labels.append(label)
 
 
 def _parse_lines(path, first: int, stop: int | None):
-    """Yield (bag_id, label, rows, instance labels) for each bag on lines
-    ``first + 1`` to ``stop`` (1-based; ``stop`` None for the end of the
-    file), raising at the first bad line."""
-    feature_dim = None
+    """Yield (line number, bag_id, label, rows, instance labels) for each
+    bag on lines ``first + 1`` to ``stop`` (1-based; ``stop`` None for the
+    end of the file), raising at the first bad line."""
     with open(path) as fh:
         for lineno, line in islice(enumerate(fh, start=1), first, stop):
             line = line.strip()
@@ -452,16 +447,13 @@ def _parse_lines(path, first: int, stop: int | None):
             if block.size == 0:
                 raise ValueError(f"line {lineno}: a bag needs at least one "
                                  "instance and one feature")
-            feature_dim = feature_dim or block.shape[-1]
-            if block.ndim != 2 or block.shape[1] != feature_dim:
-                raise ValueError(f"line {lineno}: inconsistent feature dimension")
             if not np.isfinite(block).all():
                 raise ValueError(f"line {lineno}: non-finite feature value")
             # Dataset checks this too, but cannot name the line
             if -1 not in inst_labels and label != int(1 in inst_labels):
                 raise ValueError(f"line {lineno}: bag {bag_id!r}: label "
                                  "inconsistent with instance labels")
-            yield bag_id, label, block, inst_labels
+            yield lineno, bag_id, label, block, inst_labels
 
 
 def load_benchmark_csv(path) -> Dataset:

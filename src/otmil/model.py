@@ -131,7 +131,7 @@ def _softmax2(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector (2,) or a batch (n, 2).
+    """Class probabilities (n, 2) for an (n, d) batch of feature rows.
 
     The MLP runs over the rows in blocks of ``_BLOCK_ROWS`` to
     ``2 * _BLOCK_ROWS - 1`` (the last block takes the remainder), each
@@ -144,13 +144,11 @@ def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
     ``features`` nor the parameters are modified.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"features must be one vector or an (n, d) batch, "
-                         f"got shape {x.shape}")
-    if x.shape[-1] != params.feature_dim:
+    if x.ndim != 2:
+        raise ValueError(f"features must be an (n, d) batch, got shape "
+                         f"{x.shape}")
+    if x.shape[1] != params.feature_dim:
         raise ValueError("feature dimension mismatch")
-    if x.ndim == 1:
-        return _block_probs(params, x[None, :])[0]
     n = x.shape[0]
     if params.arch == "linear" or n < 2 * _BLOCK_ROWS:
         return _block_probs(params, x)
@@ -170,12 +168,6 @@ def _block_probs(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
     logits = x @ params.w_out.T
     logits += params.b_out
     return _softmax2(logits)
-
-
-def soft_cross_entropy(pred, target) -> float:
-    """-sum(target * log pred) with the prediction floored away from zero."""
-    p = np.clip(np.asarray(pred, dtype=np.float64), PROB_CLAMP, None)
-    return float(-np.sum(np.asarray(target) * np.log(p)))
 
 
 def backward(params: ClassifierParams, features: np.ndarray,

@@ -4,8 +4,9 @@ Everything here is deliberately small. Matrices are plain ``np.ndarray`` in
 row-major float64; the helpers below only add the pieces numpy does not give
 us directly: a counter-based RNG with explicit seed/stream identity,
 finiteness checks and Gaussian draws. ``fan_out`` runs independent jobs in
-forked worker processes and hands their results back in job order, so that
-data I/O and training can both spread work over the usable CPUs.
+forked worker processes and hands the items each job yields back in job
+order, so that data I/O and training can both spread work over the usable
+CPUs.
 """
 
 from __future__ import annotations
@@ -49,20 +50,23 @@ def sample_gaussian(rng: np.random.Generator, mean, std: float) -> np.ndarray:
 
 
 def fan_out(job, n_jobs: int, take) -> None:
-    """Call ``take(job(i))`` for i = 0, 1, ..., n_jobs - 1, in that order,
-    with the jobs computed in forked workers.
+    """Call ``take(item)`` for every item of ``job(i)``, an iterable, for
+    i = 0, 1, ..., n_jobs - 1: in job order, then item order, with the jobs
+    run in forked workers.
 
     Worker w of W runs jobs w, w + W, w + 2W, ... in turn and sends back
-    each result as soon as it is done: it reaches its inputs through the
-    fork, so only results are pickled. ``take`` gets result i once it has
-    arrived, while the workers go on with later jobs, so this process holds
-    one result at a time. W is the number of usable CPUs, at most n_jobs.
-    The jobs run in this process, each followed by its ``take``, when
-    fan-out cannot help: one usable CPU, one job, or no ``fork`` start
-    method. A job's exception is raised here with its type and message, as
-    is one from ``take``; every worker has been joined (after ``terminate``
-    if this call failed) before it returns or raises, and a worker whose
-    caller dies stops too.
+    each job, once it is done, as one message: its items, then its
+    exception or None. It reaches its inputs through the fork, so only
+    items are pickled. ``take`` gets job i's items once they have arrived,
+    while the workers go on with later jobs, so this process holds one
+    job's items at a time. W is the number of usable CPUs, at most n_jobs.
+    The jobs run in this process, each item going to ``take`` as it is
+    made, when fan-out cannot help: one usable CPU, one job, or no
+    ``fork`` start method. Either way, the items a job made before it
+    raised reach ``take`` before its exception is raised here, with its
+    type and message, as is one from ``take``; every worker has been
+    joined (after ``terminate`` if this call failed) before it returns or
+    raises, and a worker whose caller dies stops too.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -77,7 +81,8 @@ def fan_out(job, n_jobs: int, take) -> None:
             n_workers = 1
     if n_workers < 2:
         for i in range(n_jobs):
-            take(job(i))
+            for item in job(i):
+                take(item)
         return
 
     context = multiprocessing.get_context("fork")
@@ -94,8 +99,9 @@ def fan_out(job, n_jobs: int, take) -> None:
             finally:  # so that a read sees EOF once the worker is gone
                 os.close(write_end)
         for i in range(n_jobs):
-            # no local keeps result i alive while result i + 1 arrives
-            take(_receive(*workers[i % n_workers], i))
+            for item in _receive(*workers[i % n_workers], i):
+                take(item)
+            item = None  # no local keeps job i's last item past its turn
     except BaseException:
         for process, _ in workers:
             if process.pid is not None:
@@ -110,51 +116,53 @@ def fan_out(job, n_jobs: int, take) -> None:
 
 
 def _receive(process, receiver, i: int):
-    """Job i's result from the worker that ran it, or its exception raised.
+    """Yield job i's items from the worker that ran it, then raise its
+    exception if it had one.
 
     ``pickle.load`` reads the message from the pipe's buffered reader in
-    frames of at most 64 KiB, so a result made of small objects (bags,
-    lines) never needs an allocation the size of the whole message.
+    frames of at most 64 KiB, so items made of small objects (bags, lines)
+    never need an allocation the size of the whole message.
     """
     try:
-        ok, payload = pickle.load(receiver)
+        items, error = pickle.load(receiver)
     except (EOFError, pickle.UnpicklingError):  # the pipe closed early
         process.join()
         raise RuntimeError(f"the worker of job {i} exited with code "
                            f"{process.exitcode} before sending its result"
                            ) from None
-    if not ok:
-        raise payload
-    return payload
+    yield from items
+    if error is not None:
+        raise error
 
 
 def _work(job, indices, write_end: int, caller: int) -> None:
-    """A worker's whole life: run its jobs in turn and write ``(True,
-    result)`` for each to the pipe, pickled, or ``(False, exception)`` for
-    the first that raised and then stop. It also stops, before its next
-    job, once ``caller`` is no longer its parent, and on Linux the kernel
-    kills it when the caller dies."""
+    """A worker's whole life: run its jobs in turn and write ``(items,
+    None)`` for each to the pipe, pickled, or ``(items made so far,
+    exception)`` for the first that raised and then stop. A message that
+    does not pickle is sent as a RuntimeError naming the failure. It also
+    stops, before its next job, once ``caller`` is no longer its parent,
+    and on Linux the kernel kills it when the caller dies."""
     _die_with_parent()
     with open(write_end, "wb") as sender:
         for i in indices:
             if os.getppid() != caller:  # the caller died; no one will read
                 return
+            items, error = [], None
             try:
-                message = True, job(i)
+                items.extend(job(i))
             except Exception as exc:  # the caller re-raises it
-                message = False, exc
+                error = exc
             try:
-                data = pickle.dumps(message)
+                data = pickle.dumps((items, error))
             except Exception as exc:  # it does not pickle
-                failure = exc if message[0] else message[1]
-                message = False, RuntimeError(
-                    f"{type(failure).__name__}: {failure}")
-                data = pickle.dumps(message)
+                failure = exc if error is None else error
+                error = RuntimeError(f"{type(failure).__name__}: {failure}")
+                data = pickle.dumps(([], error))
             sender.write(data)
             sender.flush()
-            if not message[0]:
+            if error is not None:
                 return
-            del message, data  # free result i while job i + W runs
+            del items, data  # free job i's items while job i + W runs
 
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>

@@ -291,7 +291,7 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
     """
     def row_record(i):
         cfg = dataclasses.replace(base_cfg, **ABLATION_ROWS[i][1])
-        return self_train(dataset, cfg, eval_dataset)[1]
+        yield self_train(dataset, cfg, eval_dataset)[1]
 
     records = []
     fan_out(row_record, len(ABLATION_ROWS), records.append)
@@ -339,8 +339,8 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
 
     def fold_accuracies(i):
         train_ds, test_ds = folds[i]
-        return [bag_accuracy(train(train_ds, cfg), test_ds, cfg.bag_inference)
-                for cfg in cfgs]
+        yield [bag_accuracy(train(train_ds, cfg), test_ds, cfg.bag_inference)
+               for cfg in cfgs]
 
     results = []
     fan_out(fold_accuracies, len(folds), results.append)
@@ -362,7 +362,7 @@ def holdout_sweep(dataset, base_cfg: TrainConfig, mu_grid, eval_dataset
     def aucs(i):
         cfg = dataclasses.replace(base_cfg, schedule=dataclasses.replace(
             base_cfg.schedule, mu_final=mu_grid[i]))
-        return dataset_aucs(eval_dataset, *dataset_scores(
+        yield dataset_aucs(eval_dataset, *dataset_scores(
             train(dataset, cfg), eval_dataset, cfg.bag_inference))
 
     results = []

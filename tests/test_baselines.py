@@ -13,11 +13,11 @@ from otmil.baselines import (POOL_KINDS, AttentionParams, PoolGradients,
 from otmil.data import GenConfig, generate_normal_bags
 from otmil.metrics import roc_auc
 from otmil.model import (Gradients, SgdConfig, backward, forward,
-                         init_classifier, soft_cross_entropy)
+                         init_classifier)
 from otmil.numkit import Rng
 
 from test_data import make_dataset
-from test_model import assert_same_bits
+from test_model import assert_same_bits, soft_cross_entropy
 from test_numkit import softmax
 
 
@@ -86,7 +86,7 @@ def ref_pool_loss_and_grads(params: PoolParams, bag_feats, targets):
         else:
             pooled, _ = ref_pool_bag(params, feats)
             weights = None
-        probs = forward(head, pooled)
+        probs = forward(head, pooled[None])[0]
         total += soft_cross_entropy(probs, targets[b])
         dlogits = (probs - targets[b]) / n
         g_w_out += np.outer(dlogits, pooled)
@@ -115,7 +115,8 @@ def ref_instance_scores(params: PoolParams, dataset) -> np.ndarray:
 def ref_bag_scores(params: PoolParams, dataset) -> np.ndarray:
     pooled = [ref_pool_bag(params, b.feature_matrix())[0]
               for b in dataset.bags]
-    return np.array([float(forward(params.head, p)[0]) for p in pooled])
+    return np.array([float(forward(params.head, p[None])[0, 0])
+                     for p in pooled])
 
 
 def single_bag(params: AttentionParams) -> PoolParams:
@@ -209,8 +210,8 @@ class TestPooling:
         bag = np.tile(inst, (6, 1))
         (pooled,), _ = pool_bags(params, bag, [0, 6])
         assert np.allclose(pooled, inst)
-        assert np.allclose(forward(params.head, pooled),
-                           forward(params.head, inst))
+        assert np.allclose(forward(params.head, pooled[None]),
+                           forward(params.head, inst[None]))
 
 
     def test_attention_hidden_must_be_positive(self):

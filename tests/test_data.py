@@ -408,14 +408,18 @@ class TestNdjson:
         assert peak <= 1.6 * 200 * 100 * 16 * 8
 
     def test_peak_memory_of_one_save(self, tmp_path, traced_peak):
-        # the text is written one chunk at a time: holding every chunk's
-        # text at once would hold the whole file
-        ds = generate_normal_bags(GenConfig(n_bags=200, bag_size=100,
-                                            feature_dim=16, seed=0))
-        path = tmp_path / "bags.ndjson"
-        save_ndjson(ds, path)
-        peak = traced_peak(save_ndjson, ds, path)
-        assert peak < 0.5 * path.stat().st_size
+        # the text is written one chunk at a time, and a save of one chunk
+        # one line at a time: holding every chunk's text, or the one
+        # chunk's lines, at once would hold the whole file
+        for n_bags, n_chunks in ((200, 8), (39, 1)):
+            ds = generate_normal_bags(GenConfig(n_bags=n_bags, bag_size=100,
+                                                feature_dim=16, seed=0))
+            assert len(data._chunks(ds.offsets[1:].tolist(),
+                                    data._SAVE_CHUNK_ROWS)) == n_chunks
+            path = tmp_path / f"bags-{n_bags}.ndjson"
+            save_ndjson(ds, path)
+            peak = traced_peak(save_ndjson, ds, path)
+            assert peak < 0.5 * path.stat().st_size, n_bags
 
     @pytest.mark.parametrize("failure", [
         "raise", pytest.param("exit", marks=needs_two_cpus)])
@@ -598,6 +602,30 @@ class TestChunkedNdjson:
         with pytest.raises(ValueError,
                            match=f"^line {len(lines)}: {message}"):
             load_ndjson(path)
+
+    def test_bad_file_is_parsed_once(self, tmp_path, monkeypatch,
+                                     small_chunks):
+        # one usable CPU, so that every _parse_lines call is seen here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        calls, real = [], data._parse_lines
+
+        def counted(path, first, stop):
+            calls.append((first, stop))
+            return real(path, first, stop)
+
+        monkeypatch.setattr(data, "_parse_lines", counted)
+        lines = [json.dumps(bag_record(f"p{k:02d}", [0.5]))
+                 for k in range(30)] + ["{broken"]
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        chunks = file_chunks(path)
+        assert len(chunks) >= 2
+        with pytest.raises(ValueError,
+                           match=f"^line {len(lines)}: malformed JSON"):
+            load_ndjson(path)
+        assert calls == chunks
 
     @pytest.mark.parametrize("rest", ["first line", "whole chunk"])
     def test_dimension_change_at_a_later_chunk_names_its_line(

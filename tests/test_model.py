@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from otmil.model import (_BLOCK_ROWS, PROB_CLAMP, ClassifierParams,
                          Gradients, SgdConfig, _softmax2, backward, forward,
                          init_classifier, load_checkpoint, save_checkpoint,
-                         sgd_step, soft_cross_entropy)
+                         sgd_step)
 from otmil.numkit import Rng
 
 from test_numkit import softmax
@@ -88,11 +88,6 @@ class TestForward:
             assert np.all(probs > 0)
             assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_single_vector_input(self):
-        params = init_classifier(4, arch="linear", rng=Rng(1))
-        out = forward(params, np.zeros(4))
-        assert out.shape == (2,)
-
     def test_dimension_mismatch(self):
         params = init_classifier(4, arch="linear", rng=Rng(1))
         with pytest.raises(ValueError, match="dimension"):
@@ -108,6 +103,11 @@ class TestForward:
         with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
             forward(params, np.zeros(shape))
 
+    def test_rejects_a_single_vector(self):
+        params = init_classifier(4, arch="linear", rng=Rng(1))
+        with pytest.raises(ValueError, match=re.escape("shape (4,)")):
+            forward(params, np.zeros(4))
+
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_equals_out_of_place_expression(self, arch):
         rng = Rng(6)
@@ -121,23 +121,25 @@ class TestForward:
             return softmax(x @ params.w_out.T + params.b_out, axis=-1)
 
         assert np.array_equal(forward(params, x), expression(x))
-        assert np.array_equal(forward(params, x[3]), expression(x[3:4])[0])
         assert np.array_equal(x, x_before)
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
             assert np.array_equal(getattr(params, name),
                                   getattr(params_before, name))
 
 
+def soft_cross_entropy(pred, target) -> float:
+    """Reference loss of one row: -sum(target * log pred), with the
+    prediction floored at ``PROB_CLAMP``."""
+    p = np.clip(np.asarray(pred, dtype=np.float64), PROB_CLAMP, None)
+    return float(-np.sum(np.asarray(target) * np.log(p)))
+
+
 def ref_forward(params, features):
     """Reference copy of ``forward`` with out-of-place intermediates."""
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if params.arch == "mlp":
         x = np.maximum(x @ params.w_hidden.T + params.b_hidden, 0.0)
-    probs = softmax(x @ params.w_out.T + params.b_out, axis=-1)
-    return probs[0] if single else probs
+    return softmax(x @ params.w_out.T + params.b_out, axis=-1)
 
 
 def ref_backward(params, features, targets):
@@ -216,7 +218,6 @@ class TestMatchesOutOfPlaceReference:
             if want is not None:
                 assert_same_bits(got, want)
         assert_same_bits(forward(params, x), ref_forward(params, x))
-        assert_same_bits(forward(params, x[0]), ref_forward(params, x[0]))
         assert_same_bits(x, x_before)
         assert_same_bits(t, t_before)
         for name in ("w_hidden", "b_hidden", "w_out", "b_out"):

@@ -104,9 +104,10 @@ def running(pid: int) -> bool:
 
 
 class TestFanOut:
-    """``fan_out`` hands each result to ``take`` as it arrives and leaves no
-    worker behind; test_trainer.py's ``TestFanOut`` covers its results,
-    errors and clean-up through the trainer's uses."""
+    """``fan_out`` hands each job's items to ``take`` as they arrive, before
+    the job's error, and leaves no worker behind; test_trainer.py's
+    ``TestFanOut`` covers its results, errors and clean-up through the
+    trainer's uses."""
 
     @needs_two_cpus
     def test_results_reach_take_before_later_jobs_end(self, tmp_path):
@@ -118,9 +119,9 @@ class TestFanOut:
             deadline = time.monotonic() + 10
             while i == 3 and not marker.exists():
                 if time.monotonic() > deadline:
-                    return "timed out"
+                    return ["timed out"]
                 time.sleep(0.01)
-            return i
+            return [i]
 
         got = []
 
@@ -137,7 +138,30 @@ class TestFanOut:
                 raise KeyError("take failed")
 
         with pytest.raises(KeyError, match="take failed"):
-            fan_out(lambda i: i, 4, take)
+            fan_out(lambda i: [i], 4, take)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [
+        "one", pytest.param("all", marks=needs_two_cpus)])
+    def test_items_made_before_an_error_reach_take_first(self, monkeypatch,
+                                                         cpus):
+        if cpus == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def job(i):
+            yield i, "a", os.getpid()
+            yield i, "b", os.getpid()
+            if i == 0:
+                raise KeyError("job 0 failed")
+
+        got = []
+        with pytest.raises(KeyError, match="job 0 failed"):
+            fan_out(job, 2, got.append)
+        assert [item[:2] for item in got] == [(0, "a"), (0, "b")]
+        in_caller = {item[2] for item in got} == {os.getpid()}
+        assert in_caller == (cpus == "one")
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
@@ -152,7 +176,7 @@ def job(i):
     with open(sys.argv[1], "a") as fh:
         fh.write(f"{os.getpid()}\\n")
     time.sleep(60)
-fan_out(job, 2, lambda result: None)
+fan_out(lambda i: [job(i)], 2, lambda result: None)
 """
 
         def worker_pids():

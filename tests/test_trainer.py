@@ -470,7 +470,7 @@ class TestBenchmarkCv:
 def fan_out_list(job, n_jobs):
     """``numkit.fan_out``'s results, collected in job order."""
     results = []
-    fan_out(job, n_jobs, results.append)
+    fan_out(lambda i: [job(i)], n_jobs, results.append)
     return results
 
 
