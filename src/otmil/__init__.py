@@ -16,9 +16,8 @@ from .data import (Bag, Dataset, GenConfig, Instance, bags_from_arrays,
                    generate_hard_bags, generate_normal_bags, kfold_split,
                    load_benchmark_csv, load_idx_mnist, load_ndjson,
                    save_ndjson)
-from .labeling import (MuSchedule, SinkhornAssignment, SinkhornConfig,
-                       adaptive_mu, apply_local_constraint, harden,
-                       sinkhorn_assign)
+from .labeling import (MuSchedule, SinkhornAssignment, adaptive_mu,
+                       apply_local_constraint, harden, sinkhorn_assign)
 from .metrics import (EntropyPoint, RocResult, bag_predict, dataset_aucs,
                       dataset_scores, entropy_curve, pseudo_label_metrics,
                       roc_auc, segment_bag_scores, write_entropy_csv)
@@ -36,7 +35,7 @@ __all__ = [
     "AttentionParams", "Bag", "ClassifierParams", "Dataset", "EntropyPoint",
     "GenConfig", "Gradients", "Instance", "MuSchedule", "PoolParams",
     "RocResult", "Rng", "RunRecord", "SgdConfig", "SinkhornAssignment",
-    "SinkhornConfig", "TrainConfig",
+    "TrainConfig",
     "adaptive_mu", "apply_local_constraint", "attention_instance_scores",
     "backward", "bag_predict", "bags_from_arrays",
     "baseline_instance_scores", "baseline_scores", "benchmark_cv",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as datamod
 from .baselines import baseline_scores, pool_baseline_train
-from .labeling import MuSchedule, SinkhornConfig
+from .labeling import MuSchedule
 from .metrics import (dataset_aucs, dataset_scores, entropy_curve,
                       write_entropy_csv)
 from .model import SgdConfig, load_checkpoint, save_checkpoint
@@ -77,8 +77,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         sgd=SgdConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed),
-        sinkhorn=SinkhornConfig(sharpness=args.sharpness,
-                                max_iters=args.sinkhorn_iters),
+        sharpness=args.sharpness,
         schedule=MuSchedule(mu_final=args.mu, warmup_epochs=args.warmup_t),
         arch=args.arch,
         hidden=args.hidden,
@@ -235,14 +234,17 @@ def cmd_ablation(args, out_dir: Path) -> None:
 
 def cmd_baseline(args, out_dir: Path) -> None:
     train_ds, tests = _load_splits(args.data)
+    splits = {"train": train_ds, **tests}
     for extra in args.test or []:
-        ds = _load_dataset(extra)
-        tests[Path(extra).stem] = ds
+        name = Path(extra).stem
+        if name in splits:
+            raise ValueError(f"--test {extra}: a split named {name!r} "
+                             "is already reported")
+        splits[name] = _load_dataset(extra)
     sgd = SgdConfig(learning_rate=args.lr, batch_size=args.batch_size,
                     epochs=args.epochs, seed=args.seed)
     params = pool_baseline_train(train_ds, args.kind, sgd,
                                  attention_hidden=args.attn_hidden)
-    splits = {"train": train_ds, **tests}
     report = {"kind": args.kind, "seed": args.seed, "splits": {}}
     for name, ds in splits.items():
         instance_auc, bag_auc = dataset_aucs(ds, *baseline_scores(params, ds))
@@ -288,8 +290,6 @@ def _add_train_flags(sub):
     sub.add_argument("--warmup-T", dest="warmup_t", type=int, default=10)
     sub.add_argument("--lambda", dest="sharpness", type=float, default=5.0,
                      help="assignment sharpness (entropy regularizer inverse)")
-    sub.add_argument("--sinkhorn-iters", type=int, default=1000,
-                     help="caps root-find steps of the transport assignment")
     sub.add_argument("--lr", type=float, default=0.001)
     sub.add_argument("--batch-size", type=int, default=64)
     sub.add_argument("--epochs", type=int, default=50)

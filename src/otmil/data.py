@@ -180,6 +180,8 @@ class GenConfig:
             raise ValueError(f"unknown scheme: {self.scheme!r}")
         if not 0.0 < self.positive_ratio < 1.0:
             raise ValueError("positive_ratio must lie in (0, 1)")
+        if not 0.0 <= self.concept_mix <= 1.0:
+            raise ValueError("concept_mix must lie in [0, 1]")
         if self.bag_size < 1:
             raise ValueError("bag_size must be >= 1")
         if self.n_bags < 2:

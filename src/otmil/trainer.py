@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import kfold_split
-from .labeling import (MuSchedule, SinkhornConfig, adaptive_mu,
-                       apply_local_constraint, harden, sinkhorn_assign)
+from .labeling import (MuSchedule, adaptive_mu, apply_local_constraint,
+                       harden, sinkhorn_assign)
 # bag_predict and roc_auc are not called here; perfbench/spans.py wraps
 # trainer.bag_predict and trainer.roc_auc
 from .metrics import (bag_predict, dataset_aucs, dataset_scores,
@@ -45,10 +45,11 @@ _SHUFFLE_STREAM = 2
 
 @dataclass
 class TrainConfig:
-    """Everything one self-training run depends on."""
+    """Everything one self-training run depends on; ``sharpness`` goes to
+    ``labeling.sinkhorn_assign`` and must be finite and positive."""
 
     sgd: SgdConfig = field(default_factory=SgdConfig)
-    sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
+    sharpness: float = 5.0
     schedule: MuSchedule = field(default_factory=MuSchedule)
     arch: str = "mlp"
     hidden: int = 128
@@ -60,6 +61,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 < self.sharpness < np.inf:
+            raise ValueError("sharpness must be finite and positive")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
         if self.reassign_every < 1:
@@ -183,7 +186,7 @@ def _assign(params, cfg: TrainConfig, pos_x, pos_offsets, mu_t):
     q_values = forward(params, pos_x)
     converged = True
     if cfg.constrain:
-        result = sinkhorn_assign(q_values, mu_t, cfg.sinkhorn)
+        result = sinkhorn_assign(q_values, mu_t, cfg.sharpness)
         converged = result.converged
         q_values = apply_local_constraint(result.labels, pos_offsets)
     if not cfg.soft_labels:

@@ -17,8 +17,7 @@ from otmil.baselines import baseline_instance_scores, init_pool_params, \
     pool_baseline_train, pool_loss_and_grads
 from otmil.data import GenConfig, generate_hard_bags, generate_normal_bags, \
     load_benchmark_csv
-from otmil.labeling import MuSchedule, SinkhornConfig, adaptive_mu, \
-    sinkhorn_assign
+from otmil.labeling import MuSchedule, adaptive_mu, sinkhorn_assign
 from otmil.metrics import entropy_curve, roc_auc
 from otmil.model import SgdConfig, backward, forward, init_classifier
 from otmil.numkit import Rng
@@ -92,14 +91,13 @@ def hard_suite():
 
 def test_criterion_01_sinkhorn_property_ensemble():
     rng = np.random.default_rng(101)
-    cfg = SinkhornConfig(max_iters=4000)
     start = time.perf_counter()
     for _ in range(100):
         n = int(rng.integers(4, 1001))
         # the solver rejects mu*n < 1, so small n pins mu above 1/n
         mu = max(float(rng.uniform(0.05, 0.5)), 1.05 / n)
         pos = rng.uniform(1e-3, 1 - 1e-3, n)
-        res = sinkhorn_assign(np.stack([pos, 1 - pos], axis=1), mu, cfg)
+        res = sinkhorn_assign(np.stack([pos, 1 - pos], axis=1), mu)
         q = res.labels
         assert abs(q[:, 0].sum() - mu * n) <= 1e-4 * n
         assert np.abs(q.sum(axis=1) - 1.0).max() <= 1e-6
@@ -112,14 +110,14 @@ def test_criterion_01_sinkhorn_property_ensemble():
 
 def test_criterion_02_matches_exact_small_optimum():
     rng = np.random.default_rng(202)
-    cfg = SinkhornConfig(sharpness=100.0, max_iters=400_000)
     worst = 0.0
     start = time.perf_counter()
     for _ in range(100):
         n = int(rng.integers(3, 7))
         mu = float(rng.uniform(max(0.08, 1.05 / n), 0.45))
         pos = rng.uniform(0.05, 0.95, n)
-        res = sinkhorn_assign(np.stack([pos, 1 - pos], axis=1), mu, cfg)
+        res = sinkhorn_assign(np.stack([pos, 1 - pos], axis=1), mu,
+                              sharpness=100.0)
         exact = lp_optimum(pos, mu)
         worst = max(worst, abs(res.objective - exact) / exact)
     elapsed = time.perf_counter() - start

@@ -132,6 +132,17 @@ class TestTrain:
                     "--hidden", "0", "--out", out]) != 0
         assert "hidden must be >= 1" in (out / ".failed").read_text()
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--lambda", "nan", "sharpness"), ("--lambda", "inf", "sharpness"),
+        ("--lr", "inf", "learning_rate")])
+    def test_non_finite_setting_names_the_field(self, dataset_dir, tmp_path,
+                                                flag, value, field):
+        out = tmp_path / "t"
+        assert run(["train", "--data", dataset_dir, *FAST_TRAIN,
+                    flag, value, "--out", out]) == 2
+        assert f"{field} must be finite" in (out / ".failed").read_text()
+        assert not (out / "metrics.csv").exists()
+
     def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
                                                     tmp_path):
         provenance = summary_provenance(
@@ -255,6 +266,25 @@ class TestBaseline:
         assert run(["baseline", "--kind", "attention", "--data", d,
                     "--attn-hidden", "0", "--out", b]) != 0
         assert "attention_hidden must be >= 1" in (b / ".failed").read_text()
+
+    @pytest.mark.parametrize("data,extra", [
+        # a --test file named like the training split
+        ("d", ["other/train.ndjson"]),
+        # a --test file named like a split of the --data directory
+        ("d", ["other/test.ndjson"]),
+        # two --test files with one name
+        ("d/train.ndjson", ["other/test.ndjson", "third/test.ndjson"])])
+    def test_clashing_split_names_fail(self, tmp_path, data, extra):
+        b = tmp_path / "b"
+        for name in ("d", "other", "third"):
+            run(["gen", *GEN_FLAGS, "--out", tmp_path / name])
+        extra = [tmp_path / path for path in extra]
+        flags = [arg for path in extra for arg in ("--test", path)]
+        assert run(["baseline", "--kind", "max", "--data", tmp_path / data,
+                    *flags, "--epochs", "1", "--out", b]) == 2
+        clash = extra[-1].stem
+        assert f"split named '{clash}'" in (b / ".failed").read_text()
+        assert not (b / "baseline.json").exists()
 
 
 class TestEntropy:

@@ -184,6 +184,13 @@ class TestNormalGenerator:
         with pytest.raises(ValueError, match="feature_dim"):
             GenConfig(feature_dim=0)
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, 2.0, np.nan])
+    def test_concept_mix_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="concept_mix"):
+            GenConfig(concept_mix=bad)
+        for edge in (0.0, 1.0):
+            assert GenConfig(concept_mix=edge).concept_mix == edge
+
     def test_empty_positive_content_rejected(self):
         cfg = GenConfig(n_bags=4, bag_size=4, positive_ratio=0.1,
                         feature_dim=2)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otmil.labeling import (PROB_FLOOR, MuSchedule, SinkhornConfig,
-                            adaptive_mu, apply_local_constraint, harden,
-                            sinkhorn_assign, transport_objective)
+from otmil import labeling
+from otmil.labeling import (MAX_STEPS, PROB_FLOOR, MuSchedule, adaptive_mu,
+                            apply_local_constraint, harden, sinkhorn_assign,
+                            transport_objective)
 
 
 def regularized_objective(
@@ -42,7 +43,7 @@ def saturated_pred(rng, n):
 
 
 # (prediction maker, sharpness) inputs beyond the moderate default ensemble:
-# saturated predictions and a sharp assignment, each under default max_iters
+# saturated predictions and a sharp assignment, each within MAX_STEPS
 HARD_INPUTS = [(saturated_pred, 5.0), (random_pred, 100.0),
                (saturated_pred, 100.0)]
 
@@ -80,11 +81,10 @@ def lp_optimum(pos_probs, mu, floor=1e-8):
 class TestSinkhornAssign:
     def test_marginals_ensemble(self):
         rng = np.random.default_rng(11)
-        cfg = SinkhornConfig()
         for _ in range(40):
             n = int(rng.integers(4, 400))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
-            res = sinkhorn_assign(random_pred(rng, n), mu, cfg)
+            res = sinkhorn_assign(random_pred(rng, n), mu)
             q = res.labels
             assert res.converged
             assert np.all(q >= 0)
@@ -93,11 +93,10 @@ class TestSinkhornAssign:
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(5)
-        cfg = SinkhornConfig()
         for _ in range(25):
             n = int(rng.integers(4, 300))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
-            res = sinkhorn_assign(random_pred(rng, n), mu, cfg)
+            res = sinkhorn_assign(random_pred(rng, n), mu)
             trace = np.asarray(res.objective_trace)
             assert len(trace) == res.iterations >= 1
             assert np.all(np.diff(trace) <= 1e-9)
@@ -105,11 +104,10 @@ class TestSinkhornAssign:
     @pytest.mark.parametrize("make_pred,sharpness", HARD_INPUTS)
     def test_marginals_ensemble_hard_inputs(self, make_pred, sharpness):
         rng = np.random.default_rng(11)
-        cfg = SinkhornConfig(sharpness=sharpness)
         for _ in range(40):
             n = int(rng.integers(4, 400))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
-            res = sinkhorn_assign(make_pred(rng, n), mu, cfg)
+            res = sinkhorn_assign(make_pred(rng, n), mu, sharpness)
             q = res.labels
             assert res.converged
             assert res.iterations <= 50
@@ -121,11 +119,10 @@ class TestSinkhornAssign:
     def test_objective_trace_non_increasing_hard_inputs(self, make_pred,
                                                         sharpness):
         rng = np.random.default_rng(5)
-        cfg = SinkhornConfig(sharpness=sharpness)
         for _ in range(25):
             n = int(rng.integers(4, 300))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
-            res = sinkhorn_assign(make_pred(rng, n), mu, cfg)
+            res = sinkhorn_assign(make_pred(rng, n), mu, sharpness)
             trace = np.asarray(res.objective_trace)
             assert res.converged
             assert res.iterations <= 50
@@ -136,26 +133,24 @@ class TestSinkhornAssign:
         # the final scaling objective and the primal cost of the returned
         # plan agree once converged (they bracket the same optimum)
         rng = np.random.default_rng(6)
-        cfg = SinkhornConfig()
+        sharpness = 5.0
         for _ in range(10):
             n = int(rng.integers(4, 200))
             mu = max(rng.uniform(0.05, 0.5), 1.5 / n)
             pred = random_pred(rng, n)
-            res = sinkhorn_assign(pred, mu, cfg)
+            res = sinkhorn_assign(pred, mu, sharpness)
             p_cl = np.clip(pred, PROB_FLOOR, 1 - PROB_FLOOR)
-            primal = regularized_objective(res.labels, p_cl, mu,
-                                           cfg.sharpness)
+            primal = regularized_objective(res.labels, p_cl, mu, sharpness)
             assert abs(-res.objective_trace[-1] - primal) <= 1e-4 * max(
                 1.0, abs(primal))
 
     def test_matches_lp_oracle_small(self):
         rng = np.random.default_rng(3)
-        cfg = SinkhornConfig(sharpness=100.0, max_iters=400_000)
         for _ in range(8):
             n = int(rng.integers(2, 7))
             mu = max(rng.uniform(0.1, 0.5), 1.1 / n)
             pred = random_pred(rng, n)
-            res = sinkhorn_assign(pred, mu, cfg)
+            res = sinkhorn_assign(pred, mu, sharpness=100.0)
             exact = lp_optimum(pred[:, 0], mu)
             assert res.objective <= exact * 1.01 + 1e-9
             assert res.objective >= exact * 0.99 - 1e-9
@@ -168,9 +163,7 @@ class TestSinkhornAssign:
         exact = lp_optimum(pred[:, 0], mu)
         gaps = []
         for lam in (2.0, 10.0, 50.0):
-            res = sinkhorn_assign(pred, mu,
-                                  SinkhornConfig(sharpness=lam,
-                                                 max_iters=500_000))
+            res = sinkhorn_assign(pred, mu, sharpness=lam)
             gaps.append(res.objective - exact)
         assert gaps[0] > gaps[1] > gaps[2]
         # residual column infeasibility can undercut by O(MARGINAL_TOL * n)
@@ -180,13 +173,13 @@ class TestSinkhornAssign:
         rng = np.random.default_rng(21)
         pred = random_pred(rng, 50)
         perm = rng.permutation(50)
-        res = sinkhorn_assign(pred, 0.3, SinkhornConfig())
-        res_p = sinkhorn_assign(pred[perm], 0.3, SinkhornConfig())
+        res = sinkhorn_assign(pred, 0.3)
+        res_p = sinkhorn_assign(pred[perm], 0.3)
         assert np.allclose(res.labels[perm], res_p.labels, atol=1e-9)
 
     def test_identical_rows_get_identical_labels(self):
         values = np.tile([0.7, 0.3], (12, 1))
-        res = sinkhorn_assign(values, 0.25, SinkhornConfig())
+        res = sinkhorn_assign(values, 0.25)
         assert np.allclose(res.labels, res.labels[0], atol=1e-12)
         assert abs(res.labels[0, 0] - 0.25) < 1e-6
 
@@ -194,17 +187,17 @@ class TestSinkhornAssign:
         pred = random_pred(np.random.default_rng(0), 10)
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError, match="mu"):
-                sinkhorn_assign(pred, bad, SinkhornConfig())
+                sinkhorn_assign(pred, bad)
 
     def test_tiny_marginal_rejected(self):
         pred = random_pred(np.random.default_rng(0), 10)
         with pytest.raises(ValueError, match="marginal"):
-            sinkhorn_assign(pred, 0.05, SinkhornConfig())
+            sinkhorn_assign(pred, 0.05)
 
     def test_rows_must_sum_to_one(self):
         bad = np.array([[0.7, 0.7], [0.5, 0.5]])
         with pytest.raises(ValueError, match="sum to 1"):
-            sinkhorn_assign(bad, 0.5, SinkhornConfig())
+            sinkhorn_assign(bad, 0.5)
 
     @pytest.mark.parametrize("bad,match", [
         (np.array([[np.nan, 0.5], [0.5, 0.5]]), "non-finite"),
@@ -214,25 +207,38 @@ class TestSinkhornAssign:
     ])
     def test_bad_predictions_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):
-            sinkhorn_assign(bad, 0.5, SinkhornConfig())
+            sinkhorn_assign(bad, 0.5)
 
-    def test_nonconvergence_warns_and_flags(self):
+    def test_nonconvergence_warns_and_flags(self, monkeypatch):
         pred = random_pred(np.random.default_rng(2), 60)
-        cfg = SinkhornConfig(sharpness=100.0, max_iters=3)
+        monkeypatch.setattr(labeling, "MAX_STEPS", 3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = sinkhorn_assign(pred, 0.3, cfg)
+            res = sinkhorn_assign(pred, 0.3, sharpness=100.0)
         assert not res.converged
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         # row sums still exact: final renormalization is unconditional
         assert np.abs(res.labels.sum(axis=1) - 1).max() <= 1e-9
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_sharpness_must_be_finite_and_positive(self, bad):
+        pred = random_pred(np.random.default_rng(0), 10)
+        with pytest.raises(ValueError, match="sharpness"):
+            sinkhorn_assign(pred, 0.5, bad)
 
-class TestSinkhornConfig:
-    def test_max_iters_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_iters"):
-            SinkhornConfig(max_iters=0)
-        assert SinkhornConfig(max_iters=1).max_iters == 1
+    def test_steps_stay_well_inside_the_cap(self):
+        # saturated predictions over a wide sharpness range are the hardest
+        # inputs measured; the worst case must leave the cap a wide margin
+        rng = np.random.default_rng(0)
+        worst = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 5001))
+            mu = max(rng.uniform(0.05, 0.5), 1.05 / n)
+            sharpness = 10.0 ** rng.uniform(-2.0, 3.0)
+            res = sinkhorn_assign(saturated_pred(rng, n), mu, sharpness)
+            assert res.converged
+            worst = max(worst, res.iterations)
+        assert worst <= MAX_STEPS // 4
 
 
 class TestTransportObjective:

@@ -368,6 +368,13 @@ class TestGradients:
             backward(params, np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+class TestSgdConfig:
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="learning_rate"):
+            SgdConfig(learning_rate=bad)
+
+
 class TestSgd:
     def test_one_epoch_decreases_separable_loss(self):
         rng = Rng(4)

@@ -17,7 +17,7 @@ from otmil import metrics, trainer
 from otmil.cli import _write_json
 from otmil.data import (GenConfig, bags_from_arrays, generate_normal_bags,
                         kfold_split)
-from otmil.labeling import MuSchedule, SinkhornConfig, harden
+from otmil.labeling import MuSchedule, harden
 from otmil.model import SgdConfig, forward, init_classifier
 from otmil.numkit import Rng, fan_out
 from otmil.trainer import (CSV_HEADER, TrainConfig, _assign, _corpus,
@@ -40,7 +40,6 @@ def small_config(epochs=6, seed=0, **kw):
     return TrainConfig(
         sgd=SgdConfig(learning_rate=0.01, batch_size=32, epochs=epochs,
                       seed=seed),
-        sinkhorn=SinkhornConfig(),
         schedule=MuSchedule(mu_final=0.2, warmup_epochs=3),
         seed=seed, **kw)
 
@@ -71,6 +70,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="hidden"):
             TrainConfig(hidden=0)
         assert TrainConfig(hidden=1).hidden == 1
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, np.nan, np.inf])
+    def test_sharpness_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="sharpness"):
+            TrainConfig(sharpness=bad)
+        assert TrainConfig(sharpness=1e-3).sharpness == 1e-3
 
 
 class TestAssign:
