@@ -113,11 +113,11 @@ def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
     gradients come from ``model.backward`` on the pooled vectors. Max and
     mean pooling have no parameters below the head; the attention arm also
     backpropagates through its per-bag softmax into w and V, in one
-    vectorised pass over the stacked rows. That pass holds two (N, L)
-    buffers: the hidden layer, which becomes 1 - tanh^2 in place, and
-    d(loss)/d(pre-activation); each has the bits of the out-of-place
-    expression. Neither the bags, the targets nor the parameters are
-    modified.
+    vectorised pass over the stacked rows. That pass holds one (N, L)
+    buffer, the hidden layer H, which becomes 1 - H^2 in place once
+    d(loss)/dw = H^T delta has been taken; with delta = d(loss)/d(scores),
+    d(loss)/dV = w * ((1 - H^2)^T (delta * X)), scaling each row l by w_l.
+    Neither the bags, the targets nor the parameters are modified.
     """
     targets = np.asarray(targets, dtype=np.float64)
     n = len(bag_feats)
@@ -142,9 +142,10 @@ def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
     # hidden may be overwritten only now that grads.w has been taken
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
-    d_pre = d_scores[:, None] * params.attention.w
-    d_pre *= hidden
-    grads.v = d_pre.T @ x
+    # w scales the (L, d) result, not an (N, L) product, so that hidden is
+    # the step's only (N, L) buffer
+    grads.v = hidden.T @ (d_scores[:, None] * x)
+    grads.v *= params.attention.w[:, None]
     return loss, grads
 
 

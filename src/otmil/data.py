@@ -22,6 +22,7 @@ need no image data while keeping the same bag construction logic.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import stat
@@ -190,6 +191,9 @@ class GenConfig:
             raise ValueError("test_bags must be >= 2")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        for name in ("cluster_separation", "second_separation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 def round_half_up(x: float) -> int:

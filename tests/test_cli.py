@@ -86,6 +86,18 @@ class TestGen:
         assert run(["gen", "--dim", "0", "--out", out]) == 2
         assert "feature_dim must be >= 1" in (out / ".failed").read_text()
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--separation", "nan"], "cluster_separation"),
+        (["--separation", "inf"], "cluster_separation"),
+        (["--scheme", "hard", "--second-separation", "nan"],
+         "second_separation")])
+    def test_non_finite_separation_names_the_field(self, tmp_path, flags,
+                                                   field):
+        out = tmp_path / "d"
+        assert run(["gen", *GEN_FLAGS, *flags, "--out", out]) == 2
+        assert f"{field} must be finite" in (out / ".failed").read_text()
+        assert not list(out.glob("*.ndjson"))
+
     @pytest.mark.parametrize("scheme", ["normal", "hard"])
     def test_one_test_bag_fails_with_reason(self, tmp_path, scheme):
         out = tmp_path / "d"

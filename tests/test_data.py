@@ -191,6 +191,13 @@ class TestNormalGenerator:
         for edge in (0.0, 1.0):
             assert GenConfig(concept_mix=edge).concept_mix == edge
 
+    @pytest.mark.parametrize("field", ["cluster_separation",
+                                       "second_separation"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GenConfig(**{field: bad})
+
     def test_empty_positive_content_rejected(self):
         cfg = GenConfig(n_bags=4, bag_size=4, positive_ratio=0.1,
                         feature_dim=2)

@@ -225,6 +225,10 @@ class TestMatchesOutOfPlaceReference:
                 assert_same_bits(getattr(params, name),
                                  getattr(params_before, name))
 
+    # two logits more than the largest float apart shift to -inf, whose exp
+    # is an exact 0; that overflow is the path under test, in both copies
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in subtract:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(*[st.floats(-1e308, 1e308)] * 2),
                     min_size=1, max_size=20))
