@@ -51,6 +51,17 @@ def _load_dataset(path) -> datamod.Dataset:
     return datamod.load_ndjson(path)
 
 
+def _load_eval(path, width: int, what: str = "the training data"
+               ) -> datamod.Dataset:
+    """The dataset at ``path``, whose feature width must be ``width``, that
+    of ``what``: a mismatch fails before any training or scoring."""
+    ds = _load_dataset(path)
+    if ds.feature_dim != width:
+        raise ValueError(f"{path}: {ds.feature_dim} features per instance, "
+                         f"but {what} has {width}")
+    return ds
+
+
 def _load_splits(path) -> tuple[datamod.Dataset, dict]:
     """A dataset file, or a directory holding train.ndjson + test splits."""
     path = Path(path)
@@ -58,15 +69,15 @@ def _load_splits(path) -> tuple[datamod.Dataset, dict]:
         train_path = path / "train.ndjson"
         if not train_path.exists():
             raise FileNotFoundError(f"no train.ndjson under {path}")
-        tests = {p.stem: datamod.load_ndjson(p)
-                 for p in sorted(path.glob("test*.ndjson"))}
-        return datamod.load_ndjson(train_path), tests
+        train = datamod.load_ndjson(train_path)
+        return train, {p.stem: _load_eval(p, train.feature_dim)
+                       for p in sorted(path.glob("test*.ndjson"))}
     return _load_dataset(path), {}
 
 
-def _pick_eval(args, tests: dict):
+def _pick_eval(args, train_ds, tests: dict):
     if getattr(args, "eval", None):
-        return _load_dataset(args.eval)
+        return _load_eval(args.eval, train_ds.feature_dim)
     for name in ("test", "test_normal"):
         if name in tests:
             return tests[name]
@@ -81,11 +92,9 @@ def _train_config(args) -> TrainConfig:
         schedule=MuSchedule(mu_final=args.mu, warmup_epochs=args.warmup_t),
         arch=args.arch,
         hidden=args.hidden,
-        reassign_every=args.reassign_every,
         soft_labels=not args.hard_labels,
         constrain=not args.no_constrain,
         adaptive=not args.no_adaptive_mu,
-        bag_inference=args.bag_inference,
         seed=args.seed)
 
 
@@ -158,7 +167,7 @@ def _provenance() -> dict:
 
 def cmd_train(args, out_dir: Path) -> None:
     train_ds, tests = _load_splits(args.data)
-    eval_ds = _pick_eval(args, tests)
+    eval_ds = _pick_eval(args, train_ds, tests)
     params, record = self_train(train_ds, _train_config(args), eval_ds)
     save_checkpoint(params, out_dir / "checkpoint.json")
     write_run_csv(record, out_dir / "metrics.csv")
@@ -168,9 +177,9 @@ def cmd_train(args, out_dir: Path) -> None:
 
 def cmd_eval(args, out_dir: Path) -> None:
     params = load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(args.data)
-    instance_scores, bag_scores = dataset_scores(params, dataset,
-                                                 args.bag_inference)
+    dataset = _load_eval(args.data, params.feature_dim,
+                         f"checkpoint {args.checkpoint}")
+    instance_scores, bag_scores = dataset_scores(params, dataset)
     instance_auc, bag_auc = dataset_aucs(dataset, instance_scores, bag_scores)
     with open(out_dir / "bag_scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -201,7 +210,7 @@ def cmd_sweep(args, out_dir: Path) -> None:
                 for k in ("mu", "warmup", "mean_bag_accuracy")}
         header = ["mu", "warmup", "mean_bag_accuracy"]
     else:
-        eval_ds = _pick_eval(args, tests) or train_ds
+        eval_ds = _pick_eval(args, train_ds, tests) or train_ds
         rows, best = [], None
         for mu, (instance_auc, bag_auc) in zip(args.grid_mu, holdout_sweep(
                 train_ds, base, args.grid_mu, eval_ds)):
@@ -222,7 +231,7 @@ def cmd_sweep(args, out_dir: Path) -> None:
 
 def cmd_ablation(args, out_dir: Path) -> None:
     train_ds, tests = _load_splits(args.data)
-    eval_ds = _pick_eval(args, tests)
+    eval_ds = _pick_eval(args, train_ds, tests)
     table = run_ablation_suite(train_ds, _train_config(args), eval_ds)
     header = ["name", "soft_labels", "constrain", "adaptive",
               "instance_auc", "bag_auc", "positive_pseudo_fraction"]
@@ -240,7 +249,7 @@ def cmd_baseline(args, out_dir: Path) -> None:
         if name in splits:
             raise ValueError(f"--test {extra}: a split named {name!r} "
                              "is already reported")
-        splits[name] = _load_dataset(extra)
+        splits[name] = _load_eval(extra, train_ds.feature_dim)
     sgd = SgdConfig(learning_rate=args.lr, batch_size=args.batch_size,
                     epochs=args.epochs, seed=args.seed)
     params = pool_baseline_train(train_ds, args.kind, sgd,
@@ -293,11 +302,8 @@ def _add_train_flags(sub):
     sub.add_argument("--lr", type=float, default=0.001)
     sub.add_argument("--batch-size", type=int, default=64)
     sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--reassign-every", type=int, default=1)
     sub.add_argument("--arch", choices=("linear", "mlp"), default="mlp")
     sub.add_argument("--hidden", type=int, default=128)
-    sub.add_argument("--bag-inference", choices=("max", "mean"),
-                     default="max")
     sub.add_argument("--no-constrain", action="store_true",
                      help="skip transport, pseudo labels straight from P")
     sub.add_argument("--hard-labels", action="store_true",
@@ -336,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("eval", help="score a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--bag-inference", choices=("max", "mean"), default="max")
     _add_common(ev, "eval")
     ev.set_defaults(func=cmd_eval)
 

@@ -29,6 +29,7 @@ import stat
 import struct
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
@@ -67,8 +68,8 @@ class Dataset:
     ``offsets`` (B + 1,) int64 runs from 0 to N with no empty bag;
     ``bag_labels`` (B,) int64 holds 0 or 1 and ``instance_labels`` (N,)
     int64 holds 0, 1 or -1 (unknown). A bag whose instance labels are all
-    known is positive iff one is. The arrays are read-only views of the
-    inputs.
+    known is positive iff one is. Bag ids are unique. The arrays are
+    read-only views of the inputs.
     """
 
     features: np.ndarray
@@ -82,6 +83,9 @@ class Dataset:
         self.bag_ids = tuple(self.bag_ids)
         if not self.bag_ids:
             raise ValueError("dataset must contain at least one bag")
+        repeated = [i for i, n in Counter(self.bag_ids).items() if n > 1]
+        if repeated:
+            raise ValueError(f"bag id {repeated[0]!r} is repeated")
         for label_set, what in (((0, 1), "bag_labels"),
                                 ((-1, 0, 1), "instance_labels")):
             if not np.isin(getattr(self, what), label_set).all():
@@ -377,7 +381,8 @@ def load_ndjson(path) -> Dataset:
     its bags are appended, in file order, to one growing buffer that the
     dataset then views, so loading holds the features once, plus one run's
     bags. A bad file raises the first error in file order: a run stops at
-    its first bad line, after the bags before it.
+    its first bad line, after the bags before it. A bag id on two lines is
+    an error that names both.
     """
     chunks = [(0, None)]
     info = os.stat(path)
@@ -395,30 +400,34 @@ def load_ndjson(path) -> Dataset:
     # the buffer keeps its spare capacity (at most 1/16): trimming it
     # would be the very copy this layout avoids
     return Dataset(np.frombuffer(bags.feats).reshape(-1, bags.feature_dim),
-                   bags.offsets, bags.ids, bags.bag_labels,
+                   bags.offsets, tuple(bags.ids), bags.bag_labels,
                    np.frombuffer(bags.labels, dtype=np.int64), name=name)
 
 
 class _Bags:
     """Parsed bags, appended in file order: their rows in one growing
-    buffer, their instance labels in another."""
+    buffer, their instance labels in another, and each bag id with its
+    line number."""
 
     def __init__(self):
         self.feats, self.labels = array("d"), array("q")
-        self.offsets, self.ids, self.bag_labels = [0], [], []
+        self.offsets, self.ids, self.bag_labels = [0], {}, []
         self.feature_dim = None
 
     def append(self, parsed) -> None:
         """Append one of ``_parse_lines``' bags, which follows these in the
-        file; its feature dimension must be the first bag's."""
+        file; its feature dimension must be the first bag's, its id new."""
         lineno, bag_id, label, block, inst_labels = parsed
         if self.feature_dim not in (None, block.shape[1]):
             raise ValueError(f"line {lineno}: inconsistent feature dimension")
+        if bag_id in self.ids:
+            raise ValueError(f"line {lineno}: bag id {bag_id!r} repeats "
+                             f"line {self.ids[bag_id]}")
         self.feature_dim = block.shape[1]
         self.feats.frombytes(memoryview(block).cast("B"))
         self.labels.extend(inst_labels)
         self.offsets.append(len(self.labels))
-        self.ids.append(bag_id)
+        self.ids[bag_id] = lineno
         self.bag_labels.append(label)
 
 

@@ -1,7 +1,7 @@
 """Evaluation metrics: tied-rank ROC AUC, bag-level inference, pseudo-label
 quality, and the instance-vs-bag label entropy analytics. All scoring
-goes through ``dataset_scores`` (one ``forward``, then a segment max or
-mean) and ``dataset_aucs``, which also takes a pooling baseline's scores."""
+goes through ``dataset_scores`` (one ``forward``, then a segment max)
+and ``dataset_aucs``, which also takes a pooling baseline's scores."""
 
 from __future__ import annotations
 
@@ -75,37 +75,31 @@ def bag_predict(params: ClassifierParams, bag, mode: str = "max") -> float:
     raise ValueError(f"unknown bag inference mode: {mode!r}")
 
 
-def segment_bag_scores(instance_scores: np.ndarray, offsets: np.ndarray,
-                       mode: str = "max") -> np.ndarray:
-    """Per-bag max (or mean) of instance scores in bag order.
+def segment_bag_scores(instance_scores: np.ndarray,
+                       offsets: np.ndarray) -> np.ndarray:
+    """Per-bag max of instance scores in bag order.
 
     Bag i owns ``instance_scores[offsets[i]:offsets[i + 1]]``, as in
     ``data.Dataset``: the offsets run from 0 to the number of scores, and
-    every bag needs at least one. Max picks the same value ``bag_predict``
-    would from the same scores; mean sums each bag left to right, so it may
-    differ from ``np.mean``'s pairwise sum in the last bits.
+    every bag needs at least one. Each max is the value ``bag_predict``
+    picks from the same scores.
     """
-    if mode not in ("max", "mean"):
-        raise ValueError(f"unknown bag inference mode: {mode!r}")
     offsets = np.asarray(offsets)
     if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
             or offsets[-1] != len(instance_scores)):
         raise ValueError("bag offsets must be a 1-D run from 0 to the "
                          "number of instance scores")
-    sizes = np.diff(offsets)
-    if np.any(sizes < 1):
+    if np.any(np.diff(offsets) < 1):
         raise ValueError("empty bag")
-    if mode == "max":
-        return np.maximum.reduceat(instance_scores, offsets[:-1])
-    return np.add.reduceat(instance_scores, offsets[:-1]) / sizes
+    return np.maximum.reduceat(instance_scores, offsets[:-1])
 
 
-def dataset_scores(params: ClassifierParams, dataset, mode: str = "max"
+def dataset_scores(params: ClassifierParams, dataset
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(instance scores, bag scores) of a ``data.Dataset``, both in bag
-    order: one forward pass, then each bag's max (or mean) of its rows."""
+    order: one forward pass, then each bag's max of its rows."""
     scores = forward(params, dataset.features)[:, 0]
-    return scores, segment_bag_scores(scores, dataset.offsets, mode)
+    return scores, segment_bag_scores(scores, dataset.offsets)
 
 
 def dataset_aucs(dataset, instance_scores, bag_scores

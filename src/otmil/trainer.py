@@ -53,11 +53,9 @@ class TrainConfig:
     schedule: MuSchedule = field(default_factory=MuSchedule)
     arch: str = "mlp"
     hidden: int = 128
-    reassign_every: int = 1
     soft_labels: bool = True
     constrain: bool = True
     adaptive: bool = True
-    bag_inference: str = "max"
     seed: int = 0
 
     def __post_init__(self):
@@ -65,10 +63,6 @@ class TrainConfig:
             raise ValueError("sharpness must be finite and positive")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.reassign_every < 1:
-            raise ValueError("reassign_every must be >= 1")
-        if self.bag_inference not in ("max", "mean"):
-            raise ValueError("bag_inference must be 'max' or 'mean'")
         if self.arch not in ("linear", "mlp"):
             raise ValueError("arch must be 'linear' or 'mlp'")
         if self.sgd.seed != self.seed:
@@ -205,13 +199,10 @@ def _train_epochs(dataset, cfg: TrainConfig):
                              hidden=cfg.hidden,
                              rng=Rng(cfg.seed, stream=_INIT_STREAM))
     shuffle_rng = Rng(cfg.seed, stream=_SHUFFLE_STREAM)
-    q_values = None
     for epoch in range(cfg.sgd.epochs):
         mu_t = (adaptive_mu(epoch, cfg.schedule) if cfg.adaptive
                 else cfg.schedule.mu_final)
-        if q_values is None or epoch % cfg.reassign_every == 0:
-            q_values, converged = _assign(params, cfg, pos_x, pos_offsets,
-                                          mu_t)
+        q_values, converged = _assign(params, cfg, pos_x, pos_offsets, mu_t)
         loss_sum = 0.0
         n_seen = 0
         for xb, tb in mixed_batches(x, targets, n_pos, q_values,
@@ -252,8 +243,8 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
         if true_pos is not None:
             rep = pseudo_label_metrics(q_values, true_pos)
             pseudo_p, pseudo_a = rep.precision, rep.accuracy
-        inst_auc, bag_auc = dataset_aucs(eval_set, *dataset_scores(
-            params, eval_set, cfg.bag_inference))
+        inst_auc, bag_auc = dataset_aucs(eval_set,
+                                         *dataset_scores(params, eval_set))
         record.rows.append(EpochRow(epoch, mu_t, loss, pseudo_p, pseudo_a,
                                     inst_auc, bag_auc, converged))
 
@@ -312,12 +303,12 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
     return table
 
 
-def bag_accuracy(params: ClassifierParams, dataset, mode: str) -> float:
+def bag_accuracy(params: ClassifierParams, dataset) -> float:
     """Fraction of bags whose thresholded score matches the bag label.
 
     Every bag is scored by ``metrics.dataset_scores``.
     """
-    _, scores = dataset_scores(params, dataset, mode)
+    _, scores = dataset_scores(params, dataset)
     hits = int(np.sum((scores > 0.5) == (dataset.bag_labels == 1)))
     return hits / len(scores)
 
@@ -342,8 +333,7 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
 
     def fold_accuracies(i):
         train_ds, test_ds = folds[i]
-        yield [bag_accuracy(train(train_ds, cfg), test_ds, cfg.bag_inference)
-               for cfg in cfgs]
+        yield [bag_accuracy(train(train_ds, cfg), test_ds) for cfg in cfgs]
 
     results = []
     fan_out(fold_accuracies, len(folds), results.append)
@@ -365,8 +355,8 @@ def holdout_sweep(dataset, base_cfg: TrainConfig, mu_grid, eval_dataset
     def aucs(i):
         cfg = dataclasses.replace(base_cfg, schedule=dataclasses.replace(
             base_cfg.schedule, mu_final=mu_grid[i]))
-        yield dataset_aucs(eval_dataset, *dataset_scores(
-            train(dataset, cfg), eval_dataset, cfg.bag_inference))
+        yield dataset_aucs(eval_dataset, *dataset_scores(train(dataset, cfg),
+                                                         eval_dataset))
 
     results = []
     fan_out(aucs, len(mu_grid), results.append)

@@ -4,13 +4,14 @@ import ast
 import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy
 import pytest
 
-from otmil import metrics
+from otmil import cli, metrics
 from otmil.cli import main, parse_k_values
 
 GEN_FLAGS = ["--bags", "12", "--test-bags", "6", "--bag-size", "12",
@@ -297,6 +298,57 @@ class TestBaseline:
         clash = extra[-1].stem
         assert f"split named '{clash}'" in (b / ".failed").read_text()
         assert not (b / "baseline.json").exists()
+
+
+class TestFeatureWidths:
+    """A split or a checkpoint of another feature width fails before any
+    training or scoring, naming the file and both widths."""
+
+    @pytest.fixture
+    def narrow(self, tmp_path):
+        """A split of width 3, against dataset_dir's 5."""
+        out = tmp_path / "narrow"
+        run(["gen", *GEN_FLAGS, "--dim", "3", "--out", out])
+        return (out / "test.ndjson").rename(out / "narrow.ndjson")
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def trained(*args, **kwargs):
+            pytest.fail("trained before the splits were checked")
+
+        for name in ("self_train", "pool_baseline_train"):
+            monkeypatch.setattr(cli, name, trained)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", *FAST_TRAIN, "--eval"],
+        ["baseline", "--kind", "attention", "--epochs", "1", "--test"]])
+    def test_eval_split(self, dataset_dir, narrow, no_training, tmp_path,
+                        argv):
+        out = tmp_path / "o"
+        assert run([*argv, narrow, "--data", dataset_dir, "--out", out]) == 2
+        assert (f"{narrow}: 3 features per instance, but the training data "
+                "has 5") in (out / ".failed").read_text()
+
+    def test_split_of_the_data_directory(self, dataset_dir, narrow,
+                                         no_training, tmp_path):
+        split = dataset_dir / "test_narrow.ndjson"
+        shutil.copy(narrow, split)
+        out = tmp_path / "o"
+        assert run(["train", "--data", dataset_dir, *FAST_TRAIN,
+                    "--out", out]) == 2
+        assert (f"{split}: 3 features per instance, but the training data "
+                "has 5") in (out / ".failed").read_text()
+
+    def test_checkpoint(self, dataset_dir, narrow, tmp_path):
+        t, e = tmp_path / "t", tmp_path / "e"
+        run(["train", "--data", dataset_dir, *FAST_TRAIN, "--epochs", "1",
+             "--out", t])
+        checkpoint = t / "checkpoint.json"
+        assert run(["eval", "--checkpoint", checkpoint, "--data", narrow,
+                    "--out", e]) == 2
+        assert (f"{narrow}: 3 features per instance, but checkpoint "
+                f"{checkpoint} has 5") in (e / ".failed").read_text()
+        assert not (e / "bag_scores.csv").exists()
 
 
 class TestEntropy:

@@ -94,6 +94,11 @@ class TestContainers:
             Dataset(feats, [0, 2, 3, 5], ["a", "b", "c"], [0, 0, 0],
                     [0] * 5)
 
+    def test_repeated_bag_id_is_named(self):
+        with pytest.raises(ValueError, match="bag id 'b' is repeated"):
+            Dataset(np.zeros((4, 1)), [0, 1, 2, 3, 4], ["a", "b", "c", "b"],
+                    [0] * 4, [0] * 4)
+
 
 class TestDatasetArrays:
     def _dataset(self, third_label=1):
@@ -303,6 +308,14 @@ class TestNdjson:
                            "instances": [{"features": [1.0], "label": 0}]})
         path.write_text(good + "\n{broken\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_ndjson(path)
+
+    def test_repeated_bag_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(json.dumps(bag_record("a", [1.0], 1, 1)) + "\n"
+                        + json.dumps(bag_record("a", [1.0], 0, 0)) + "\n")
+        with pytest.raises(ValueError,
+                           match="^line 2: bag id 'a' repeats line 1$"):
             load_ndjson(path)
 
     def test_missing_field_names_line(self, tmp_path):
@@ -539,6 +552,9 @@ BAD_FILES = [
     (1, [bag_record("a", [10 ** 400])], ""),
     *[(1, [bag_record("a", [1.0]), bag_record(bad, [1.0])],
        "bag_id must be a string") for bad in [None, 5, 1.5, True, ["a"]]],
+    # the id of line 3 of the good lines that the chunked test puts first,
+    # which is in an earlier chunk
+    (1, [bag_record("p02", [1.0])], "bag id 'p02' repeats line 3$"),
 ]
 
 
@@ -645,16 +661,21 @@ class TestChunkedNdjson:
     def test_dimension_change_at_a_later_chunk_names_its_line(
             self, tmp_path, small_chunks, rest):
         # equal-length lines, so the chunks do not depend on the change
-        two, one = bag_record("b", [1.5, 2.5]), bag_record("b", [1.500025])
-        assert len(json.dumps(two)) == len(json.dumps(one))
-        lines = [json.dumps(two)] * 40
+        def two(k):
+            return json.dumps(bag_record(f"b{k:02d}", [1.5, 2.5]))
+
+        def one(k):
+            return json.dumps(bag_record(f"b{k:02d}", [1.500025]))
+
+        assert len(two(0)) == len(one(0))
+        lines = [two(k) for k in range(40)]
         path = tmp_path / "bad.ndjson"
         path.write_text("\n".join(lines) + "\n")
         first = file_chunks(path)[1][0]  # 0-based index of its first line
         if rest == "whole chunk":  # no chunk is inconsistent on its own
-            lines[first:] = [json.dumps(one)] * (len(lines) - first)
+            lines[first:] = [one(k) for k in range(first, len(lines))]
         else:
-            lines[first] = json.dumps(one)
+            lines[first] = one(first)
         path.write_text("\n".join(lines) + "\n")
         assert file_chunks(path)[1][0] == first
         with pytest.raises(ValueError, match=f"^line {first + 1}: "

@@ -86,36 +86,30 @@ class TestAverageRanks:
 
 class TestSegmentBagScores:
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    @pytest.mark.parametrize("mode", ["max", "mean"])
-    def test_matches_bag_predict_on_ragged_bags(self, arch, mode):
+    def test_matches_bag_predict_on_ragged_bags(self, arch):
         rng = Rng(4)
         params = init_classifier(5, arch=arch, hidden=7, rng=rng)
         sizes = [1, 3, 1, 8, 2, 13, 1]
         ds = make_dataset([(f"b{i}", i % 2, rng.standard_normal((k, 5)), None)
                            for i, k in enumerate(sizes)])
         scores = segment_bag_scores(forward(params, ds.features)[:, 0],
-                                    ds.offsets, mode)
+                                    ds.offsets)
         assert scores.shape == (len(sizes),)
         np.testing.assert_allclose(
-            scores, [bag_predict(params, b, mode) for b in ds.bags],
+            scores, [bag_predict(params, b, "max") for b in ds.bags],
             rtol=0.0, atol=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            segment_bag_scores(np.zeros(3), np.array([0, 1, 3]), "median")
 
     def test_empty_bag(self):
         with pytest.raises(ValueError, match="empty"):
-            segment_bag_scores(np.zeros(3), np.array([0, 1, 1, 3]), "max")
+            segment_bag_scores(np.zeros(3), np.array([0, 1, 1, 3]))
 
-    @pytest.mark.parametrize("mode", ["max", "mean"])
     @pytest.mark.parametrize("offsets", [
         [0, 5, 8], [2, 5, 10], [0, 5, 11], [[0, 5, 10]], []])
-    def test_offsets_must_run_over_every_score(self, offsets, mode):
-        # [0, 5, 8] used to pool rows 8-9 into the last bag (mean 11.67,
-        # above its max of 9) and [2, 5, 10] to drop rows 0-1
+    def test_offsets_must_run_over_every_score(self, offsets):
+        # [0, 5, 8] used to pool rows 8-9 into the last bag and [2, 5, 10]
+        # to drop rows 0-1
         with pytest.raises(ValueError, match="offsets"):
-            segment_bag_scores(np.arange(10.0), np.array(offsets), mode)
+            segment_bag_scores(np.arange(10.0), np.array(offsets))
 
 
 class TestDatasetScores:
@@ -125,15 +119,14 @@ class TestDatasetScores:
                               labs) for i, (label, labs) in
                              enumerate(zip(bag_labels, instance_labels))])
 
-    @pytest.mark.parametrize("mode", ["max", "mean"])
-    def test_one_forward_then_segment(self, mode):
+    def test_one_forward_then_segment(self):
         params = init_classifier(4, arch="mlp", hidden=5, rng=Rng(1))
         ds = self._dataset([1, 0, 1], [[0, 1, 0], [0, 0, 0], None])
-        instance, bags = dataset_scores(params, ds, mode)
+        instance, bags = dataset_scores(params, ds)
         want = forward(params, ds.features)[:, 0]
         assert instance.tobytes() == want.tobytes()
         assert (bags.tobytes()
-                == segment_bag_scores(want, ds.offsets, mode).tobytes())
+                == segment_bag_scores(want, ds.offsets).tobytes())
 
     def test_aucs_match_roc_auc(self):
         ds = self._dataset([1, 0, 1], [[0, 1, 0], [0, 0, 0], [1, 1, 0]])
