@@ -45,10 +45,13 @@ def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
 
 
 def _load_dataset(path) -> datamod.Dataset:
+    """The CSV or NDJSON dataset at ``path``; a load error names the file."""
     path = Path(path)
-    if path.suffix == ".csv":
-        return datamod.load_benchmark_csv(path)
-    return datamod.load_ndjson(path)
+    try:
+        return (datamod.load_benchmark_csv if path.suffix == ".csv"
+                else datamod.load_ndjson)(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_eval(path, width: int, what: str = "the training data"
@@ -63,39 +66,41 @@ def _load_eval(path, width: int, what: str = "the training data"
 
 
 def _load_splits(path) -> tuple[datamod.Dataset, dict]:
-    """A dataset file, or a directory holding train.ndjson + test splits."""
+    """A file's data, or a directory's train.ndjson and test*.ndjson paths."""
     path = Path(path)
     if path.is_dir():
         train_path = path / "train.ndjson"
         if not train_path.exists():
             raise FileNotFoundError(f"no train.ndjson under {path}")
-        train = datamod.load_ndjson(train_path)
-        return train, {p.stem: _load_eval(p, train.feature_dim)
-                       for p in sorted(path.glob("test*.ndjson"))}
+        return _load_dataset(train_path), {
+            p.stem: p for p in sorted(path.glob("test*.ndjson"))}
     return _load_dataset(path), {}
 
 
 def _pick_eval(args, train_ds, tests: dict):
-    if getattr(args, "eval", None):
-        return _load_eval(args.eval, train_ds.feature_dim)
-    for name in ("test", "test_normal"):
-        if name in tests:
-            return tests[name]
+    """The one evaluation split of train, sweep and ablation, loaded:
+    --eval, else the directory's test or test_normal split, else None."""
+    for path in (args.eval, tests.get("test"), tests.get("test_normal")):
+        if path:
+            return _load_eval(path, train_ds.feature_dim)
     return None
 
 
 def _train_config(args) -> TrainConfig:
+    """The flags' config. sweep lacks --mu and --warmup-T (its grid sets
+    them) and ablation the switches (its rows set them): defaults stand."""
+    settings = {}
+    if "mu" in args:
+        settings["schedule"] = MuSchedule(args.mu, args.warmup_t)
+    if "hard_labels" in args:
+        settings.update(soft_labels=not args.hard_labels,
+                        constrain=not args.no_constrain,
+                        adaptive=not args.no_adaptive_mu)
     return TrainConfig(
         sgd=SgdConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed),
-        sharpness=args.sharpness,
-        schedule=MuSchedule(mu_final=args.mu, warmup_epochs=args.warmup_t),
-        arch=args.arch,
-        hidden=args.hidden,
-        soft_labels=not args.hard_labels,
-        constrain=not args.no_constrain,
-        adaptive=not args.no_adaptive_mu,
-        seed=args.seed)
+        sharpness=args.sharpness, arch=args.arch, hidden=args.hidden,
+        seed=args.seed, **settings)
 
 
 def _write_table_csv(path: Path, header: list[str], rows: list[dict]) -> None:
@@ -112,10 +117,7 @@ def _write_table_csv(path: Path, header: list[str], rows: list[dict]) -> None:
 def cmd_gen(args, out_dir: Path) -> None:
     if args.from_idx:
         feats, labels = datamod.load_idx_mnist(*args.from_idx)
-        if args.scheme == "hard":
-            mask = (labels == 0) | (labels == 8)
-        else:
-            mask = labels == 9
+        mask = np.isin(labels, (0, 8) if args.scheme == "hard" else 9)
         cfg = datamod.GenConfig(scheme="normal", n_bags=args.bags,
                                 bag_size=args.bag_size,
                                 positive_ratio=args.ratio,
@@ -194,35 +196,26 @@ def cmd_eval(args, out_dir: Path) -> None:
 
 
 def cmd_sweep(args, out_dir: Path) -> None:
-    if not args.grid_mu:
-        raise ValueError("empty mu grid")
+    if args.kfold and args.eval:
+        raise ValueError("--kfold scores held-out folds of --data, so it "
+                         "takes no --eval")
     train_ds, tests = _load_splits(args.data)
     base = _train_config(args)
     if args.kfold:
-        if not args.grid_t:
-            raise ValueError("empty warmup grid")
         result = benchmark_cv(train_ds, base, args.grid_mu, args.grid_t,
                               k=args.kfold)
-        rows = [{"mu": c["mu"], "warmup": c["warmup"],
-                 "mean_bag_accuracy": c["mean_bag_accuracy"]}
-                for c in result["grid"]]
-        best = {k: result["best"][k]
-                for k in ("mu", "warmup", "mean_bag_accuracy")}
         header = ["mu", "warmup", "mean_bag_accuracy"]
+        rows = [{k: c[k] for k in header} for c in result["grid"]]
+        best = {k: result["best"][k] for k in header}
     else:
         eval_ds = _pick_eval(args, train_ds, tests) or train_ds
-        rows, best = [], None
-        for mu, (instance_auc, bag_auc) in zip(args.grid_mu, holdout_sweep(
-                train_ds, base, args.grid_mu, eval_ds)):
-            row = {"mu": mu, "warmup": args.warmup_t,
-                   "instance_auc": instance_auc, "bag_auc": bag_auc}
-            rows.append(row)
-            key = row["instance_auc"] if row["instance_auc"] is not None \
-                else row["bag_auc"]
-            if best is None or (key is not None and key > best[0]):
-                best = (key, row)
-        best = best[1]
         header = ["mu", "warmup", "instance_auc", "bag_auc"]
+        rows = holdout_sweep(train_ds, base, args.grid_mu, args.grid_t,
+                             eval_ds)
+        # the first row of the top instance AUC, or bag AUC on a split
+        # without instance labels (which of the two is None is per split)
+        auc = "bag_auc" if rows[0]["instance_auc"] is None else "instance_auc"
+        best = max(rows, key=lambda row: row[auc] or 0.0)
     _write_table_csv(out_dir / "sweep.csv", header, rows)
     _write_json(out_dir / "summary.json",
                 {"rows": rows, "best": best, "seed": args.seed,
@@ -243,7 +236,8 @@ def cmd_ablation(args, out_dir: Path) -> None:
 
 def cmd_baseline(args, out_dir: Path) -> None:
     train_ds, tests = _load_splits(args.data)
-    splits = {"train": train_ds, **tests}
+    splits = {"train": train_ds, **{name: _load_eval(p, train_ds.feature_dim)
+                                    for name, p in tests.items()}}
     for extra in args.test or []:
         name = Path(extra).stem
         if name in splits:
@@ -290,13 +284,14 @@ def _add_common(sub, cmd_name):
     sub.add_argument("--out", type=Path, default=Path(f"out-{cmd_name}"))
 
 
-def _add_train_flags(sub):
+def _add_train_flags(sub, schedule: bool = True, switches: bool = True):
     sub.add_argument("--data", required=True,
                      help="dataset file or directory from gen")
     sub.add_argument("--eval", help="held-out dataset for metrics")
-    sub.add_argument("--mu", type=float, default=0.10,
-                     help="final positive-mass fraction")
-    sub.add_argument("--warmup-T", dest="warmup_t", type=int, default=10)
+    if schedule:
+        sub.add_argument("--mu", type=float, default=0.10,
+                         help="final positive-mass fraction")
+        sub.add_argument("--warmup-T", dest="warmup_t", type=int, default=10)
     sub.add_argument("--lambda", dest="sharpness", type=float, default=5.0,
                      help="assignment sharpness (entropy regularizer inverse)")
     sub.add_argument("--lr", type=float, default=0.001)
@@ -304,12 +299,13 @@ def _add_train_flags(sub):
     sub.add_argument("--epochs", type=int, default=50)
     sub.add_argument("--arch", choices=("linear", "mlp"), default="mlp")
     sub.add_argument("--hidden", type=int, default=128)
-    sub.add_argument("--no-constrain", action="store_true",
-                     help="skip transport, pseudo labels straight from P")
-    sub.add_argument("--hard-labels", action="store_true",
-                     help="binarize pseudo labels by row argmax")
-    sub.add_argument("--no-adaptive-mu", action="store_true",
-                     help="hold mu at its final value from epoch 0")
+    if switches:
+        sub.add_argument("--no-constrain", action="store_true",
+                         help="skip transport, pseudo labels straight from P")
+        sub.add_argument("--hard-labels", action="store_true",
+                         help="binarize pseudo labels by row argmax")
+        sub.add_argument("--no-adaptive-mu", action="store_true",
+                         help="hold mu at its final value from epoch 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ev, "eval")
     ev.set_defaults(func=cmd_eval)
 
-    sweep = subs.add_parser("sweep", help="grid over mu (and warmup with "
-                                          "--kfold cross-validation)")
-    _add_train_flags(sweep)
+    sweep = subs.add_parser("sweep", help="grid over mu x warmup, on one "
+                                          "split or by --kfold")
+    _add_train_flags(sweep, schedule=False)
     sweep.add_argument("--grid-mu", type=float, nargs="+",
                        default=[0.10, 0.15, 0.20, 0.25])
     sweep.add_argument("--grid-T", dest="grid_t", type=int, nargs="+",
@@ -358,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     abl = subs.add_parser("ablation", help="run the four-switch suite")
-    _add_train_flags(abl)
+    _add_train_flags(abl, switches=False)
     _add_common(abl, "ablation")
     abl.set_defaults(func=cmd_ablation)
 

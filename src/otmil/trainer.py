@@ -12,11 +12,12 @@ The positive-mass target mu_t can warm up from 0.5 toward its final value
 so early epochs stay exploratory while the classifier is still random.
 
 ``_train_epochs`` runs that loop and only trains; ``train`` runs it to
-its end, ``self_train`` adds the per-epoch report, and ``benchmark_cv``
-scores only each held-out fold. The ablation rows, the k-fold folds and
-the holdout ``mu`` grid are independent runs; ``numkit.fan_out`` spreads
-them over forked worker processes, one per usable CPU, with the same
-outputs as one loop.
+its end and ``self_train`` adds the per-epoch report. Both sweeps train
+one model per cell of one (mu, T) grid: ``benchmark_cv`` scores each only
+on its held-out folds, ``holdout_sweep`` once on an evaluation set. The
+ablation rows, the k-fold folds and the holdout grid cells are
+independent runs; ``numkit.fan_out`` spreads them over forked worker
+processes, one per usable CPU, with the same outputs as one loop.
 """
 
 from __future__ import annotations
@@ -324,12 +325,7 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
     Returns every cell plus the best one.
     """
     folds = kfold_split_cached(dataset, k, base_cfg.seed)
-    cells = [{"mu": mu, "warmup": warmup, "fold_accuracies": []}
-             for mu in mu_grid for warmup in warmup_grid]
-    cfgs = [dataclasses.replace(
-        base_cfg, schedule=MuSchedule(mu_final=cell["mu"],
-                                      warmup_epochs=cell["warmup"]))
-            for cell in cells]
+    cells, cfgs = _grid(base_cfg, mu_grid, warmup_grid)
 
     def fold_accuracies(i):
         train_ds, test_ds = folds[i]
@@ -337,30 +333,38 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
 
     results = []
     fan_out(fold_accuracies, len(folds), results.append)
-    for accuracies in results:
-        for cell, accuracy in zip(cells, accuracies):
-            cell["fold_accuracies"].append(accuracy)
-    for cell in cells:
+    for cell, accuracies in zip(cells, zip(*results)):
+        cell["fold_accuracies"] = list(accuracies)
         cell["mean_bag_accuracy"] = float(np.mean(cell["fold_accuracies"]))
     best = max(cells, key=lambda c: c["mean_bag_accuracy"])
     return {"grid": cells, "best": best}
 
 
-def holdout_sweep(dataset, base_cfg: TrainConfig, mu_grid, eval_dataset
-                  ) -> list[tuple[float | None, float | None]]:
-    """Train one model per ``mu`` in the grid (``base_cfg`` otherwise) and
-    score it once on ``eval_dataset``: its (instance AUC, bag AUC), per
-    ``metrics.dataset_aucs``, in grid order. Each model is a job of
-    ``fan_out``."""
+def holdout_sweep(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
+                  eval_dataset) -> list[dict]:
+    """Train one model per (mu, T) cell of the grid, as ``benchmark_cv``
+    does, and score it once on ``eval_dataset``. Returns each cell with its
+    "instance_auc" and "bag_auc" (``metrics.dataset_aucs``), in grid order.
+    Each model is a job of ``fan_out``."""
+    cells, cfgs = _grid(base_cfg, mu_grid, warmup_grid)
+
     def aucs(i):
-        cfg = dataclasses.replace(base_cfg, schedule=dataclasses.replace(
-            base_cfg.schedule, mu_final=mu_grid[i]))
-        yield dataset_aucs(eval_dataset, *dataset_scores(train(dataset, cfg),
-                                                         eval_dataset))
+        yield dataset_aucs(eval_dataset, *dataset_scores(
+            train(dataset, cfgs[i]), eval_dataset))
 
     results = []
-    fan_out(aucs, len(mu_grid), results.append)
-    return results
+    fan_out(aucs, len(cfgs), results.append)
+    return [{**cell, "instance_auc": instance_auc, "bag_auc": bag_auc}
+            for cell, (instance_auc, bag_auc) in zip(cells, results)]
+
+
+def _grid(base_cfg: TrainConfig, mu_grid, warmup_grid):
+    """Both sweeps' cells, {"mu", "warmup"} with mu in the outer loop and T
+    in the inner, and each cell's config: ``base_cfg`` with that schedule."""
+    cells = [{"mu": mu, "warmup": warmup}
+             for mu in mu_grid for warmup in warmup_grid]
+    return cells, [dataclasses.replace(base_cfg, schedule=MuSchedule(
+        mu_final=cell["mu"], warmup_epochs=cell["warmup"])) for cell in cells]
 
 
 # benchmark_cv looks the folds up under this name only because

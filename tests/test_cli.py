@@ -5,19 +5,20 @@ import inspect
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
 import numpy
 import pytest
 
-from otmil import cli, metrics
+from otmil import cli, data, metrics
 from otmil.cli import main, parse_k_values
 
 GEN_FLAGS = ["--bags", "12", "--test-bags", "6", "--bag-size", "12",
              "--ratio", "0.25", "--dim", "5"]
-FAST_TRAIN = ["--epochs", "3", "--mu", "0.25", "--warmup-T", "2",
-              "--batch-size", "32", "--lr", "0.01"]
+FAST = ["--epochs", "3", "--batch-size", "32", "--lr", "0.01"]
+FAST_TRAIN = [*FAST, "--mu", "0.25", "--warmup-T", "2"]
 
 
 def run(argv):
@@ -107,6 +108,31 @@ class TestGen:
         assert "test_bags must be >= 2" in (out / ".failed").read_text()
         assert not list(out.glob("*.ndjson"))
 
+    @pytest.mark.parametrize("scheme,digits", [("normal", {9}),
+                                               ("hard", {0, 8})])
+    def test_from_idx_writes_train_alone(self, tmp_path, scheme, digits):
+        # 60 2x2 images, six of each digit, every pixel of digit k at 25k + 1
+        labels = numpy.arange(60) % 10
+        images = numpy.repeat(25 * labels + 1, 4).astype(numpy.uint8)
+        idx = [tmp_path / "images.idx", tmp_path / "labels.idx"]
+        idx[0].write_bytes(struct.pack(">IIII", 0x803, 60, 2, 2)
+                           + images.tobytes())
+        idx[1].write_bytes(struct.pack(">II", 0x801, 60)
+                           + labels.astype(numpy.uint8).tobytes())
+        out = tmp_path / "d"
+        assert run(["gen", "--from-idx", *idx, "--scheme", scheme,
+                    "--bag-size", "4", "--ratio", "0.25", "--out", out]) == 0
+        assert {p.name for p in out.iterdir()} == {
+            "train.ndjson", "manifest.json", "config.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["splits"]) == ["train.ndjson"]
+        ds = data.load_ndjson(out / "train.ndjson")
+        digit = numpy.rint(ds.features[:, 0] * 255 - 1) / 25
+        positive = ds.instance_labels == 1
+        assert positive.any() and (~positive).any()
+        assert set(digit[positive].tolist()) <= digits
+        assert not set(digit[~positive].tolist()) & digits
+
 
 class TestTrain:
     def test_outputs_and_summary(self, dataset_dir, tmp_path):
@@ -138,6 +164,17 @@ class TestTrain:
         out = tmp_path / "t"
         assert run(["train", "--data", tmp_path / "nope", "--out", out]) != 0
         assert (out / ".failed").exists()
+
+    def test_parses_only_the_split_it_reads(self, tmp_path):
+        # train reads test.ndjson of a hard corpus's four splits
+        d, t, b = tmp_path / "d", tmp_path / "t", tmp_path / "b"
+        run(["gen", "--scheme", "hard", *GEN_FLAGS, "--out", d])
+        bad = d / "test_pos8.ndjson"
+        bad.write_text("{not json\n")
+        assert run(["train", "--data", d, *FAST_TRAIN, "--out", t]) == 0
+        assert run(["baseline", "--kind", "max", "--data", d, "--epochs", "1",
+                    "--out", b]) == 2
+        assert str(bad) in (b / ".failed").read_text()
 
     def test_zero_hidden_names_the_field(self, dataset_dir, tmp_path):
         out = tmp_path / "t"
@@ -195,7 +232,7 @@ class TestSweep:
     def test_mu_grid_rows(self, tmp_path):
         d, s = tmp_path / "d", tmp_path / "s"
         run(["gen", *GEN_FLAGS, "--out", d])
-        assert run(["sweep", "--data", d, *FAST_TRAIN,
+        assert run(["sweep", "--data", d, *FAST, "--grid-T", "2",
                     "--grid-mu", "0.2", "0.3", "--out", s]) == 0
         lines = (s / "sweep.csv").read_text().splitlines()
         assert lines[0] == "mu,warmup,instance_auc,bag_auc"
@@ -219,27 +256,69 @@ class TestSweep:
 
         monkeypatch.setattr(metrics, "roc_auc", spy)
         grid = ["0.2", "0.25", "0.3"]
-        assert run(["sweep", "--data", d, *FAST_TRAIN, "--grid-mu", *grid,
-                    "--out", s]) == 0
+        assert run(["sweep", "--data", d, *FAST, "--grid-T", "2",
+                    "--grid-mu", *grid, "--out", s]) == 0
         calls = log.read_text().splitlines()
         assert len(calls) == 2 * len(grid)
 
     def test_kfold_mode(self, tmp_path):
         d, s = tmp_path / "d", tmp_path / "s"
         run(["gen", *GEN_FLAGS, "--out", d])
-        assert run(["sweep", "--data", d / "train.ndjson", *FAST_TRAIN,
+        assert run(["sweep", "--data", d / "train.ndjson", *FAST,
                     "--grid-mu", "0.25", "--grid-T", "2",
                     "--kfold", "3", "--out", s]) == 0
         lines = (s / "sweep.csv").read_text().splitlines()
         assert lines[0] == "mu,warmup,mean_bag_accuracy"
         assert len(lines) == 2
 
-    @pytest.mark.parametrize("mode", [[], ["--grid-T", "2", "--kfold", "3"]])
+    def test_holdout_grid_is_mu_by_warmup(self, dataset_dir, tmp_path):
+        # one row per (mu, T) cell, mu in the outer loop, each scoring as
+        # the train run of that mu and warmup on the same split
+        s = tmp_path / "s"
+        assert run(["sweep", "--data", dataset_dir, *FAST,
+                    "--grid-mu", "0.2", "0.3", "--grid-T", "2", "3",
+                    "--out", s]) == 0
+        rows = json.loads((s / "summary.json").read_text())["rows"]
+        cells = [(0.2, 2), (0.2, 3), (0.3, 2), (0.3, 3)]
+        assert [(row["mu"], row["warmup"]) for row in rows] == cells
+        assert len((s / "sweep.csv").read_text().splitlines()) == 5
+        for row, (mu, warmup) in zip(rows, cells):
+            t = tmp_path / f"t-{mu}-{warmup}"
+            run(["train", "--data", dataset_dir, *FAST, "--mu", mu,
+                 "--warmup-T", warmup, "--out", t])
+            final = json.loads((t / "summary.json").read_text())["final"]
+            assert (row["instance_auc"], row["bag_auc"]) == \
+                   (final["instance_auc"], final["bag_auc"])
+
+    def test_kfold_with_eval_fails_before_training(self, dataset_dir,
+                                                   tmp_path, monkeypatch):
+        def trained(*args, **kwargs):
+            pytest.fail("trained a --kfold sweep given --eval")
+
+        monkeypatch.setattr(cli, "benchmark_cv", trained)
+        s = tmp_path / "s"
+        assert run(["sweep", "--data", dataset_dir, *FAST, "--kfold", "3",
+                    "--eval", "/no/such.ndjson", "--out", s]) == 2
+        reason = (s / ".failed").read_text()
+        assert "--kfold" in reason and "--eval" in reason
+        assert not (s / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["--grid-mu", "--grid-T"])
+    def test_empty_grid_is_a_usage_error(self, dataset_dir, tmp_path, capsys,
+                                         grid):
+        with pytest.raises(SystemExit) as exit_:
+            run(["sweep", "--data", dataset_dir, grid,
+                 "--out", tmp_path / "s"])
+        assert exit_.value.code == 2
+        assert "expected at least one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--kfold", "3"]])
     def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
                                                     tmp_path, mode):
         provenance = summary_provenance(
-            ["sweep", "--data", dataset_dir / "train.ndjson", *FAST_TRAIN,
-             "--grid-mu", "0.2", "0.3", *mode], tmp_path / "s")
+            ["sweep", "--data", dataset_dir / "train.ndjson", *FAST,
+             "--grid-mu", "0.2", "0.3", "--grid-T", "2", *mode],
+            tmp_path / "s")
         assert provenance == PROVENANCE_WITH_ONE_THREAD
 
 
@@ -253,6 +332,14 @@ class TestAblation:
         assert lines[0].startswith("name,soft_labels,constrain,adaptive")
         assert lines[1].startswith("hard-naive,False,False,False")
         assert lines[4].startswith("soft-constrained-adaptive,True,True,True")
+
+    def test_config_echoes_no_switch(self, dataset_dir, tmp_path):
+        a = tmp_path / "a"
+        assert run(["ablation", "--data", dataset_dir, *FAST_TRAIN,
+                    "--epochs", "1", "--out", a]) == 0
+        echoed = json.loads((a / "config.json").read_text())
+        assert not {"hard_labels", "no_constrain", "no_adaptive_mu"} & \
+            set(echoed)
 
     def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
                                                     tmp_path):
@@ -331,13 +418,18 @@ class TestFeatureWidths:
 
     def test_split_of_the_data_directory(self, dataset_dir, narrow,
                                          no_training, tmp_path):
-        split = dataset_dir / "test_narrow.ndjson"
-        shutil.copy(narrow, split)
-        out = tmp_path / "o"
-        assert run(["train", "--data", dataset_dir, *FAST_TRAIN,
-                    "--out", out]) == 2
-        assert (f"{split}: 3 features per instance, but the training data "
-                "has 5") in (out / ".failed").read_text()
+        # train reads the directory's test split alone, baseline every one
+        for argv, name in (
+                (["train", *FAST_TRAIN], "test.ndjson"),
+                (["baseline", "--kind", "max", "--epochs", "1"],
+                 "test_narrow.ndjson")):
+            d, out = tmp_path / argv[0], tmp_path / f"{argv[0]}-out"
+            shutil.copytree(dataset_dir, d)
+            split = d / name
+            shutil.copy(narrow, split)
+            assert run([*argv, "--data", d, "--out", out]) == 2
+            assert (f"{split}: 3 features per instance, but the training "
+                    "data has 5") in (out / ".failed").read_text()
 
     def test_checkpoint(self, dataset_dir, narrow, tmp_path):
         t, e = tmp_path / "t", tmp_path / "e"
@@ -380,6 +472,32 @@ class TestConfigEcho:
         assert echoed["command"] == "entropy"
         assert echoed["p_steps"] == 3
         assert echoed["seed"] == 0
+
+
+class TestFlags:
+    """sweep's grid sets mu and T per cell and ablation's rows set the
+    switches, so those subcommands reject the flags; train takes them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mu", "0.2"], ["sweep", "--warmup-T", "2"],
+        ["ablation", "--no-constrain"], ["ablation", "--hard-labels"],
+        ["ablation", "--no-adaptive-mu"]])
+    def test_flag_nothing_reads_is_a_usage_error(self, tmp_path, capsys,
+                                                 argv):
+        with pytest.raises(SystemExit) as exit_:
+            run([*argv, "--data", tmp_path, "--out", tmp_path / "o"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_train_takes_them_all(self, dataset_dir, tmp_path):
+        out = tmp_path / "t"
+        assert run(["train", "--data", dataset_dir, *FAST, "--mu", "0.3",
+                    "--warmup-T", "4", "--no-constrain", "--hard-labels",
+                    "--no-adaptive-mu", "--out", out]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["schedule"] == {"mu_final": 0.3, "warmup_epochs": 4}
+        assert (config["constrain"], config["soft_labels"],
+                config["adaptive"]) == (False, False, False)
 
 
 class TestImports:
