@@ -12,7 +12,6 @@ nonzero, so partial outputs are always flagged.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -25,7 +24,7 @@ from . import data as datamod
 from .baselines import baseline_scores, pool_baseline_train
 from .labeling import MuSchedule
 from .metrics import (dataset_aucs, dataset_scores, entropy_curve,
-                      write_entropy_csv)
+                      write_entropy_csv, write_table_csv)
 from .model import SgdConfig, load_checkpoint, save_checkpoint
 from .trainer import (TrainConfig, benchmark_cv, holdout_sweep,
                       run_ablation_suite, self_train, write_run_csv)
@@ -94,24 +93,12 @@ def _train_config(args) -> TrainConfig:
         settings["schedule"] = MuSchedule(args.mu, args.warmup_t)
     if "hard_labels" in args:
         settings.update(soft_labels=not args.hard_labels,
-                        constrain=not args.no_constrain,
-                        adaptive=not args.no_adaptive_mu)
+                        constrain=not args.no_constrain)
     return TrainConfig(
         sgd=SgdConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed),
         sharpness=args.sharpness, arch=args.arch, hidden=args.hidden,
         seed=args.seed, **settings)
-
-
-def _write_table_csv(path: Path, header: list[str], rows: list[dict]) -> None:
-    """The header's columns of each row; None is blank, floats use repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if row[k] is None else
-                             (repr(row[k]) if isinstance(row[k], float)
-                              else row[k]) for k in header])
 
 
 def cmd_gen(args, out_dir: Path) -> None:
@@ -122,7 +109,7 @@ def cmd_gen(args, out_dir: Path) -> None:
                                 bag_size=args.bag_size,
                                 positive_ratio=args.ratio,
                                 feature_dim=feats.shape[1], seed=args.seed)
-        ds = datamod.bags_from_arrays(feats, mask, cfg, name="train")
+        ds = datamod.bags_from_arrays(feats, mask, cfg)
         datamod.save_ndjson(ds, out_dir / "train.ndjson")
         splits = {"train.ndjson": ds}
     else:
@@ -183,13 +170,9 @@ def cmd_eval(args, out_dir: Path) -> None:
                          f"checkpoint {args.checkpoint}")
     instance_scores, bag_scores = dataset_scores(params, dataset)
     instance_auc, bag_auc = dataset_aucs(dataset, instance_scores, bag_scores)
-    with open(out_dir / "bag_scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bag_id", "label", "score"])
-        for bag_id, label, score in zip(dataset.bag_ids,
-                                        dataset.bag_labels.tolist(),
-                                        bag_scores.tolist()):
-            writer.writerow([bag_id, label, repr(score)])
+    write_table_csv(out_dir / "bag_scores.csv", ["bag_id", "label", "score"],
+                    zip(dataset.bag_ids, dataset.bag_labels.tolist(),
+                        bag_scores.tolist()))
     _write_json(out_dir / "eval.json",
                 {"instance_auc": instance_auc, "bag_auc": bag_auc,
                  "n_bags": len(dataset.bag_ids)})
@@ -216,7 +199,8 @@ def cmd_sweep(args, out_dir: Path) -> None:
         # without instance labels (which of the two is None is per split)
         auc = "bag_auc" if rows[0]["instance_auc"] is None else "instance_auc"
         best = max(rows, key=lambda row: row[auc] or 0.0)
-    _write_table_csv(out_dir / "sweep.csv", header, rows)
+    write_table_csv(out_dir / "sweep.csv", header,
+                    ([row[k] for k in header] for row in rows))
     _write_json(out_dir / "summary.json",
                 {"rows": rows, "best": best, "seed": args.seed,
                  "provenance": _provenance()})
@@ -228,7 +212,8 @@ def cmd_ablation(args, out_dir: Path) -> None:
     table = run_ablation_suite(train_ds, _train_config(args), eval_ds)
     header = ["name", "soft_labels", "constrain", "adaptive",
               "instance_auc", "bag_auc", "positive_pseudo_fraction"]
-    _write_table_csv(out_dir / "ablation.csv", header, table)
+    write_table_csv(out_dir / "ablation.csv", header,
+                    ([row[k] for k in header] for row in table))
     summary = [{k: row[k] for k in header} for row in table]
     _write_json(out_dir / "summary.json", {"rows": summary, "seed": args.seed,
                                            "provenance": _provenance()})
@@ -291,7 +276,9 @@ def _add_train_flags(sub, schedule: bool = True, switches: bool = True):
     if schedule:
         sub.add_argument("--mu", type=float, default=0.10,
                          help="final positive-mass fraction")
-        sub.add_argument("--warmup-T", dest="warmup_t", type=int, default=10)
+        sub.add_argument("--warmup-T", dest="warmup_t", type=int, default=10,
+                         help="epochs to anneal mu from 0.5; 0 holds --mu "
+                              "from epoch 0")
     sub.add_argument("--lambda", dest="sharpness", type=float, default=5.0,
                      help="assignment sharpness (entropy regularizer inverse)")
     sub.add_argument("--lr", type=float, default=0.001)
@@ -304,8 +291,6 @@ def _add_train_flags(sub, schedule: bool = True, switches: bool = True):
                          help="skip transport, pseudo labels straight from P")
         sub.add_argument("--hard-labels", action="store_true",
                          help="binarize pseudo labels by row argmax")
-        sub.add_argument("--no-adaptive-mu", action="store_true",
-                         help="hold mu at its final value from epoch 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -77,7 +77,6 @@ class Dataset:
     bag_ids: tuple[str, ...]
     bag_labels: np.ndarray
     instance_labels: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.bag_ids = tuple(self.bag_ids)
@@ -142,7 +141,7 @@ class Dataset:
                                                self.bag_labels.tolist(),
                                                bounds, bounds[1:])]
 
-    def subset(self, bag_index, name: str = "") -> Dataset:
+    def subset(self, bag_index) -> Dataset:
         """The given bags, in the given order, as a new dataset."""
         bag_index = np.asarray(bag_index, dtype=np.int64)
         sizes = np.diff(self.offsets)[bag_index]
@@ -152,8 +151,7 @@ class Dataset:
                 + np.arange(offsets[-1]))
         return Dataset(self.features[rows], offsets,
                        [self.bag_ids[j] for j in bag_index],
-                       self.bag_labels[bag_index], self.instance_labels[rows],
-                       name=name)
+                       self.bag_labels[bag_index], self.instance_labels[rows])
 
 
 @dataclass
@@ -219,7 +217,7 @@ def _positive_counts(cfg: GenConfig) -> int:
 
 
 def _make_bags(cfg: GenConfig, rng: np.random.Generator, n_bags: int,
-               prefix: str, concepts: str, name: str) -> Dataset:
+               prefix: str, concepts: str) -> Dataset:
     """Deal positive/negative bag pairs; concepts picks the positive mix.
 
     Positive bags come first. Draws run instance by instance in bag order
@@ -248,7 +246,7 @@ def _make_bags(cfg: GenConfig, rng: np.random.Generator, n_bags: int,
     ids = [f"{prefix}pos-{i:03d}" for i in range(n_pos_bags)]
     ids += [f"{prefix}neg-{i:03d}" for i in range(n_bags - n_pos_bags)]
     return Dataset(x, np.arange(0, n_bags * size + 1, size), ids,
-                   np.arange(n_bags) < n_pos_bags, labels.ravel(), name=name)
+                   np.arange(n_bags) < n_pos_bags, labels.ravel())
 
 
 def generate_normal_bags(cfg: GenConfig,
@@ -258,7 +256,7 @@ def generate_normal_bags(cfg: GenConfig,
     if cfg.scheme != "normal":
         raise ValueError("config scheme must be 'normal'")
     rng = rng or Rng(cfg.seed)
-    return _make_bags(cfg, rng, cfg.n_bags, "", "first", "normal")
+    return _make_bags(cfg, rng, cfg.n_bags, "", "first")
 
 
 def generate_hard_bags(cfg: GenConfig, rng: np.random.Generator | None = None
@@ -275,10 +273,10 @@ def generate_hard_bags(cfg: GenConfig, rng: np.random.Generator | None = None
     if cfg.n_concepts != 2:
         raise ValueError("hard scheme requires n_concepts = 2")
     rng = rng or Rng(cfg.seed)
-    return (_make_bags(cfg, rng, cfg.n_bags, "", "mixed", "train"),
-            _make_bags(cfg, rng, cfg.test_bags, "tn-", "mixed", "test_normal"),
-            _make_bags(cfg, rng, cfg.test_bags, "t0-", "first", "test_pos0"),
-            _make_bags(cfg, rng, cfg.test_bags, "t8-", "second", "test_pos8"))
+    return (_make_bags(cfg, rng, cfg.n_bags, "", "mixed"),
+            _make_bags(cfg, rng, cfg.test_bags, "tn-", "mixed"),
+            _make_bags(cfg, rng, cfg.test_bags, "t0-", "first"),
+            _make_bags(cfg, rng, cfg.test_bags, "t8-", "second"))
 
 
 # NDJSON is read and written in chunks: runs of whole bags (save) or whole
@@ -395,13 +393,11 @@ def load_ndjson(path) -> Dataset:
             bags.append)
     if not bags.ids:
         raise ValueError("no bags in file")
-    name = str(path).rsplit("/", 1)[-1]
-    name = name[:-7] if name.endswith(".ndjson") else name
     # the buffer keeps its spare capacity (at most 1/16): trimming it
     # would be the very copy this layout avoids
     return Dataset(np.frombuffer(bags.feats).reshape(-1, bags.feature_dim),
                    bags.offsets, tuple(bags.ids), bags.bag_labels,
-                   np.frombuffer(bags.labels, dtype=np.int64), name=name)
+                   np.frombuffer(bags.labels, dtype=np.int64))
 
 
 class _Bags:
@@ -517,9 +513,8 @@ def load_benchmark_csv(path) -> Dataset:
     order = np.argsort(row_bags, kind="stable")
     offsets = np.zeros(len(bags) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_bags), out=offsets[1:])
-    name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return Dataset(np.stack([rows[j] for j in order]), offsets, list(bags),
-                   labels, np.full(len(rows), -1), name=name)
+                   labels, np.full(len(rows), -1))
 
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -557,13 +552,16 @@ def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,
-                     cfg: GenConfig, rng: np.random.Generator | None = None,
-                     name: str = "pool") -> Dataset:
-    """Deal bags from a fixed instance pool without replacement.
+                     cfg: GenConfig, rng: np.random.Generator | None = None
+                     ) -> Dataset:
+    """Deal ``cfg.n_bags`` bags from a fixed instance pool without
+    replacement.
 
-    Each round takes one positive bag (a positives + size-a negatives) and
-    one negative bag (size negatives), until either pool cannot fill the
-    next bag. Leftover instances are discarded.
+    Positive bags (a positives + size-a negatives) and negative bags (size
+    negatives) alternate, positive first, so (n_bags + 1) // 2 bags are
+    positive, as in ``generate_normal_bags``. A pool that cannot fill that
+    many bags is a ValueError naming how many it can fill. Leftover
+    instances are discarded.
     """
     rng = rng or Rng(cfg.seed)
     a = _positive_counts(cfg)
@@ -572,20 +570,26 @@ def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,
     neg_idx = np.flatnonzero(~positive_mask)
     pos_idx = pos_idx[rng.permutation(len(pos_idx))]
     neg_idx = neg_idx[rng.permutation(len(neg_idx))]
-    neg_per_round = (cfg.bag_size - a) + cfg.bag_size
-    rounds = min(len(pos_idx) // a, len(neg_idx) // neg_per_round)
-    if rounds == 0:
-        raise ValueError("instance pool too small for a single bag pair")
-    # each round's rows: the positive bag (a positives, then its negatives),
-    # then the negative bag
-    order = np.concatenate(
-        [pos_idx[:rounds * a].reshape(rounds, a),
-         neg_idx[:rounds * neg_per_round].reshape(rounds, neg_per_round)],
-        axis=1).ravel()
-    ids = [f"{kind}-{r:04d}" for r in range(rounds) for kind in ("pos", "neg")]
+    positive = np.arange(cfg.n_bags) % 2 == 0  # pos, neg, pos, ... bags
+    pos_rows = np.where(positive, a, 0)
+    # the bags fill in order, while both pools last
+    fits = int(np.sum((np.cumsum(pos_rows) <= len(pos_idx))
+                      & (np.cumsum(cfg.bag_size - pos_rows) <= len(neg_idx))))
+    if fits < cfg.n_bags:
+        raise ValueError(f"instance pool too small for {cfg.n_bags} bags: "
+                         f"it fills at most {fits}")
+    # each bag draws its positives, then its negatives, from the front of
+    # each shuffled pool
+    from_pos = (np.arange(cfg.bag_size) < pos_rows[:, None]).ravel()
+    n_from_pos = int(pos_rows.sum())
+    order = np.empty(from_pos.size, dtype=np.int64)
+    order[from_pos] = pos_idx[:n_from_pos]
+    order[~from_pos] = neg_idx[:from_pos.size - n_from_pos]
+    ids = [f"{'pos' if p else 'neg'}-{i // 2:04d}"
+           for i, p in enumerate(positive)]
     return Dataset(np.asarray(features, dtype=np.float64)[order],
                    np.arange(0, order.size + 1, cfg.bag_size), ids,
-                   np.tile([1, 0], rounds), positive_mask[order], name=name)
+                   positive, positive_mask[order])
 
 
 class _Folds(Sequence):
@@ -601,11 +605,8 @@ class _Folds(Sequence):
 
     def __getitem__(self, i: int) -> tuple[Dataset, Dataset]:
         i = range(self._k)[i]  # i < 0 counts from the end, i >= k raises
-        name = self._dataset.name
-        return (self._dataset.subset(np.flatnonzero(self._fold != i),
-                                     f"{name}-fold{i}-train"),
-                self._dataset.subset(np.flatnonzero(self._fold == i),
-                                     f"{name}-fold{i}-test"))
+        return (self._dataset.subset(np.flatnonzero(self._fold != i)),
+                self._dataset.subset(np.flatnonzero(self._fold == i)))
 
 
 def kfold_split(dataset: Dataset, k: int, seed: int = 0

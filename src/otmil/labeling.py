@@ -43,7 +43,8 @@ MAX_STEPS = 100
 @dataclass
 class MuSchedule:
     """Linear warmup of the target positive fraction: 0.5 at epoch 0 down to
-    ``mu_final`` at epoch ``warmup_epochs`` and constant afterwards."""
+    ``mu_final`` at epoch ``warmup_epochs`` and constant afterwards. A
+    warmup of 0 epochs holds ``mu_final`` from epoch 0."""
 
     mu_final: float = 0.1
     warmup_epochs: int = 10
@@ -51,8 +52,8 @@ class MuSchedule:
     def __post_init__(self):
         if not 0 < self.mu_final <= 0.5:
             raise ValueError("mu_final must lie in (0, 0.5]")
-        if self.warmup_epochs < 1:
-            raise ValueError("warmup_epochs must be >= 1")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be >= 0")
 
 
 def adaptive_mu(t: int, schedule: MuSchedule) -> float:

@@ -1,10 +1,12 @@
 """Evaluation metrics: tied-rank ROC AUC, bag-level inference, pseudo-label
 quality, and the instance-vs-bag label entropy analytics. All scoring
 goes through ``dataset_scores`` (one ``forward``, then a segment max)
-and ``dataset_aucs``, which also takes a pooling baseline's scores."""
+and ``dataset_aucs``, which also takes a pooling baseline's scores.
+``write_table_csv`` writes every result table but the entropy one."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -58,8 +60,8 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def bag_predict(params: ClassifierParams, bag, mode: str = "max") -> float:
-    """Bag-level positive probability: max (or mean) over its instances.
+def bag_predict(params: ClassifierParams, bag) -> float:
+    """Bag-level positive probability: the max over its instances.
 
     Scores one bag with its own forward pass; ``segment_bag_scores`` scores
     every bag of a dataset from one.
@@ -67,12 +69,7 @@ def bag_predict(params: ClassifierParams, bag, mode: str = "max") -> float:
     if len(bag.instances) == 0:
         raise ValueError("empty bag")
     feats = np.stack([inst.features for inst in bag.instances])
-    probs = forward(params, feats)[:, 0]
-    if mode == "max":
-        return float(probs.max())
-    if mode == "mean":
-        return float(probs.mean())
-    raise ValueError(f"unknown bag inference mode: {mode!r}")
+    return float(forward(params, feats)[:, 0].max())
 
 
 def segment_bag_scores(instance_scores: np.ndarray,
@@ -181,6 +178,18 @@ def entropy_curve(k_values, p_values) -> list[EntropyPoint]:
             points.append(EntropyPoint(K=int(k), p=float(p), h_instance=h_inst,
                                        h_bag=h_bag, difference=h_inst - h_bag))
     return points
+
+
+def write_table_csv(path, header, rows) -> None:
+    """A CSV table: the ``header`` row, then each row's cells in its
+    order, with CRLF line ends. None is a blank cell and a float keeps
+    full precision via repr; any other value is written as ``str`` does."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else repr(v)
+                             if isinstance(v, float) else v for v in row])
 
 
 def write_entropy_csv(points: list[EntropyPoint], path) -> None:

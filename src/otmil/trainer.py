@@ -22,7 +22,6 @@ processes, one per usable CPU, with the same outputs as one loop.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -34,7 +33,7 @@ from .labeling import (MuSchedule, adaptive_mu, apply_local_constraint,
 # bag_predict and roc_auc are not called here; perfbench/spans.py wraps
 # trainer.bag_predict and trainer.roc_auc
 from .metrics import (bag_predict, dataset_aucs, dataset_scores,
-                      pseudo_label_metrics, roc_auc)
+                      pseudo_label_metrics, roc_auc, write_table_csv)
 from .model import (ClassifierParams, SgdConfig, backward, forward,
                     init_classifier, sgd_step)
 from .numkit import Rng, fan_out
@@ -47,7 +46,9 @@ _SHUFFLE_STREAM = 2
 @dataclass
 class TrainConfig:
     """Everything one self-training run depends on; ``sharpness`` goes to
-    ``labeling.sinkhorn_assign`` and must be finite and positive."""
+    ``labeling.sinkhorn_assign`` and must be finite and positive. Epoch t
+    targets ``adaptive_mu(t, schedule)``: a schedule of 0 warmup epochs
+    holds mu at ``mu_final`` throughout."""
 
     sgd: SgdConfig = field(default_factory=SgdConfig)
     sharpness: float = 5.0
@@ -56,7 +57,6 @@ class TrainConfig:
     hidden: int = 128
     soft_labels: bool = True
     constrain: bool = True
-    adaptive: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -95,26 +95,12 @@ CSV_HEADER = ("epoch,mu_t,loss,pseudo_precision,pseudo_accuracy,"
               "instance_auc,bag_auc,converged")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_run_csv(record: RunRecord, path) -> None:
-    """One row per epoch; floats keep full precision via repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
-        for r in record.rows:
-            writer.writerow([_cell(v) for v in
-                             (r.epoch, r.mu_t, r.loss, r.pseudo_precision,
-                              r.pseudo_accuracy, r.instance_auc, r.bag_auc,
-                              r.converged)])
+    """One row per epoch, ``converged`` as 1 or 0; floats keep full
+    precision via repr."""
+    write_table_csv(path, CSV_HEADER.split(","), (
+        (r.epoch, r.mu_t, r.loss, r.pseudo_precision, r.pseudo_accuracy,
+         r.instance_auc, r.bag_auc, int(r.converged)) for r in record.rows))
 
 
 def _corpus(dataset):
@@ -201,8 +187,7 @@ def _train_epochs(dataset, cfg: TrainConfig):
                              rng=Rng(cfg.seed, stream=_INIT_STREAM))
     shuffle_rng = Rng(cfg.seed, stream=_SHUFFLE_STREAM)
     for epoch in range(cfg.sgd.epochs):
-        mu_t = (adaptive_mu(epoch, cfg.schedule) if cfg.adaptive
-                else cfg.schedule.mu_final)
+        mu_t = adaptive_mu(epoch, cfg.schedule)
         q_values, converged = _assign(params, cfg, pos_x, pos_offsets, mu_t)
         loss_sum = 0.0
         n_seen = 0
@@ -267,35 +252,48 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
     return params, record
 
 
-ABLATION_ROWS = (
-    ("hard-naive", {"soft_labels": False, "constrain": False, "adaptive": False}),
-    ("soft-naive", {"soft_labels": True, "constrain": False, "adaptive": False}),
-    ("soft-constrained", {"soft_labels": True, "constrain": True,
-                          "adaptive": False}),
-    ("soft-constrained-adaptive", {"soft_labels": True, "constrain": True,
-                                   "adaptive": True}),
-)
+def ablation_configs(base_cfg: TrainConfig) -> list[tuple[str, TrainConfig]]:
+    """The ablation suite's rows, (name, config), from everything off (hard
+    naive labels) to the full method. The three rows before the last hold
+    mu at ``mu_final`` from epoch 0, a warmup of 0 epochs; the last keeps
+    ``base_cfg``'s schedule."""
+    constant = dataclasses.replace(base_cfg, schedule=MuSchedule(
+        mu_final=base_cfg.schedule.mu_final, warmup_epochs=0))
+    return [
+        ("hard-naive", dataclasses.replace(constant, soft_labels=False,
+                                           constrain=False)),
+        ("soft-naive", dataclasses.replace(constant, soft_labels=True,
+                                           constrain=False)),
+        ("soft-constrained", dataclasses.replace(constant, soft_labels=True,
+                                                 constrain=True)),
+        ("soft-constrained-adaptive", dataclasses.replace(
+            base_cfg, soft_labels=True, constrain=True)),
+    ]
 
 
 def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
                        ) -> list[dict]:
-    """Train the four switch combinations and tabulate their results.
+    """Train the four rows of ``ablation_configs`` and tabulate them.
 
-    Rows go from everything off (hard naive labels) to the full method,
-    all at the same seed so differences come from the switches alone.
+    Every row runs at the same seed, so differences come from the switches
+    alone. Each row records its "soft_labels" and "constrain" switches and,
+    as "adaptive", whether its schedule warms up (more than 0 epochs).
     """
+    rows = ablation_configs(base_cfg)
+
     def row_record(i):
-        cfg = dataclasses.replace(base_cfg, **ABLATION_ROWS[i][1])
-        yield self_train(dataset, cfg, eval_dataset)[1]
+        yield self_train(dataset, rows[i][1], eval_dataset)[1]
 
     records = []
-    fan_out(row_record, len(ABLATION_ROWS), records.append)
+    fan_out(row_record, len(rows), records.append)
     table = []
-    for (name, flags), record in zip(ABLATION_ROWS, records):
+    for (name, cfg), record in zip(rows, records):
         final = record.rows[-1]
         table.append({
             "name": name,
-            **flags,
+            "soft_labels": cfg.soft_labels,
+            "constrain": cfg.constrain,
+            "adaptive": cfg.schedule.warmup_epochs > 0,
             "instance_auc": final.instance_auc,
             "bag_auc": final.bag_auc,
             "positive_pseudo_fraction": record.summary["positive_pseudo_fraction"],

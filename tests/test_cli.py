@@ -4,10 +4,12 @@ import ast
 import inspect
 import json
 import os
+import shlex
 import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy
 import pytest
@@ -108,10 +110,10 @@ class TestGen:
         assert "test_bags must be >= 2" in (out / ".failed").read_text()
         assert not list(out.glob("*.ndjson"))
 
-    @pytest.mark.parametrize("scheme,digits", [("normal", {9}),
-                                               ("hard", {0, 8})])
-    def test_from_idx_writes_train_alone(self, tmp_path, scheme, digits):
-        # 60 2x2 images, six of each digit, every pixel of digit k at 25k + 1
+    @pytest.fixture
+    def idx(self, tmp_path):
+        """60 2x2 images, six of each digit, every pixel of digit k at
+        25k + 1: the image and label file paths."""
         labels = numpy.arange(60) % 10
         images = numpy.repeat(25 * labels + 1, 4).astype(numpy.uint8)
         idx = [tmp_path / "images.idx", tmp_path / "labels.idx"]
@@ -119,9 +121,16 @@ class TestGen:
                            + images.tobytes())
         idx[1].write_bytes(struct.pack(">II", 0x801, 60)
                            + labels.astype(numpy.uint8).tobytes())
+        return idx
+
+    @pytest.mark.parametrize("scheme,digits", [("normal", {9}),
+                                               ("hard", {0, 8})])
+    def test_from_idx_writes_train_alone(self, tmp_path, idx, scheme,
+                                         digits):
         out = tmp_path / "d"
         assert run(["gen", "--from-idx", *idx, "--scheme", scheme,
-                    "--bag-size", "4", "--ratio", "0.25", "--out", out]) == 0
+                    "--bags", "12", "--bag-size", "4", "--ratio", "0.25",
+                    "--out", out]) == 0
         assert {p.name for p in out.iterdir()} == {
             "train.ndjson", "manifest.json", "config.json"}
         manifest = json.loads((out / "manifest.json").read_text())
@@ -132,6 +141,24 @@ class TestGen:
         assert positive.any() and (~positive).any()
         assert set(digit[positive].tolist()) <= digits
         assert not set(digit[~positive].tolist()) & digits
+
+    def test_from_idx_deals_the_bags_asked_for(self, tmp_path, idx):
+        # the six 9s and 54 other digits fill six positive/negative pairs
+        for bags in (2, 4):
+            out = tmp_path / f"d{bags}"
+            assert run(["gen", "--from-idx", *idx, "--bags", bags,
+                        "--bag-size", "4", "--ratio", "0.25",
+                        "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["splits"]["train.ndjson"]["bags"] == bags
+            ds = data.load_ndjson(out / "train.ndjson")
+            assert ds.bag_labels.tolist() == [1, 0] * (bags // 2)
+        out = tmp_path / "d14"
+        assert run(["gen", "--from-idx", *idx, "--bags", "14",
+                    "--bag-size", "4", "--ratio", "0.25", "--out", out]) == 2
+        assert ("pool too small for 14 bags: it fills at most 12"
+                in (out / ".failed").read_text())
+        assert not (out / "train.ndjson").exists()
 
 
 class TestTrain:
@@ -275,13 +302,14 @@ class TestSweep:
         # one row per (mu, T) cell, mu in the outer loop, each scoring as
         # the train run of that mu and warmup on the same split
         s = tmp_path / "s"
+        # T = 0 holds mu from epoch 0
         assert run(["sweep", "--data", dataset_dir, *FAST,
-                    "--grid-mu", "0.2", "0.3", "--grid-T", "2", "3",
+                    "--grid-mu", "0.2", "0.3", "--grid-T", "0", "2", "3",
                     "--out", s]) == 0
         rows = json.loads((s / "summary.json").read_text())["rows"]
-        cells = [(0.2, 2), (0.2, 3), (0.3, 2), (0.3, 3)]
+        cells = [(0.2, 0), (0.2, 2), (0.2, 3), (0.3, 0), (0.3, 2), (0.3, 3)]
         assert [(row["mu"], row["warmup"]) for row in rows] == cells
-        assert len((s / "sweep.csv").read_text().splitlines()) == 5
+        assert len((s / "sweep.csv").read_text().splitlines()) == 7
         for row, (mu, warmup) in zip(rows, cells):
             t = tmp_path / f"t-{mu}-{warmup}"
             run(["train", "--data", dataset_dir, *FAST, "--mu", mu,
@@ -476,12 +504,13 @@ class TestConfigEcho:
 
 class TestFlags:
     """sweep's grid sets mu and T per cell and ablation's rows set the
-    switches, so those subcommands reject the flags; train takes them."""
+    switches, so those subcommands reject the flags; train takes them.
+    No subcommand takes --no-adaptive-mu: --warmup-T 0 holds mu."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--mu", "0.2"], ["sweep", "--warmup-T", "2"],
         ["ablation", "--no-constrain"], ["ablation", "--hard-labels"],
-        ["ablation", "--no-adaptive-mu"]])
+        ["ablation", "--no-adaptive-mu"], ["train", "--no-adaptive-mu"]])
     def test_flag_nothing_reads_is_a_usage_error(self, tmp_path, capsys,
                                                  argv):
         with pytest.raises(SystemExit) as exit_:
@@ -493,11 +522,33 @@ class TestFlags:
         out = tmp_path / "t"
         assert run(["train", "--data", dataset_dir, *FAST, "--mu", "0.3",
                     "--warmup-T", "4", "--no-constrain", "--hard-labels",
-                    "--no-adaptive-mu", "--out", out]) == 0
+                    "--out", out]) == 0
         config = json.loads((out / "summary.json").read_text())["config"]
         assert config["schedule"] == {"mu_final": 0.3, "warmup_epochs": 4}
-        assert (config["constrain"], config["soft_labels"],
-                config["adaptive"]) == (False, False, False)
+        assert (config["constrain"], config["soft_labels"]) == (False, False)
+        assert "adaptive" not in config
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        """Every ``otmil`` command of README.md's CLI block, its ``\\``
+        continuations joined, parses: a README example that passes a flag
+        no subcommand takes fails here. Nothing runs."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## CLI\n", 1)[1]
+        block = block.split("```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+        parser = cli.build_parser()
+        commands = set()
+        for line in lines:
+            if line.startswith("otmil "):
+                try:
+                    commands.add(parser.parse_args(
+                        shlex.split(line)[1:]).command)
+                except SystemExit:
+                    pytest.fail(f"README.md: {line!r} does not parse")
+        assert commands == {"gen", "train", "eval", "sweep", "ablation",
+                            "baseline", "entropy"}
 
 
 class TestImports:

@@ -26,7 +26,7 @@ from otmil.numkit import Rng
 from test_numkit import needs_two_cpus
 
 
-def make_dataset(bags, name=""):
+def make_dataset(bags):
     """A Dataset from (bag_id, label, rows, instance labels) tuples; an
     instance label of None is unknown, and None for the whole list means
     every label of the bag is unknown."""
@@ -36,7 +36,7 @@ def make_dataset(bags, name=""):
               for lab in (labs if labs is not None else [None] * len(f))]
     offsets = np.cumsum([0] + [len(f) for f in feats])
     return Dataset(np.concatenate(feats), offsets, [b[0] for b in bags],
-                   [b[1] for b in bags], labels, name)
+                   [b[1] for b in bags], labels)
 
 
 def positive_bags(ds):
@@ -138,8 +138,8 @@ class TestDatasetArrays:
 
     def test_subset_slices_every_array(self):
         ds = self._dataset(third_label=None)
-        sub = ds.subset([2, 0], name="sub")
-        assert sub.name == "sub" and sub.bag_ids == ("c", "a")
+        sub = ds.subset([2, 0])
+        assert sub.bag_ids == ("c", "a")
         assert sub.offsets.tolist() == [0, 2, 4]
         assert sub.features.tolist() == [[7.0, 8.0], [9.0, 0.0],
                                          [1.0, 2.0], [3.0, 4.0]]
@@ -226,8 +226,8 @@ class TestHardGenerator:
                         seed=0)
         train, tn, t0, t8 = generate_hard_bags(cfg)
         assert [len(d.bags) for d in (train, tn, t0, t8)] == [10, 6, 6, 6]
-        assert {d.name for d in (train, tn, t0, t8)} == {
-            "train", "test_normal", "test_pos0", "test_pos8"}
+        assert [d.bag_ids[0] for d in (train, tn, t0, t8)] == [
+            "pos-000", "tn-pos-000", "t0-pos-000", "t8-pos-000"]
 
     def test_single_concept_splits_use_their_axis(self):
         cfg = GenConfig(scheme="hard", n_bags=10, test_bags=10, bag_size=50,
@@ -509,7 +509,7 @@ def ragged_bags(n_bags, dim, seed):
         label = int(1 in labels) if None not in labels else i % 2
         bags.append((f"bag-{i}", label, rng.standard_normal((size, dim)),
                      labels))
-    return make_dataset(bags, name="bags")
+    return make_dataset(bags)
 
 
 def file_chunks(path):
@@ -609,7 +609,6 @@ class TestChunkedNdjson:
                 assert (getattr(back, field).tobytes()
                         == getattr(want, field).tobytes())
             assert back.bag_ids == want.bag_ids == ds.bag_ids
-            assert back.name == want.name == "bags"
 
     @staticmethod
     def _round_trip(ds, directory):
@@ -956,19 +955,22 @@ class TestIdx:
 
 class TestBagsFromArrays:
     def test_paired_dealing_counts(self):
+        # an odd count ends on a positive bag, as generate_normal_bags does
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(400, 3))
         mask = np.zeros(400, dtype=bool)
         mask[:80] = True
-        cfg = GenConfig(n_bags=10, bag_size=20, positive_ratio=0.2,
-                        feature_dim=3, seed=0)
-        ds = bags_from_arrays(feats, mask, cfg, Rng(0), name="arr")
-        assert ds.bag_labels.tolist() == [1, 0] * 8
-        assert [b.bag_id for b in ds.bags[:4]] == [
-            "pos-0000", "neg-0000", "pos-0001", "neg-0001"]
         a = round_half_up(0.2 * 20)
-        for bag in ds.bags:
-            assert sum(i.label for i in bag.instances) == a * bag.label
+        for n_bags, last in ((10, "neg-0004"), (9, "pos-0004")):
+            cfg = GenConfig(n_bags=n_bags, bag_size=20, positive_ratio=0.2,
+                            feature_dim=3, seed=0)
+            ds = bags_from_arrays(feats, mask, cfg, Rng(0))
+            assert ds.bag_labels.tolist() == ([1, 0] * 5)[:n_bags]
+            assert [b.bag_id for b in ds.bags[:4]] == [
+                "pos-0000", "neg-0000", "pos-0001", "neg-0001"]
+            assert ds.bag_ids[-1] == last
+            for bag in ds.bags:
+                assert sum(i.label for i in bag.instances) == a * bag.label
 
     def test_without_replacement(self):
         rng = np.random.default_rng(5)
@@ -977,18 +979,28 @@ class TestBagsFromArrays:
         mask[:40] = True
         cfg = GenConfig(n_bags=6, bag_size=10, positive_ratio=0.2,
                         feature_dim=2, seed=1)
-        ds = bags_from_arrays(feats, mask, cfg, Rng(1), name="arr")
+        ds = bags_from_arrays(feats, mask, cfg, Rng(1))
         seen = np.concatenate([b.feature_matrix() for b in ds.bags])
         uniq = np.unique(seen, axis=0)
         assert len(uniq) == len(seen)
 
     def test_pool_too_small(self):
-        feats = np.zeros((5, 2))
-        mask = np.array([True, False, False, False, False])
-        cfg = GenConfig(n_bags=4, bag_size=4, positive_ratio=0.5,
-                        feature_dim=2)
-        with pytest.raises(ValueError, match="pool too small"):
-            bags_from_arrays(feats, mask, cfg, Rng(0), name="arr")
+        feats = np.zeros((200, 2))
+
+        def deal(n_pos, n_bags):
+            return bags_from_arrays(feats, np.arange(200) < n_pos, GenConfig(
+                n_bags=n_bags, bag_size=10, positive_ratio=0.2,
+                feature_dim=2), Rng(0))
+
+        with pytest.raises(ValueError, match="pool too small for 4 bags: "
+                                             "it fills at most 0"):
+            deal(1, 4)  # one positive, and a bag needs two
+        # eight pairs use 144 of 160 negatives; a ninth positive bag needs
+        # 8 of the 16 left, its negative bag 10
+        with pytest.raises(ValueError, match="pool too small for 18 bags: "
+                                             "it fills at most 17"):
+            deal(40, 18)
+        assert len(deal(40, 17).bag_ids) == 17
 
 
 class TestKfold:
@@ -1035,7 +1047,7 @@ class TestKfold:
                for pair in folds]
         assert [[[b.bag_id for b in split.bags] for split in folds[i]]
                 for i in (0, 1, 2)] == ids
-        assert folds[-1][1].name == folds[2][1].name == f"{ds.name}-fold2-test"
+        assert folds[-1][1].bag_ids == folds[2][1].bag_ids == tuple(ids[2][1])
         with pytest.raises(IndexError):
             folds[3]
 

@@ -341,9 +341,11 @@ class TestMuSchedule:
             assert adaptive_mu(0, sched) == 0.5
 
     def test_exact_after_warmup(self):
-        sched = MuSchedule(mu_final=0.15, warmup_epochs=10)
-        for t in (10, 11, 50, 1000):
-            assert adaptive_mu(t, sched) == 0.15
+        # a warmup of 0 epochs holds mu_final from epoch 0
+        for warmup in (10, 0):
+            sched = MuSchedule(mu_final=0.15, warmup_epochs=warmup)
+            for t in (warmup, warmup + 1, 50, 1000):
+                assert adaptive_mu(t, sched) == 0.15
 
     def test_linear_in_between(self):
         sched = MuSchedule(mu_final=0.1, warmup_epochs=4)
@@ -360,7 +362,7 @@ class TestMuSchedule:
             MuSchedule(mu_final=0.0, warmup_epochs=5)
         with pytest.raises(ValueError):
             MuSchedule(mu_final=0.6, warmup_epochs=5)
-        with pytest.raises(ValueError):
-            MuSchedule(mu_final=0.2, warmup_epochs=0)
+        with pytest.raises(ValueError, match="warmup_epochs must be >= 0"):
+            MuSchedule(mu_final=0.2, warmup_epochs=-1)
         with pytest.raises(ValueError):
             adaptive_mu(-1, MuSchedule(mu_final=0.2, warmup_epochs=5))

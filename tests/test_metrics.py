@@ -96,7 +96,7 @@ class TestSegmentBagScores:
                                     ds.offsets)
         assert scores.shape == (len(sizes),)
         np.testing.assert_allclose(
-            scores, [bag_predict(params, b, "max") for b in ds.bags],
+            scores, [bag_predict(params, b) for b in ds.bags],
             rtol=0.0, atol=1e-12)
 
     def test_empty_bag(self):
@@ -147,14 +147,12 @@ class TestBagPredict:
     def _bag(self, feats):
         return make_dataset([("b0", 1, feats, None)]).bags[0]
 
-    def test_max_vs_mean(self):
+    def test_max_over_instances(self):
         params = init_classifier(3, arch="linear", rng=Rng(0))
-        from otmil.model import forward
         feats = Rng(1).standard_normal((5, 3))
         bag = self._bag(feats)
         per_inst = forward(params, feats)[:, 0]
-        assert np.isclose(bag_predict(params, bag, "max"), per_inst.max())
-        assert np.isclose(bag_predict(params, bag, "mean"), per_inst.mean())
+        assert np.isclose(bag_predict(params, bag), per_inst.max())
 
     def test_empty_bag(self):
         params = init_classifier(3, arch="linear", rng=Rng(0))
@@ -163,13 +161,7 @@ class TestBagPredict:
             instances = []
 
         with pytest.raises(ValueError, match="empty"):
-            bag_predict(params, Hollow(), "max")
-
-    def test_unknown_mode(self):
-        params = init_classifier(3, arch="linear", rng=Rng(0))
-        bag = self._bag(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="mode"):
-            bag_predict(params, bag, "median")
+            bag_predict(params, Hollow())
 
 
 class TestPseudoLabelMetrics:

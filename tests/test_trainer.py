@@ -36,11 +36,11 @@ def small_dataset(seed=2, n_bags=16, bag_size=15, ratio=0.2, dim=6):
         feature_dim=dim, cluster_separation=5.0, seed=seed))
 
 
-def small_config(epochs=6, seed=0, **kw):
+def small_config(epochs=6, seed=0, warmup=3, **kw):
     return TrainConfig(
         sgd=SgdConfig(learning_rate=0.01, batch_size=32, epochs=epochs,
                       seed=seed),
-        schedule=MuSchedule(mu_final=0.2, warmup_epochs=3),
+        schedule=MuSchedule(mu_final=0.2, warmup_epochs=warmup),
         seed=seed, **kw)
 
 
@@ -133,7 +133,7 @@ class TestCorpus:
         pool = rng.standard_normal((600, 6))
         pool[mask, 0] += 5.0
         ds = bags_from_arrays(pool, mask, GenConfig(
-            bag_size=15, positive_ratio=0.2, feature_dim=6, seed=3))
+            n_bags=40, bag_size=15, positive_ratio=0.2, feature_dim=6, seed=3))
         lead = ds.subset(np.concatenate([np.flatnonzero(ds.bag_labels == 1),
                                          np.flatnonzero(ds.bag_labels == 0)]))
         got, want = _corpus(ds), _corpus(lead)
@@ -251,7 +251,7 @@ class TestSelfTrain:
 
     def test_constant_mu_when_not_adaptive(self):
         ds = small_dataset()
-        _, rec = self_train(ds, small_config(epochs=3, adaptive=False))
+        _, rec = self_train(ds, small_config(epochs=3, warmup=0))
         assert all(r.mu_t == 0.2 for r in rec.rows)
 
     def test_summary_fields(self):
@@ -479,10 +479,10 @@ class TestFanOut:
         ds, test = small_dataset(), small_dataset(seed=3)
         cfg = small_config(epochs=3)
         table = run_ablation_suite(ds, cfg, test)
-        assert [row["name"] for row in table] == [
-            name for name, _ in trainer.ABLATION_ROWS]
-        for row, (_, flags) in zip(table, trainer.ABLATION_ROWS):
-            _, want = self_train(ds, dataclasses.replace(cfg, **flags), test)
+        rows = trainer.ablation_configs(cfg)
+        assert [row["name"] for row in table] == [name for name, _ in rows]
+        for row, (_, row_cfg) in zip(table, rows):
+            _, want = self_train(ds, row_cfg, test)
             write_run_csv(row["record"], tmp_path / "got.csv")
             write_run_csv(want, tmp_path / "want.csv")
             assert ((tmp_path / "got.csv").read_bytes()
@@ -530,7 +530,7 @@ class TestFanOut:
         real = trainer.self_train
 
         def failing(dataset, cfg, eval_dataset=None):
-            if cfg.constrain and not cfg.adaptive:
+            if cfg.constrain and cfg.schedule.warmup_epochs == 0:
                 raise ValueError("soft-constrained row failed")
             return real(dataset, cfg, eval_dataset)
 
@@ -581,12 +581,11 @@ class TestFanOut:
         # OpenBLAS's thread pool is running when the workers fork; they
         # must neither hang nor compute other bits than a plain loop
         script = """
-import dataclasses, io
 import numpy as np
 from otmil.data import GenConfig, generate_normal_bags
 from otmil.labeling import MuSchedule
 from otmil.model import SgdConfig
-from otmil.trainer import (ABLATION_ROWS, TrainConfig, run_ablation_suite,
+from otmil.trainer import (TrainConfig, ablation_configs, run_ablation_suite,
                            self_train)
 a = np.random.default_rng(0).random((600, 600))
 assert np.isfinite(a @ a).all()
@@ -595,8 +594,7 @@ ds = generate_normal_bags(GenConfig(n_bags=12, bag_size=10, feature_dim=5,
 cfg = TrainConfig(sgd=SgdConfig(learning_rate=0.01, batch_size=32, epochs=2),
                   schedule=MuSchedule(mu_final=0.2, warmup_epochs=1))
 got = [row["record"] for row in run_ablation_suite(ds, cfg)]
-want = [self_train(ds, dataclasses.replace(cfg, **flags))[1]
-        for _, flags in ABLATION_ROWS]
+want = [self_train(ds, row_cfg)[1] for _, row_cfg in ablation_configs(cfg)]
 assert got == want, (got, want)
 print("same")
 """
