@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: gen (synthetic datasets), train (self-training run), eval
-(score a checkpoint), sweep (mu / warmup grid), ablation (switch suite),
-baseline (pooling arms), entropy (bag-vs-instance entropy table).
+Subcommands: gen (synthetic datasets), gen-idx (bags dealt from an IDX
+image/label pair), train (self-training run), eval (score a checkpoint),
+sweep (mu / warmup grid), ablation (switch suite), baseline (pooling arms),
+entropy (bag-vs-instance entropy table). Each takes only the flags it
+reads.
 
 Every invocation echoes its flags to OUT/config.json before doing any
 work; a failure leaves OUT/.failed describing the error and exits
@@ -97,41 +99,11 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(
         sgd=SgdConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed),
-        sharpness=args.sharpness, arch=args.arch, hidden=args.hidden,
+        sharpness=args.sharpness, hidden=args.hidden,
         seed=args.seed, **settings)
 
 
-def cmd_gen(args, out_dir: Path) -> None:
-    if args.from_idx:
-        feats, labels = datamod.load_idx_mnist(*args.from_idx)
-        mask = np.isin(labels, (0, 8) if args.scheme == "hard" else 9)
-        cfg = datamod.GenConfig(scheme="normal", n_bags=args.bags,
-                                bag_size=args.bag_size,
-                                positive_ratio=args.ratio,
-                                feature_dim=feats.shape[1], seed=args.seed)
-        ds = datamod.bags_from_arrays(feats, mask, cfg)
-        datamod.save_ndjson(ds, out_dir / "train.ndjson")
-        splits = {"train.ndjson": ds}
-    else:
-        cfg = datamod.GenConfig(
-            scheme=args.scheme, n_bags=args.bags, test_bags=args.test_bags,
-            bag_size=args.bag_size, positive_ratio=args.ratio,
-            feature_dim=args.dim, cluster_separation=args.separation,
-            second_separation=args.second_separation,
-            concept_mix=args.concept_mix,
-            n_concepts=2 if args.scheme == "hard" else 1, seed=args.seed)
-        if args.scheme == "hard":
-            names = ("train.ndjson", "test_normal.ndjson",
-                     "test_pos0.ndjson", "test_pos8.ndjson")
-            splits = dict(zip(names, datamod.generate_hard_bags(cfg)))
-        else:
-            train = datamod.generate_normal_bags(cfg)
-            test = datamod.generate_normal_bags(
-                dataclasses.replace(cfg, n_bags=cfg.test_bags,
-                                    seed=cfg.seed + 1))
-            splits = {"train.ndjson": train, "test.ndjson": test}
-        for name, ds in splits.items():
-            datamod.save_ndjson(ds, out_dir / name)
+def _write_manifest(args, out_dir: Path, splits: dict) -> None:
     manifest = {
         "scheme": args.scheme,
         "seed": args.seed,
@@ -143,6 +115,39 @@ def cmd_gen(args, out_dir: Path) -> None:
                    for name, ds in splits.items()},
     }
     _write_json(out_dir / "manifest.json", manifest)
+
+
+def cmd_gen(args, out_dir: Path) -> None:
+    cfg = datamod.GenConfig(
+        scheme=args.scheme, n_bags=args.bags, test_bags=args.test_bags,
+        bag_size=args.bag_size, positive_ratio=args.ratio,
+        feature_dim=args.dim, cluster_separation=args.separation,
+        second_separation=args.second_separation,
+        concept_mix=args.concept_mix,
+        n_concepts=2 if args.scheme == "hard" else 1, seed=args.seed)
+    if args.scheme == "hard":
+        names = ("train.ndjson", "test_normal.ndjson",
+                 "test_pos0.ndjson", "test_pos8.ndjson")
+        splits = dict(zip(names, datamod.generate_hard_bags(cfg)))
+    else:
+        train = datamod.generate_normal_bags(cfg)
+        test = datamod.generate_normal_bags(
+            dataclasses.replace(cfg, n_bags=cfg.test_bags, seed=cfg.seed + 1))
+        splits = {"train.ndjson": train, "test.ndjson": test}
+    for name, ds in splits.items():
+        datamod.save_ndjson(ds, out_dir / name)
+    _write_manifest(args, out_dir, splits)
+
+
+def cmd_gen_idx(args, out_dir: Path) -> None:
+    feats, labels = datamod.load_idx_mnist(args.images, args.labels)
+    mask = np.isin(labels, (0, 8) if args.scheme == "hard" else 9)
+    cfg = datamod.GenConfig(scheme="normal", n_bags=args.bags,
+                            bag_size=args.bag_size, positive_ratio=args.ratio,
+                            feature_dim=feats.shape[1], seed=args.seed)
+    ds = datamod.bags_from_arrays(feats, mask, cfg)
+    datamod.save_ndjson(ds, out_dir / "train.ndjson")
+    _write_manifest(args, out_dir, {"train.ndjson": ds})
 
 
 def _provenance() -> dict:
@@ -264,9 +269,30 @@ def cmd_entropy(args, out_dir: Path) -> None:
     write_entropy_csv(points, out_dir / "entropy.csv")
 
 
-def _add_common(sub, cmd_name):
-    sub.add_argument("--seed", type=int, default=0)
+def _add_common(sub, cmd_name, seed: bool = True):
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=Path, default=Path(f"out-{cmd_name}"))
+
+
+def _add_bag_flags(sub):
+    """The flags of both generators: what is positive, and how bags of
+    instances are dealt."""
+    sub.add_argument("--scheme", choices=("normal", "hard"), default="normal",
+                     help="gen: one concept or two; gen-idx: positive "
+                          "digit 9, or digits 0 and 8")
+    sub.add_argument("--bags", type=int, default=200)
+    sub.add_argument("--bag-size", type=int, default=100)
+    sub.add_argument("--ratio", type=float, default=0.10)
+
+
+def _fold_count(text: str) -> int:
+    """--kfold's type: fewer than 2 folds is a usage error, raised before
+    any data loads."""
+    k = int(text)
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 folds, got {k}")
+    return k
 
 
 def _add_train_flags(sub, schedule: bool = True, switches: bool = True):
@@ -284,7 +310,6 @@ def _add_train_flags(sub, schedule: bool = True, switches: bool = True):
     sub.add_argument("--lr", type=float, default=0.001)
     sub.add_argument("--batch-size", type=int, default=64)
     sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--arch", choices=("linear", "mlp"), default="mlp")
     sub.add_argument("--hidden", type=int, default=128)
     if switches:
         sub.add_argument("--no-constrain", action="store_true",
@@ -301,19 +326,22 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="write synthetic bag datasets")
-    gen.add_argument("--scheme", choices=("normal", "hard"), default="normal")
-    gen.add_argument("--bags", type=int, default=200)
+    _add_bag_flags(gen)
     gen.add_argument("--test-bags", type=int, default=80)
-    gen.add_argument("--bag-size", type=int, default=100)
-    gen.add_argument("--ratio", type=float, default=0.10)
     gen.add_argument("--dim", type=int, default=16)
     gen.add_argument("--separation", type=float, default=5.0)
     gen.add_argument("--second-separation", type=float, default=3.5)
     gen.add_argument("--concept-mix", type=float, default=0.5)
-    gen.add_argument("--from-idx", nargs=2, metavar=("IMAGES", "LABELS"),
-                     help="build bags from an IDX image/label file pair")
     _add_common(gen, "gen")
     gen.set_defaults(func=cmd_gen)
+
+    idx = subs.add_parser("gen-idx", help="deal bags from an IDX "
+                                          "image/label file pair")
+    idx.add_argument("images", help="IDX image file")
+    idx.add_argument("labels", help="IDX label file")
+    _add_bag_flags(idx)
+    _add_common(idx, "gen-idx")
+    idx.set_defaults(func=cmd_gen_idx)
 
     train = subs.add_parser("train", help="run the self-training loop")
     _add_train_flags(train)
@@ -323,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("eval", help="score a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
-    _add_common(ev, "eval")
+    _add_common(ev, "eval", seed=False)
     ev.set_defaults(func=cmd_eval)
 
     sweep = subs.add_parser("sweep", help="grid over mu x warmup, on one "
@@ -333,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[0.10, 0.15, 0.20, 0.25])
     sweep.add_argument("--grid-T", dest="grid_t", type=int, nargs="+",
                        default=[5, 10, 20, 40])
-    sweep.add_argument("--kfold", type=int,
+    sweep.add_argument("--kfold", type=_fold_count,
                        help="cross-validate bag accuracy instead of one split")
     _add_common(sweep, "sweep")
     sweep.set_defaults(func=cmd_sweep)
@@ -361,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bag sizes: '64', '2,4,8', or '1..64'")
     ent.add_argument("--p-steps", dest="p_steps", type=int, default=99,
                      help="p grid size: i/(steps+1) for i=1..steps")
-    _add_common(ent, "entropy")
+    _add_common(ent, "entropy", seed=False)
     ent.set_defaults(func=cmd_entropy)
     return parser
 

@@ -522,7 +522,10 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Big-endian IDX image/label pair -> (features in [0,1], digit vector)."""
+    """Big-endian IDX image/label pair -> (features in [0,1], digit vector).
+    A header count below 1 is a ValueError naming the file and the field.
+    Scaling in place holds one float64 copy of the pixels beside their
+    bytes."""
     with open(images_path, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16:
@@ -530,11 +533,13 @@ def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         magic, n, rows, cols = struct.unpack(">iiii", head)
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError("not IDX")
+        _check_idx_counts(images_path, images=n, rows=rows, columns=cols)
         raw = fh.read(n * rows * cols)
         if len(raw) != n * rows * cols:
             raise ValueError("truncated IDX image file")
-        feats = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-        feats = feats.reshape(n, rows * cols) / 255.0
+        feats = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
+        feats = feats.astype(np.float64)
+        feats /= 255.0
     with open(labels_path, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8:
@@ -542,6 +547,7 @@ def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         magic, n_lab = struct.unpack(">ii", head)
         if magic != IDX_LABELS_MAGIC:
             raise ValueError("not IDX")
+        _check_idx_counts(labels_path, labels=n_lab)
         raw = fh.read(n_lab)
         if len(raw) != n_lab:
             raise ValueError("truncated IDX label file")
@@ -549,6 +555,14 @@ def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     if len(digits) != len(feats):
         raise ValueError("image/label count mismatch")
     return feats, digits
+
+
+def _check_idx_counts(path, **counts) -> None:
+    """Each IDX header count in ``counts`` must be at least 1."""
+    for field, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{path}: IDX header field {field} must be "
+                             f">= 1, got {value}")
 
 
 def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,

@@ -48,12 +48,12 @@ class TrainConfig:
     """Everything one self-training run depends on; ``sharpness`` goes to
     ``labeling.sinkhorn_assign`` and must be finite and positive. Epoch t
     targets ``adaptive_mu(t, schedule)``: a schedule of 0 warmup epochs
-    holds mu at ``mu_final`` throughout."""
+    holds mu at ``mu_final`` throughout. The instance classifier is
+    ``model``'s MLP, one ReLU hidden layer of width ``hidden``."""
 
     sgd: SgdConfig = field(default_factory=SgdConfig)
     sharpness: float = 5.0
     schedule: MuSchedule = field(default_factory=MuSchedule)
-    arch: str = "mlp"
     hidden: int = 128
     soft_labels: bool = True
     constrain: bool = True
@@ -64,8 +64,6 @@ class TrainConfig:
             raise ValueError("sharpness must be finite and positive")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.arch not in ("linear", "mlp"):
-            raise ValueError("arch must be 'linear' or 'mlp'")
         if self.sgd.seed != self.seed:
             raise ValueError(f"sgd.seed ({self.sgd.seed}) must equal seed "
                              f"({self.seed}): training draws from seed alone")
@@ -182,7 +180,7 @@ def _train_epochs(dataset, cfg: TrainConfig):
     x, targets, pos_offsets = _corpus(dataset)
     n_pos = int(pos_offsets[-1])
     pos_x = x[:n_pos]
-    params = init_classifier(dataset.feature_dim, arch=cfg.arch,
+    params = init_classifier(dataset.feature_dim, arch="mlp",
                              hidden=cfg.hidden,
                              rng=Rng(cfg.seed, stream=_INIT_STREAM))
     shuffle_rng = Rng(cfg.seed, stream=_SHUFFLE_STREAM)

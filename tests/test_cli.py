@@ -1,5 +1,6 @@
 """End-to-end command-line flows on tiny datasets."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -51,6 +52,20 @@ PROVENANCE_WITH_ONE_THREAD = {"numpy": numpy.__version__,
                               "OPENBLAS_NUM_THREADS": "1",
                               "OMP_NUM_THREADS": None,
                               "MKL_NUM_THREADS": None}
+
+
+@pytest.fixture
+def idx(tmp_path):
+    """60 2x2 images, six of each digit, every pixel of digit k at
+    25k + 1: the image and label file paths."""
+    labels = numpy.arange(60) % 10
+    images = numpy.repeat(25 * labels + 1, 4).astype(numpy.uint8)
+    idx = [tmp_path / "images.idx", tmp_path / "labels.idx"]
+    idx[0].write_bytes(struct.pack(">IIII", 0x803, 60, 2, 2)
+                       + images.tobytes())
+    idx[1].write_bytes(struct.pack(">II", 0x801, 60)
+                       + labels.astype(numpy.uint8).tobytes())
+    return idx
 
 
 class TestGen:
@@ -110,25 +125,12 @@ class TestGen:
         assert "test_bags must be >= 2" in (out / ".failed").read_text()
         assert not list(out.glob("*.ndjson"))
 
-    @pytest.fixture
-    def idx(self, tmp_path):
-        """60 2x2 images, six of each digit, every pixel of digit k at
-        25k + 1: the image and label file paths."""
-        labels = numpy.arange(60) % 10
-        images = numpy.repeat(25 * labels + 1, 4).astype(numpy.uint8)
-        idx = [tmp_path / "images.idx", tmp_path / "labels.idx"]
-        idx[0].write_bytes(struct.pack(">IIII", 0x803, 60, 2, 2)
-                           + images.tobytes())
-        idx[1].write_bytes(struct.pack(">II", 0x801, 60)
-                           + labels.astype(numpy.uint8).tobytes())
-        return idx
-
     @pytest.mark.parametrize("scheme,digits", [("normal", {9}),
                                                ("hard", {0, 8})])
     def test_from_idx_writes_train_alone(self, tmp_path, idx, scheme,
                                          digits):
         out = tmp_path / "d"
-        assert run(["gen", "--from-idx", *idx, "--scheme", scheme,
+        assert run(["gen-idx", *idx, "--scheme", scheme,
                     "--bags", "12", "--bag-size", "4", "--ratio", "0.25",
                     "--out", out]) == 0
         assert {p.name for p in out.iterdir()} == {
@@ -146,7 +148,7 @@ class TestGen:
         # the six 9s and 54 other digits fill six positive/negative pairs
         for bags in (2, 4):
             out = tmp_path / f"d{bags}"
-            assert run(["gen", "--from-idx", *idx, "--bags", bags,
+            assert run(["gen-idx", *idx, "--bags", bags,
                         "--bag-size", "4", "--ratio", "0.25",
                         "--out", out]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
@@ -154,7 +156,7 @@ class TestGen:
             ds = data.load_ndjson(out / "train.ndjson")
             assert ds.bag_labels.tolist() == [1, 0] * (bags // 2)
         out = tmp_path / "d14"
-        assert run(["gen", "--from-idx", *idx, "--bags", "14",
+        assert run(["gen-idx", *idx, "--bags", "14",
                     "--bag-size", "4", "--ratio", "0.25", "--out", out]) == 2
         assert ("pool too small for 14 bags: it fills at most 12"
                 in (out / ".failed").read_text())
@@ -340,6 +342,19 @@ class TestSweep:
         assert exit_.value.code == 2
         assert "expected at least one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "1", "-3"])
+    def test_fewer_than_two_folds_is_a_usage_error(self, tmp_path, capsys,
+                                                   k):
+        # --data names no file: the count is refused before any load
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as exit_:
+            run(["sweep", "--data", tmp_path / "absent.ndjson",
+                 "--kfold", k, "--out", out])
+        assert exit_.value.code == 2
+        assert (f"argument --kfold: needs at least 2 folds, got {k}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", [[], ["--kfold", "3"]])
     def test_summary_records_numpy_and_blas_threads(self, dataset_dir,
                                                     tmp_path, mode):
@@ -499,18 +514,24 @@ class TestConfigEcho:
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["command"] == "entropy"
         assert echoed["p_steps"] == 3
-        assert echoed["seed"] == 0
+        assert "seed" not in echoed
 
 
 class TestFlags:
     """sweep's grid sets mu and T per cell and ablation's rows set the
     switches, so those subcommands reject the flags; train takes them.
-    No subcommand takes --no-adaptive-mu: --warmup-T 0 holds mu."""
+    No subcommand takes --no-adaptive-mu: --warmup-T 0 holds mu. Nor
+    --arch: the instance classifier is the MLP. eval and entropy draw
+    nothing at random, so they take no --seed, and the IDX path is
+    gen-idx, not gen --from-idx."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--mu", "0.2"], ["sweep", "--warmup-T", "2"],
         ["ablation", "--no-constrain"], ["ablation", "--hard-labels"],
-        ["ablation", "--no-adaptive-mu"], ["train", "--no-adaptive-mu"]])
+        ["ablation", "--no-adaptive-mu"], ["train", "--no-adaptive-mu"],
+        ["train", "--arch", "linear"],
+        ["eval", "--seed", "1", "--checkpoint", "c"],
+        ["entropy", "--seed", "1"], ["gen", "--from-idx", "I", "L"]])
     def test_flag_nothing_reads_is_a_usage_error(self, tmp_path, capsys,
                                                  argv):
         with pytest.raises(SystemExit) as exit_:
@@ -527,6 +548,77 @@ class TestFlags:
         assert config["schedule"] == {"mu_final": 0.3, "warmup_epochs": 4}
         assert (config["constrain"], config["soft_labels"]) == (False, False)
         assert "adaptive" not in config
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that, once ``reads`` is set, adds to it the name of each
+    parsed value read from it. ``reads`` is a slot, so ``vars`` leaves it
+    out."""
+
+    __slots__ = ("reads",)
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        try:
+            reads = object.__getattribute__(self, "reads")
+        except AttributeError:  # still parsing
+            return value
+        if name in object.__getattribute__(self, "__dict__"):
+            reads.add(name)
+        return value
+
+
+# one argv per subcommand and mode, {data}, {checkpoint}, {images} and
+# {labels} filled in by TestEveryFlagIsRead.paths
+READ_CASES = {
+    "gen": ["gen", *GEN_FLAGS],
+    "gen-hard": ["gen", "--scheme", "hard", *GEN_FLAGS],
+    "gen-idx": ["gen-idx", "{images}", "{labels}", "--bags", "4",
+                "--bag-size", "4", "--ratio", "0.25"],
+    "train": ["train", "--data", "{data}", *FAST_TRAIN],
+    "eval": ["eval", "--checkpoint", "{checkpoint}",
+             "--data", "{data}/test.ndjson"],
+    "sweep": ["sweep", "--data", "{data}", *FAST, "--grid-mu", "0.25",
+              "--grid-T", "2"],
+    "sweep-kfold": ["sweep", "--data", "{data}", *FAST, "--grid-mu", "0.25",
+                    "--grid-T", "2", "--kfold", "2"],
+    "ablation": ["ablation", "--data", "{data}", *FAST_TRAIN],
+    **{f"baseline-{kind}": ["baseline", "--kind", kind, "--data", "{data}",
+                            "--epochs", "2", "--attn-hidden", "4"]
+       for kind in ("max", "mean", "attention")},
+    "entropy": ["entropy", "--K", "2", "--p-steps", "3"],
+}
+
+
+class TestEveryFlagIsRead:
+    """Every subcommand reads every value it parses: one parsed and never
+    read is a flag that does nothing, yet config.json echoes it."""
+
+    def test_every_subcommand_has_a_case(self):
+        subparsers, = [action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert {argv[0] for argv in READ_CASES.values()} == \
+               set(subparsers.choices)
+
+    @pytest.fixture
+    def paths(self, dataset_dir, idx, tmp_path):
+        trained = tmp_path / "t"
+        assert run(["train", "--data", dataset_dir, *FAST_TRAIN,
+                    "--out", trained]) == 0
+        return {"data": dataset_dir, "images": idx[0], "labels": idx[1],
+                "checkpoint": trained / "checkpoint.json"}
+
+    @pytest.mark.parametrize("mode", READ_CASES)
+    def test_every_parsed_value_is_read(self, paths, tmp_path, mode):
+        out = tmp_path / "o"
+        out.mkdir()
+        argv = [arg.format(**paths) for arg in READ_CASES[mode]]
+        args = cli.build_parser().parse_args([*argv, "--out", str(out)],
+                                             namespace=ReadRecorder())
+        args.reads = set()
+        args.func(args, out)
+        assert set(vars(args)) - args.reads - {"command", "func", "out"} \
+            == set()
 
 
 class TestReadme:
@@ -547,8 +639,8 @@ class TestReadme:
                         shlex.split(line)[1:]).command)
                 except SystemExit:
                     pytest.fail(f"README.md: {line!r} does not parse")
-        assert commands == {"gen", "train", "eval", "sweep", "ablation",
-                            "baseline", "entropy"}
+        assert commands == {"gen", "gen-idx", "train", "eval", "sweep",
+                            "ablation", "baseline", "entropy"}
 
 
 class TestImports:

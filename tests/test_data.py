@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -951,6 +952,33 @@ class TestIdx:
                                tag="b")
         with pytest.raises(ValueError, match="mismatch"):
             load_idx_mnist(ip, lp)
+
+    @pytest.mark.parametrize("images,labels,field,value", [
+        ((-1, 2, 2), 4, "images", -1), ((0, 2, 2), 4, "images", 0),
+        ((4, 0, 2), 4, "rows", 0), ((4, 2, -3), 4, "columns", -3),
+        ((4, 2, 2), -1, "labels", -1), ((4, 2, 2), 0, "labels", 0)])
+    def test_header_count_below_one_names_file_and_field(
+            self, tmp_path, images, labels, field, value):
+        ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+        ip.write_bytes(struct.pack(">iiii", 0x803, *images) + bytes(16))
+        lp.write_bytes(struct.pack(">ii", 0x801, labels) + bytes(4))
+        bad = lp if field == "labels" else ip
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: IDX header field {field} must be >= 1, "
+                f"got {value}")):
+            load_idx_mnist(ip, lp)
+
+    def test_peak_memory_of_one_load(self, tmp_path, traced_peak):
+        # 500 28x28 images: the pixel bytes and one float64 copy of them,
+        # scaled in place, fit with a byte per pixel to spare; scaling
+        # into a second copy holds 17 bytes per pixel
+        rng = np.random.default_rng(3)
+        ip, lp = write_idx_pair(tmp_path,
+                                rng.integers(0, 256, size=(500, 28, 28)),
+                                rng.integers(0, 10, size=500))
+        load_idx_mnist(ip, lp)
+        peak = traced_peak(load_idx_mnist, ip, lp)
+        assert peak <= (8 + 1 + 1) * 500 * 28 * 28
 
 
 class TestBagsFromArrays:
