@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: gen (synthetic datasets), gen-idx (bags dealt from an IDX
-image/label pair), train (self-training run), eval (score a checkpoint),
-sweep (mu / warmup grid), ablation (switch suite), baseline (pooling arms),
-entropy (bag-vs-instance entropy table). Each takes only the flags it
-reads.
+Subcommands: gen normal|hard (synthetic datasets), gen-idx (bags dealt
+from an IDX image/label pair), train (self-training run), eval (score a
+checkpoint), sweep (mu / warmup grid), ablation (switch suite), baseline
+max|mean|attention (pooling arms), entropy (bag-vs-instance entropy
+table). Each subcommand, and each mode of gen and baseline, takes only the
+flags it reads: only gen hard takes --second-separation and --concept-mix,
+and only baseline attention takes --attn-hidden.
 
 Every invocation echoes its flags to OUT/config.json before doing any
 work; a failure leaves OUT/.failed describing the error and exits
@@ -118,13 +120,17 @@ def _write_manifest(args, out_dir: Path, splits: dict) -> None:
 
 
 def cmd_gen(args, out_dir: Path) -> None:
+    """gen normal lacks the second concept's flags: defaults stand."""
+    settings = {}
+    if "concept_mix" in args:
+        settings.update(second_separation=args.second_separation,
+                        concept_mix=args.concept_mix)
     cfg = datamod.GenConfig(
         scheme=args.scheme, n_bags=args.bags, test_bags=args.test_bags,
         bag_size=args.bag_size, positive_ratio=args.ratio,
         feature_dim=args.dim, cluster_separation=args.separation,
-        second_separation=args.second_separation,
-        concept_mix=args.concept_mix,
-        n_concepts=2 if args.scheme == "hard" else 1, seed=args.seed)
+        n_concepts=2 if args.scheme == "hard" else 1, seed=args.seed,
+        **settings)
     if args.scheme == "hard":
         names = ("train.ndjson", "test_normal.ndjson",
                  "test_pos0.ndjson", "test_pos8.ndjson")
@@ -140,11 +146,12 @@ def cmd_gen(args, out_dir: Path) -> None:
 
 
 def cmd_gen_idx(args, out_dir: Path) -> None:
-    feats, labels = datamod.load_idx_mnist(args.images, args.labels)
-    mask = np.isin(labels, (0, 8) if args.scheme == "hard" else 9)
+    # checked before the images load; the dealer reads no feature_dim
     cfg = datamod.GenConfig(scheme="normal", n_bags=args.bags,
                             bag_size=args.bag_size, positive_ratio=args.ratio,
-                            feature_dim=feats.shape[1], seed=args.seed)
+                            seed=args.seed)
+    feats, labels = datamod.load_idx_mnist(args.images, args.labels)
+    mask = np.isin(labels, (0, 8) if args.scheme == "hard" else 9)
     ds = datamod.bags_from_arrays(feats, mask, cfg)
     datamod.save_ndjson(ds, out_dir / "train.ndjson")
     _write_manifest(args, out_dir, {"train.ndjson": ds})
@@ -236,8 +243,10 @@ def cmd_baseline(args, out_dir: Path) -> None:
         splits[name] = _load_eval(extra, train_ds.feature_dim)
     sgd = SgdConfig(learning_rate=args.lr, batch_size=args.batch_size,
                     epochs=args.epochs, seed=args.seed)
-    params = pool_baseline_train(train_ds, args.kind, sgd,
-                                 attention_hidden=args.attn_hidden)
+    # only baseline attention takes --attn-hidden
+    settings = ({"attention_hidden": args.attn_hidden}
+                if "attn_hidden" in args else {})
+    params = pool_baseline_train(train_ds, args.kind, sgd, **settings)
     report = {"kind": args.kind, "seed": args.seed, "splits": {}}
     for name, ds in splits.items():
         instance_auc, bag_auc = dataset_aucs(ds, *baseline_scores(params, ds))
@@ -247,14 +256,16 @@ def cmd_baseline(args, out_dir: Path) -> None:
 
 
 def parse_k_values(text: str) -> list[int]:
-    """Accept '64', '2,4,8', or '1..64' (inclusive range)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    elif "," in text:
-        values = [int(part) for part in text.split(",")]
-    else:
-        values = [int(text)]
+    """Accept '64', '2,4,8', or '1..64' (inclusive range); anything else,
+    or a size below 1, is a ValueError quoting ``text``."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",")]
+    except ValueError:
+        values = []
     if not values or any(v < 1 for v in values):
         raise ValueError(f"bad bag-size list: {text!r}")
     return values
@@ -276,11 +287,7 @@ def _add_common(sub, cmd_name, seed: bool = True):
 
 
 def _add_bag_flags(sub):
-    """The flags of both generators: what is positive, and how bags of
-    instances are dealt."""
-    sub.add_argument("--scheme", choices=("normal", "hard"), default="normal",
-                     help="gen: one concept or two; gen-idx: positive "
-                          "digit 9, or digits 0 and 8")
+    """The flags of both generators: how bags of instances are dealt."""
     sub.add_argument("--bags", type=int, default=200)
     sub.add_argument("--bag-size", type=int, default=100)
     sub.add_argument("--ratio", type=float, default=0.10)
@@ -326,19 +333,27 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="write synthetic bag datasets")
-    _add_bag_flags(gen)
-    gen.add_argument("--test-bags", type=int, default=80)
-    gen.add_argument("--dim", type=int, default=16)
-    gen.add_argument("--separation", type=float, default=5.0)
-    gen.add_argument("--second-separation", type=float, default=3.5)
-    gen.add_argument("--concept-mix", type=float, default=0.5)
-    _add_common(gen, "gen")
-    gen.set_defaults(func=cmd_gen)
+    schemes = gen.add_subparsers(dest="scheme", required=True)
+    for scheme, help_ in (("normal", "one concept: train + test"),
+                          ("hard", "two concepts: train + test_normal + "
+                                   "test_pos0 + test_pos8")):
+        mode = schemes.add_parser(scheme, help=help_)
+        _add_bag_flags(mode)
+        mode.add_argument("--test-bags", type=int, default=80)
+        mode.add_argument("--dim", type=int, default=16)
+        mode.add_argument("--separation", type=float, default=5.0)
+        if scheme == "hard":
+            mode.add_argument("--second-separation", type=float, default=3.5)
+            mode.add_argument("--concept-mix", type=float, default=0.5)
+        _add_common(mode, "gen")
+        mode.set_defaults(func=cmd_gen)
 
     idx = subs.add_parser("gen-idx", help="deal bags from an IDX "
                                           "image/label file pair")
     idx.add_argument("images", help="IDX image file")
     idx.add_argument("labels", help="IDX label file")
+    idx.add_argument("--scheme", choices=("normal", "hard"), default="normal",
+                     help="positive digit 9, or digits 0 and 8")
     _add_bag_flags(idx)
     _add_common(idx, "gen-idx")
     idx.set_defaults(func=cmd_gen_idx)
@@ -372,17 +387,19 @@ def build_parser() -> argparse.ArgumentParser:
     abl.set_defaults(func=cmd_ablation)
 
     base = subs.add_parser("baseline", help="train a bag-pooling baseline")
-    base.add_argument("--kind", choices=("max", "mean", "attention"),
-                      required=True)
-    base.add_argument("--data", required=True)
-    base.add_argument("--test", action="append",
-                      help="extra evaluation split (repeatable)")
-    base.add_argument("--lr", type=float, default=0.01)
-    base.add_argument("--batch-size", type=int, default=16)
-    base.add_argument("--epochs", type=int, default=100)
-    base.add_argument("--attn-hidden", type=int, default=64)
-    _add_common(base, "baseline")
-    base.set_defaults(func=cmd_baseline)
+    kinds = base.add_subparsers(dest="kind", required=True)
+    for kind in ("max", "mean", "attention"):
+        mode = kinds.add_parser(kind, help=f"{kind} pooling")
+        mode.add_argument("--data", required=True)
+        mode.add_argument("--test", action="append",
+                          help="extra evaluation split (repeatable)")
+        mode.add_argument("--lr", type=float, default=0.01)
+        mode.add_argument("--batch-size", type=int, default=16)
+        mode.add_argument("--epochs", type=int, default=100)
+        if kind == "attention":
+            mode.add_argument("--attn-hidden", type=int, default=64)
+        _add_common(mode, "baseline")
+        mode.set_defaults(func=cmd_baseline)
 
     ent = subs.add_parser("entropy", help="bag vs instance entropy table")
     ent.add_argument("--K", default="1..64",

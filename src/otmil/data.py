@@ -187,6 +187,10 @@ class GenConfig:
             raise ValueError("concept_mix must lie in [0, 1]")
         if self.bag_size < 1:
             raise ValueError("bag_size must be >= 1")
+        if self.positive_ratio * self.bag_size < 1.0:
+            raise ValueError(
+                "empty positive content: positive_ratio * bag_size must be "
+                f">= 1, got {self.positive_ratio!r} * {self.bag_size}")
         if self.n_bags < 2:
             raise ValueError("need at least 2 bags")
         if self.test_bags < 2:  # a test split needs a bag of each label
@@ -211,8 +215,6 @@ def _concept_means(cfg: GenConfig) -> np.ndarray:
 
 
 def _positive_counts(cfg: GenConfig) -> int:
-    if cfg.positive_ratio * cfg.bag_size < 1.0:
-        raise ValueError("empty positive content")
     return round_half_up(cfg.positive_ratio * cfg.bag_size)
 
 
@@ -523,37 +525,40 @@ IDX_LABELS_MAGIC = 0x00000801
 
 def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Big-endian IDX image/label pair -> (features in [0,1], digit vector).
-    A header count below 1 is a ValueError naming the file and the field.
-    Scaling in place holds one float64 copy of the pixels beside their
-    bytes."""
+    Every format error is a ValueError naming the file: a header count
+    below 1 also names the field, and a count mismatch names both files
+    and both counts. Scaling in place holds one float64 copy of the pixels
+    beside their bytes."""
     with open(images_path, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16:
-            raise ValueError("not IDX")
+            raise ValueError(f"{images_path}: not IDX image file")
         magic, n, rows, cols = struct.unpack(">iiii", head)
         if magic != IDX_IMAGES_MAGIC:
-            raise ValueError("not IDX")
+            raise ValueError(f"{images_path}: not IDX image file")
         _check_idx_counts(images_path, images=n, rows=rows, columns=cols)
         raw = fh.read(n * rows * cols)
         if len(raw) != n * rows * cols:
-            raise ValueError("truncated IDX image file")
+            raise ValueError(f"{images_path}: truncated IDX image file")
         feats = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
         feats = feats.astype(np.float64)
         feats /= 255.0
     with open(labels_path, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8:
-            raise ValueError("not IDX")
+            raise ValueError(f"{labels_path}: not IDX label file")
         magic, n_lab = struct.unpack(">ii", head)
         if magic != IDX_LABELS_MAGIC:
-            raise ValueError("not IDX")
+            raise ValueError(f"{labels_path}: not IDX label file")
         _check_idx_counts(labels_path, labels=n_lab)
         raw = fh.read(n_lab)
         if len(raw) != n_lab:
-            raise ValueError("truncated IDX label file")
+            raise ValueError(f"{labels_path}: truncated IDX label file")
         digits = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if len(digits) != len(feats):
-        raise ValueError("image/label count mismatch")
+        raise ValueError(f"image/label count mismatch: {images_path} holds "
+                         f"{len(feats)} images, {labels_path} "
+                         f"{len(digits)} labels")
     return feats, digits
 
 

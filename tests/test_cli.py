@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import shlex
 import shutil
 import struct
@@ -31,7 +32,7 @@ def run(argv):
 @pytest.fixture
 def dataset_dir(tmp_path):
     out = tmp_path / "d"
-    run(["gen", *GEN_FLAGS, "--seed", "1", "--out", out])
+    run(["gen", "normal", *GEN_FLAGS, "--seed", "1", "--out", out])
     return out
 
 
@@ -71,7 +72,8 @@ def idx(tmp_path):
 class TestGen:
     def test_normal_writes_files_and_manifest(self, tmp_path):
         out = tmp_path / "d"
-        assert run(["gen", *GEN_FLAGS, "--seed", "7", "--out", out]) == 0
+        assert run(["gen", "normal", *GEN_FLAGS, "--seed", "7",
+                    "--out", out]) == 0
         assert (out / "train.ndjson").exists()
         assert (out / "test.ndjson").exists()
         assert (out / "config.json").exists()
@@ -82,48 +84,58 @@ class TestGen:
 
     def test_hard_writes_four_datasets(self, tmp_path):
         out = tmp_path / "d"
-        assert run(["gen", "--scheme", "hard", *GEN_FLAGS, "--out", out]) == 0
+        assert run(["gen", "hard", *GEN_FLAGS, "--out", out]) == 0
         names = {p.name for p in out.glob("*.ndjson")}
         assert names == {"train.ndjson", "test_normal.ndjson",
                          "test_pos0.ndjson", "test_pos8.ndjson"}
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run(["gen", *GEN_FLAGS, "--seed", "3", "--out", a])
-        run(["gen", *GEN_FLAGS, "--seed", "3", "--out", b])
+        run(["gen", "normal", *GEN_FLAGS, "--seed", "3", "--out", a])
+        run(["gen", "normal", *GEN_FLAGS, "--seed", "3", "--out", b])
         assert (a / "train.ndjson").read_bytes() == \
                (b / "train.ndjson").read_bytes()
 
     def test_invalid_ratio_fails_with_marker(self, tmp_path):
         out = tmp_path / "d"
-        code = run(["gen", "--ratio", "1.5", "--out", out])
+        code = run(["gen", "normal", "--ratio", "1.5", "--out", out])
         assert code != 0
         assert (out / ".failed").exists()
 
     def test_zero_dim_fails_with_reason(self, tmp_path):
         out = tmp_path / "d"
-        assert run(["gen", "--dim", "0", "--out", out]) == 2
+        assert run(["gen", "normal", "--dim", "0", "--out", out]) == 2
         assert "feature_dim must be >= 1" in (out / ".failed").read_text()
 
     @pytest.mark.parametrize("flags,field", [
-        (["--separation", "nan"], "cluster_separation"),
-        (["--separation", "inf"], "cluster_separation"),
-        (["--scheme", "hard", "--second-separation", "nan"],
-         "second_separation")])
+        (["normal", "--separation", "nan"], "cluster_separation"),
+        (["normal", "--separation", "inf"], "cluster_separation"),
+        (["hard", "--second-separation", "nan"], "second_separation")])
     def test_non_finite_separation_names_the_field(self, tmp_path, flags,
                                                    field):
         out = tmp_path / "d"
-        assert run(["gen", *GEN_FLAGS, *flags, "--out", out]) == 2
+        assert run(["gen", *flags, *GEN_FLAGS, "--out", out]) == 2
         assert f"{field} must be finite" in (out / ".failed").read_text()
         assert not list(out.glob("*.ndjson"))
 
     @pytest.mark.parametrize("scheme", ["normal", "hard"])
     def test_one_test_bag_fails_with_reason(self, tmp_path, scheme):
         out = tmp_path / "d"
-        assert run(["gen", "--scheme", scheme, *GEN_FLAGS, "--test-bags", "1",
+        assert run(["gen", scheme, *GEN_FLAGS, "--test-bags", "1",
                     "--out", out]) == 2
         assert "test_bags must be >= 2" in (out / ".failed").read_text()
         assert not list(out.glob("*.ndjson"))
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "normal", *GEN_FLAGS, "--ratio", "0.001"],
+        # the setting fails before the images load: none exist here
+        ["gen-idx", "no-images", "no-labels", "--bag-size", "4",
+         "--ratio", "0.2"]])
+    def test_empty_positive_content_names_both_fields(self, tmp_path, argv):
+        out = tmp_path / "d"
+        assert run([*argv, "--out", out]) == 2
+        assert ("empty positive content: positive_ratio * bag_size must be "
+                ">= 1, got") in (out / ".failed").read_text()
 
     @pytest.mark.parametrize("scheme,digits", [("normal", {9}),
                                                ("hard", {0, 8})])
@@ -197,11 +209,11 @@ class TestTrain:
     def test_parses_only_the_split_it_reads(self, tmp_path):
         # train reads test.ndjson of a hard corpus's four splits
         d, t, b = tmp_path / "d", tmp_path / "t", tmp_path / "b"
-        run(["gen", "--scheme", "hard", *GEN_FLAGS, "--out", d])
+        run(["gen", "hard", *GEN_FLAGS, "--out", d])
         bad = d / "test_pos8.ndjson"
         bad.write_text("{not json\n")
         assert run(["train", "--data", d, *FAST_TRAIN, "--out", t]) == 0
-        assert run(["baseline", "--kind", "max", "--data", d, "--epochs", "1",
+        assert run(["baseline", "max", "--data", d, "--epochs", "1",
                     "--out", b]) == 2
         assert str(bad) in (b / ".failed").read_text()
 
@@ -232,7 +244,7 @@ class TestTrain:
 class TestEval:
     def test_scores_checkpoint(self, tmp_path):
         d, t, e = tmp_path / "d", tmp_path / "t", tmp_path / "e"
-        run(["gen", *GEN_FLAGS, "--out", d])
+        run(["gen", "normal", *GEN_FLAGS, "--out", d])
         run(["train", "--data", d, *FAST_TRAIN, "--out", t])
         assert run(["eval", "--checkpoint", t / "checkpoint.json",
                     "--data", d / "test.ndjson", "--out", e]) == 0
@@ -246,7 +258,7 @@ class TestEval:
     def test_eval_matches_training_metrics(self, tmp_path):
         # eval and the trainer score a checkpoint through one code path
         d, t, e = tmp_path / "d", tmp_path / "t", tmp_path / "e"
-        run(["gen", *GEN_FLAGS, "--out", d])
+        run(["gen", "normal", *GEN_FLAGS, "--out", d])
         run(["train", "--data", d, *FAST_TRAIN, "--eval", d / "test.ndjson",
              "--out", t])
         assert run(["eval", "--checkpoint", t / "checkpoint.json",
@@ -260,7 +272,7 @@ class TestEval:
 class TestSweep:
     def test_mu_grid_rows(self, tmp_path):
         d, s = tmp_path / "d", tmp_path / "s"
-        run(["gen", *GEN_FLAGS, "--out", d])
+        run(["gen", "normal", *GEN_FLAGS, "--out", d])
         assert run(["sweep", "--data", d, *FAST, "--grid-T", "2",
                     "--grid-mu", "0.2", "0.3", "--out", s]) == 0
         lines = (s / "sweep.csv").read_text().splitlines()
@@ -274,7 +286,7 @@ class TestSweep:
                                                  monkeypatch):
         # one instance AUC and one bag AUC per grid point, none per epoch
         d, s = tmp_path / "d", tmp_path / "s"
-        run(["gen", *GEN_FLAGS, "--out", d])
+        run(["gen", "normal", *GEN_FLAGS, "--out", d])
         log = tmp_path / "roc_auc_calls"
         real = metrics.roc_auc
 
@@ -292,7 +304,7 @@ class TestSweep:
 
     def test_kfold_mode(self, tmp_path):
         d, s = tmp_path / "d", tmp_path / "s"
-        run(["gen", *GEN_FLAGS, "--out", d])
+        run(["gen", "normal", *GEN_FLAGS, "--out", d])
         assert run(["sweep", "--data", d / "train.ndjson", *FAST,
                     "--grid-mu", "0.25", "--grid-T", "2",
                     "--kfold", "3", "--out", s]) == 0
@@ -368,7 +380,7 @@ class TestSweep:
 class TestAblation:
     def test_four_rows(self, tmp_path):
         d, a = tmp_path / "d", tmp_path / "a"
-        run(["gen", *GEN_FLAGS, "--out", d])
+        run(["gen", "normal", *GEN_FLAGS, "--out", d])
         assert run(["ablation", "--data", d, *FAST_TRAIN, "--out", a]) == 0
         lines = (a / "ablation.csv").read_text().splitlines()
         assert len(lines) == 5
@@ -394,8 +406,8 @@ class TestAblation:
 class TestBaseline:
     def test_reports_per_split_auc(self, tmp_path):
         d, b = tmp_path / "d", tmp_path / "b"
-        run(["gen", "--scheme", "hard", *GEN_FLAGS, "--out", d])
-        assert run(["baseline", "--kind", "attention", "--data", d,
+        run(["gen", "hard", *GEN_FLAGS, "--out", d])
+        assert run(["baseline", "attention", "--data", d,
                     "--epochs", "5", "--out", b]) == 0
         report = json.loads((b / "baseline.json").read_text())
         assert report["kind"] == "attention"
@@ -405,8 +417,8 @@ class TestBaseline:
 
     def test_zero_attention_hidden_names_the_field(self, tmp_path):
         d, b = tmp_path / "d", tmp_path / "b"
-        run(["gen", *GEN_FLAGS, "--out", d])
-        assert run(["baseline", "--kind", "attention", "--data", d,
+        run(["gen", "normal", *GEN_FLAGS, "--out", d])
+        assert run(["baseline", "attention", "--data", d,
                     "--attn-hidden", "0", "--out", b]) != 0
         assert "attention_hidden must be >= 1" in (b / ".failed").read_text()
 
@@ -420,10 +432,10 @@ class TestBaseline:
     def test_clashing_split_names_fail(self, tmp_path, data, extra):
         b = tmp_path / "b"
         for name in ("d", "other", "third"):
-            run(["gen", *GEN_FLAGS, "--out", tmp_path / name])
+            run(["gen", "normal", *GEN_FLAGS, "--out", tmp_path / name])
         extra = [tmp_path / path for path in extra]
         flags = [arg for path in extra for arg in ("--test", path)]
-        assert run(["baseline", "--kind", "max", "--data", tmp_path / data,
+        assert run(["baseline", "max", "--data", tmp_path / data,
                     *flags, "--epochs", "1", "--out", b]) == 2
         clash = extra[-1].stem
         assert f"split named '{clash}'" in (b / ".failed").read_text()
@@ -438,7 +450,7 @@ class TestFeatureWidths:
     def narrow(self, tmp_path):
         """A split of width 3, against dataset_dir's 5."""
         out = tmp_path / "narrow"
-        run(["gen", *GEN_FLAGS, "--dim", "3", "--out", out])
+        run(["gen", "normal", *GEN_FLAGS, "--dim", "3", "--out", out])
         return (out / "test.ndjson").rename(out / "narrow.ndjson")
 
     @pytest.fixture
@@ -451,7 +463,7 @@ class TestFeatureWidths:
 
     @pytest.mark.parametrize("argv", [
         ["train", *FAST_TRAIN, "--eval"],
-        ["baseline", "--kind", "attention", "--epochs", "1", "--test"]])
+        ["baseline", "attention", "--epochs", "1", "--test"]])
     def test_eval_split(self, dataset_dir, narrow, no_training, tmp_path,
                         argv):
         out = tmp_path / "o"
@@ -464,7 +476,7 @@ class TestFeatureWidths:
         # train reads the directory's test split alone, baseline every one
         for argv, name in (
                 (["train", *FAST_TRAIN], "test.ndjson"),
-                (["baseline", "--kind", "max", "--epochs", "1"],
+                (["baseline", "max", "--epochs", "1"],
                  "test_narrow.ndjson")):
             d, out = tmp_path / argv[0], tmp_path / f"{argv[0]}-out"
             shutil.copytree(dataset_dir, d)
@@ -498,8 +510,10 @@ class TestEntropy:
         assert parse_k_values("64") == [64]
         assert parse_k_values("2,4,8") == [2, 4, 8]
         assert parse_k_values("1..5") == [1, 2, 3, 4, 5]
-        with pytest.raises(ValueError):
-            parse_k_values("0..3")
+        for bad in ("0..3", "a", "2,,4", "1..x", "", "5..2"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad bag-size list: {bad!r}")):
+                parse_k_values(bad)
 
     def test_bad_p_steps(self, tmp_path):
         out = tmp_path / "e"
@@ -523,7 +537,9 @@ class TestFlags:
     No subcommand takes --no-adaptive-mu: --warmup-T 0 holds mu. Nor
     --arch: the instance classifier is the MLP. eval and entropy draw
     nothing at random, so they take no --seed, and the IDX path is
-    gen-idx, not gen --from-idx."""
+    gen-idx, not gen --from-idx. gen and baseline take their mode as a
+    word, and only gen hard reads the second concept's flags and only
+    baseline attention reads --attn-hidden."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--mu", "0.2"], ["sweep", "--warmup-T", "2"],
@@ -531,13 +547,19 @@ class TestFlags:
         ["ablation", "--no-adaptive-mu"], ["train", "--no-adaptive-mu"],
         ["train", "--arch", "linear"],
         ["eval", "--seed", "1", "--checkpoint", "c"],
-        ["entropy", "--seed", "1"], ["gen", "--from-idx", "I", "L"]])
+        ["entropy", "--seed", "1"], ["gen", "normal", "--from-idx", "I", "L"],
+        ["gen", "normal", "--concept-mix", "0.9"],
+        ["gen", "normal", "--second-separation", "9"],
+        ["baseline", "max", "--attn-hidden", "4"],
+        ["baseline", "mean", "--attn-hidden", "4"],
+        ["gen", "--scheme", "hard"], ["baseline", "--kind", "max"]])
     def test_flag_nothing_reads_is_a_usage_error(self, tmp_path, capsys,
                                                  argv):
         with pytest.raises(SystemExit) as exit_:
             run([*argv, "--data", tmp_path, "--out", tmp_path / "o"])
         assert exit_.value.code == 2
-        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_train_takes_them_all(self, dataset_dir, tmp_path):
         out = tmp_path / "t"
@@ -568,11 +590,25 @@ class ReadRecorder(argparse.Namespace):
         return value
 
 
+def subcommands(parser) -> dict:
+    """``parser``'s subcommands, or modes, by name: {} if it has none."""
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
+
+
+def command_lines(parser, words=()):
+    """(words, parser) for ``parser`` and for every subcommand and mode
+    under it, as in ("gen",), ("gen", "normal")."""
+    yield words, parser
+    for name, sub in subcommands(parser).items():
+        yield from command_lines(sub, (*words, name))
+
+
 # one argv per subcommand and mode, {data}, {checkpoint}, {images} and
 # {labels} filled in by TestEveryFlagIsRead.paths
 READ_CASES = {
-    "gen": ["gen", *GEN_FLAGS],
-    "gen-hard": ["gen", "--scheme", "hard", *GEN_FLAGS],
+    "gen": ["gen", "normal", *GEN_FLAGS],
+    "gen-hard": ["gen", "hard", *GEN_FLAGS],
     "gen-idx": ["gen-idx", "{images}", "{labels}", "--bags", "4",
                 "--bag-size", "4", "--ratio", "0.25"],
     "train": ["train", "--data", "{data}", *FAST_TRAIN],
@@ -583,9 +619,10 @@ READ_CASES = {
     "sweep-kfold": ["sweep", "--data", "{data}", *FAST, "--grid-mu", "0.25",
                     "--grid-T", "2", "--kfold", "2"],
     "ablation": ["ablation", "--data", "{data}", *FAST_TRAIN],
-    **{f"baseline-{kind}": ["baseline", "--kind", kind, "--data", "{data}",
-                            "--epochs", "2", "--attn-hidden", "4"]
-       for kind in ("max", "mean", "attention")},
+    **{f"baseline-{kind}": ["baseline", kind, "--data", "{data}",
+                            "--epochs", "2"] for kind in ("max", "mean")},
+    "baseline-attention": ["baseline", "attention", "--data", "{data}",
+                           "--epochs", "2", "--attn-hidden", "4"],
     "entropy": ["entropy", "--K", "2", "--p-steps", "3"],
 }
 
@@ -595,10 +632,10 @@ class TestEveryFlagIsRead:
     read is a flag that does nothing, yet config.json echoes it."""
 
     def test_every_subcommand_has_a_case(self):
-        subparsers, = [action for action in cli.build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction)]
-        assert {argv[0] for argv in READ_CASES.values()} == \
-               set(subparsers.choices)
+        runnable = {words for words, parser in command_lines(
+            cli.build_parser()) if not subcommands(parser)}
+        assert {words for words in runnable for argv in READ_CASES.values()
+                if tuple(argv[:len(words)]) == words} == runnable
 
     @pytest.fixture
     def paths(self, dataset_dir, idx, tmp_path):
@@ -619,6 +656,19 @@ class TestEveryFlagIsRead:
         args.func(args, out)
         assert set(vars(args)) - args.reads - {"command", "func", "out"} \
             == set()
+
+
+class TestHelp:
+    @pytest.mark.parametrize("words", [
+        words for words, _ in command_lines(cli.build_parser())],
+        ids=lambda words: " ".join(["otmil", *words]))
+    def test_every_command_line_renders_help(self, capsys, words):
+        """A stray % in a help string raises only when help prints."""
+        with pytest.raises(SystemExit) as exit_:
+            run([*words, "--help"])
+        assert exit_.value.code == 0
+        usage = " ".join(["usage: otmil", *words])
+        assert capsys.readouterr().out.startswith(usage)
 
 
 class TestReadme:

@@ -205,10 +205,14 @@ class TestNormalGenerator:
             GenConfig(**{field: bad})
 
     def test_empty_positive_content_rejected(self):
-        cfg = GenConfig(n_bags=4, bag_size=4, positive_ratio=0.1,
-                        feature_dim=2)
-        with pytest.raises(ValueError, match="empty positive"):
-            generate_normal_bags(cfg)
+        # rejected on construction, naming both fields; a product of
+        # exactly 1 holds one positive
+        with pytest.raises(ValueError, match=re.escape(
+                "empty positive content: positive_ratio * bag_size must be "
+                ">= 1, got 0.1 * 4")):
+            GenConfig(n_bags=4, bag_size=4, positive_ratio=0.1,
+                      feature_dim=2)
+        assert GenConfig(bag_size=4, positive_ratio=0.25).bag_size == 4
 
     def test_deterministic(self):
         cfg = GenConfig(n_bags=6, bag_size=10, positive_ratio=0.3,
@@ -951,6 +955,44 @@ class TestIdx:
                                rng.integers(0, 10, size=3).astype(np.uint8),
                                tag="b")
         with pytest.raises(ValueError, match="mismatch"):
+            load_idx_mnist(ip, lp)
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        """60 2x2 images and their labels: the two paths."""
+        rng = np.random.default_rng(5)
+        return write_idx_pair(tmp_path,
+                              rng.integers(0, 256, size=(60, 2, 2)),
+                              rng.integers(0, 10, size=60))
+
+    def test_swapped_pair_names_the_label_file(self, pair):
+        ip, lp = pair
+        with pytest.raises(ValueError, match=re.escape(
+                f"{lp}: not IDX image file")):
+            load_idx_mnist(lp, ip)
+
+    def test_truncated_images_names_the_file(self, pair):
+        ip, lp = pair
+        ip.write_bytes(ip.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{ip}: truncated IDX image file")):
+            load_idx_mnist(ip, lp)
+
+    def test_truncated_labels_names_the_file(self, pair):
+        ip, lp = pair
+        lp.write_bytes(lp.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{lp}: truncated IDX label file")):
+            load_idx_mnist(ip, lp)
+
+    def test_count_mismatch_names_both_files_and_counts(self, pair,
+                                                          tmp_path):
+        ip, _ = pair
+        _, lp = write_idx_pair(tmp_path, np.zeros((59, 2, 2)),
+                               np.zeros(59), tag="59")
+        with pytest.raises(ValueError, match=re.escape(
+                f"image/label count mismatch: {ip} holds 60 images, "
+                f"{lp} 59 labels")):
             load_idx_mnist(ip, lp)
 
     @pytest.mark.parametrize("images,labels,field,value", [
