@@ -20,8 +20,7 @@ from .labeling import (MuSchedule, SinkhornAssignment, adaptive_mu,
                        apply_local_constraint, harden, sinkhorn_assign)
 from .metrics import (EntropyPoint, RocResult, bag_predict, dataset_aucs,
                       dataset_scores, entropy_curve, pseudo_label_metrics,
-                      roc_auc, segment_bag_scores, write_entropy_csv,
-                      write_table_csv)
+                      roc_auc, segment_bag_scores, write_table_csv)
 from .model import (ClassifierParams, Gradients, SgdConfig, backward, forward,
                     init_classifier, load_checkpoint, save_checkpoint,
                     sgd_step)
@@ -48,5 +47,5 @@ __all__ = [
     "pool_bags", "pool_baseline_train", "pseudo_label_metrics", "roc_auc",
     "run_ablation_suite", "save_checkpoint", "save_ndjson",
     "segment_bag_scores", "self_train", "sgd_step", "sinkhorn_assign",
-    "train", "write_entropy_csv", "write_run_csv", "write_table_csv",
+    "train", "write_run_csv", "write_table_csv",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (ClassifierParams, Gradients, SgdConfig, backward,
                     forward, init_classifier, sgd_step)
-from .numkit import Rng
+from .numkit import Rng, bag_sizes
 
 POOL_KINDS = ("max", "mean", "attention")
 
@@ -84,13 +84,11 @@ def _pool(params: PoolParams, x: np.ndarray, offsets: np.ndarray):
     tanh(x V^T), which its gradient reuses and then overwrites (None for
     max and mean)."""
     x = np.asarray(x, dtype=np.float64)
-    offsets = np.asarray(offsets)
-    sizes = np.diff(offsets)
-    if (x.ndim != 2 or sizes.size == 0 or np.any(sizes < 1)
-            or offsets[0] != 0 or offsets[-1] != x.shape[0]):
-        raise ValueError("bags must be nonempty row blocks covering an "
-                         "(N, d) matrix")
-    starts = offsets[:-1]
+    if x.ndim != 2:
+        raise ValueError(f"bag features must be an (N, d) matrix, got shape "
+                         f"{x.shape}")
+    sizes = bag_sizes(offsets, x.shape[0])
+    starts = np.asarray(offsets)[:-1]
     if params.kind == "max":
         return np.maximum.reduceat(x, starts, axis=0), None, None
     if params.kind == "mean":
@@ -110,9 +108,10 @@ def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
 
     targets is (n_bags, 2), positive class first. The bags are stacked
     once and pooled as ``pool_bags`` pools them; the head's loss and
-    gradients come from ``model.backward`` on the pooled vectors. Max and
-    mean pooling have no parameters below the head; the attention arm also
-    backpropagates through its per-bag softmax into w and V, in one
+    gradients come from ``model.backward`` on the pooled vectors, in the
+    head's one pass. Max and mean pooling have no parameters below the
+    head; the attention arm also backpropagates the head's
+    d(loss)/d(logits) through its per-bag softmax into w and V, in one
     vectorised pass over the stacked rows. That pass holds one (N, L)
     buffer, the hidden layer H, which becomes 1 - H^2 in place once
     d(loss)/dw = H^T delta has been taken; with delta = d(loss)/d(scores),
@@ -132,8 +131,8 @@ def pool_loss_and_grads(params: PoolParams, bag_feats: list[np.ndarray],
     if weights is None:
         return loss, grads
     sizes = np.diff(offsets)
-    # d(mean CE)/d(pooled) through the linear head's softmax
-    d_pooled = (forward(params.head, pooled) - targets) / n @ params.head.w_out
+    # d(mean CE)/d(pooled) through the linear head's logits
+    d_pooled = head_grads.logits @ params.head.w_out
     d_weights = np.einsum("ij,ij->i", x, np.repeat(d_pooled, sizes, axis=0))
     # softmax Jacobian-vector product within each bag
     d_scores = weights * (d_weights - np.repeat(

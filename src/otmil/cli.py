@@ -27,8 +27,8 @@ import numpy as np
 from . import data as datamod
 from .baselines import baseline_scores, pool_baseline_train
 from .labeling import MuSchedule
-from .metrics import (dataset_aucs, dataset_scores, entropy_curve,
-                      write_entropy_csv, write_table_csv)
+from .metrics import (EntropyPoint, dataset_aucs, dataset_scores,
+                      entropy_curve, write_table_csv)
 from .model import SgdConfig, load_checkpoint, save_checkpoint
 from .trainer import (TrainConfig, benchmark_cv, holdout_sweep,
                       run_ablation_suite, self_train, write_run_csv)
@@ -277,7 +277,9 @@ def cmd_entropy(args, out_dir: Path) -> None:
     k_values = parse_k_values(args.K)
     p_values = [i / (args.p_steps + 1) for i in range(1, args.p_steps + 1)]
     points = entropy_curve(k_values, p_values)
-    write_entropy_csv(points, out_dir / "entropy.csv")
+    write_table_csv(out_dir / "entropy.csv",
+                    [field.name for field in dataclasses.fields(EntropyPoint)],
+                    map(dataclasses.astuple, points))
 
 
 def _add_common(sub, cmd_name, seed: bool = True):

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import Rng, fan_out, sample_gaussian
+from .numkit import Rng, bag_sizes, fan_out, sample_gaussian
 
 
 class Instance(NamedTuple):
@@ -89,22 +89,21 @@ class Dataset:
                                 ((-1, 0, 1), "instance_labels")):
             if not np.isin(getattr(self, what), label_set).all():
                 raise ValueError(f"{what} must be in {label_set}")
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            raise ValueError("features must be an (N, d) matrix with feature "
+                             "dimension d >= 1")
+        # before the int64 cast below, which would truncate float offsets
+        bag_sizes(self.offsets, self.n_instances)
         for what in ("features", "offsets", "bag_labels", "instance_labels"):
             dtype = np.float64 if what == "features" else np.int64
             arr = np.asarray(getattr(self, what), dtype=dtype).view()
             arr.flags.writeable = False  # a read-only view of the input
             setattr(self, what, arr)
-        if self.features.ndim != 2 or self.features.shape[1] < 1:
-            raise ValueError("features must be an (N, d) matrix with feature "
-                             "dimension d >= 1")
         if (self.offsets.shape != (len(self.bag_ids) + 1,)
                 or self.bag_labels.shape != (len(self.bag_ids),)
                 or self.instance_labels.shape != (self.n_instances,)):
             raise ValueError("array lengths disagree")
-        if self.offsets[0] != 0 or self.offsets[-1] != self.n_instances:
-            raise ValueError("offsets must run from 0 to N")
-        if np.any(np.diff(self.offsets) < 1):
-            raise ValueError("bag must contain at least one instance")
         x = self.features
         # the min or the max is NaN or infinite iff an entry is; no (N, d)
         # mask unless one is
@@ -251,30 +250,30 @@ def _make_bags(cfg: GenConfig, rng: np.random.Generator, n_bags: int,
                    np.arange(n_bags) < n_pos_bags, labels.ravel())
 
 
-def generate_normal_bags(cfg: GenConfig,
-                         rng: np.random.Generator | None = None) -> Dataset:
+def generate_normal_bags(cfg: GenConfig) -> Dataset:
     """Single-concept bags: each positive bag holds round(ratio*size)
-    positives from one cluster; negative bags hold none."""
+    positives from one cluster; negative bags hold none. The draws come
+    from ``Rng(cfg.seed)``."""
     if cfg.scheme != "normal":
         raise ValueError("config scheme must be 'normal'")
-    rng = rng or Rng(cfg.seed)
-    return _make_bags(cfg, rng, cfg.n_bags, "", "first")
+    return _make_bags(cfg, Rng(cfg.seed), cfg.n_bags, "", "first")
 
 
-def generate_hard_bags(cfg: GenConfig, rng: np.random.Generator | None = None
+def generate_hard_bags(cfg: GenConfig
                        ) -> tuple[Dataset, Dataset, Dataset, Dataset]:
     """Two-concept suite: mixed training bags plus three test splits.
 
     Returns (train, test_normal, test_pos0, test_pos8): training and
     test_normal positive bags mix both concepts per instance; test_pos0
     positives are all first-concept, test_pos8 all second-concept.
-    Negative bags are identically distributed in every split.
+    Negative bags are identically distributed in every split. The splits
+    draw in that order from one ``Rng(cfg.seed)``.
     """
     if cfg.scheme != "hard":
         raise ValueError("config scheme must be 'hard'")
     if cfg.n_concepts != 2:
         raise ValueError("hard scheme requires n_concepts = 2")
-    rng = rng or Rng(cfg.seed)
+    rng = Rng(cfg.seed)
     return (_make_bags(cfg, rng, cfg.n_bags, "", "mixed"),
             _make_bags(cfg, rng, cfg.test_bags, "tn-", "mixed"),
             _make_bags(cfg, rng, cfg.test_bags, "t0-", "first"),
@@ -529,32 +528,13 @@ def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     below 1 also names the field, and a count mismatch names both files
     and both counts. Scaling in place holds one float64 copy of the pixels
     beside their bytes."""
-    with open(images_path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise ValueError(f"{images_path}: not IDX image file")
-        magic, n, rows, cols = struct.unpack(">iiii", head)
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"{images_path}: not IDX image file")
-        _check_idx_counts(images_path, images=n, rows=rows, columns=cols)
-        raw = fh.read(n * rows * cols)
-        if len(raw) != n * rows * cols:
-            raise ValueError(f"{images_path}: truncated IDX image file")
-        feats = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
-        feats = feats.astype(np.float64)
-        feats /= 255.0
-    with open(labels_path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise ValueError(f"{labels_path}: not IDX label file")
-        magic, n_lab = struct.unpack(">ii", head)
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"{labels_path}: not IDX label file")
-        _check_idx_counts(labels_path, labels=n_lab)
-        raw = fh.read(n_lab)
-        if len(raw) != n_lab:
-            raise ValueError(f"{labels_path}: truncated IDX label file")
-        digits = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (n, rows, cols), raw = _read_idx(images_path, IDX_IMAGES_MAGIC, "image",
+                                     ("images", "rows", "columns"))
+    feats = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
+    feats = feats.astype(np.float64)
+    feats /= 255.0
+    _, raw = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", ("labels",))
+    digits = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
     if len(digits) != len(feats):
         raise ValueError(f"image/label count mismatch: {images_path} holds "
                          f"{len(feats)} images, {labels_path} "
@@ -562,17 +542,31 @@ def load_idx_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return feats, digits
 
 
-def _check_idx_counts(path, **counts) -> None:
-    """Each IDX header count in ``counts`` must be at least 1."""
-    for field, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{path}: IDX header field {field} must be "
-                             f">= 1, got {value}")
+def _read_idx(path, magic: int, kind: str, fields: tuple[str, ...]
+              ) -> tuple[tuple[int, ...], bytes]:
+    """The header counts and the payload bytes of the IDX ``kind`` file at
+    ``path``: its magic must be ``magic``, each of its counts, one per
+    name in ``fields``, at least 1, and its payload as long as their
+    product."""
+    size = 4 * (1 + len(fields))
+    with open(path, "rb") as fh:
+        head = fh.read(size)
+        if len(head) < size or struct.unpack(">i", head[:4])[0] != magic:
+            raise ValueError(f"{path}: not IDX {kind} file")
+        counts = struct.unpack(f">{len(fields)}i", head[4:])
+        for field, value in zip(fields, counts):
+            if value < 1:
+                raise ValueError(f"{path}: IDX header field {field} must be "
+                                 f">= 1, got {value}")
+        n_bytes = math.prod(counts)
+        raw = fh.read(n_bytes)
+        if len(raw) != n_bytes:
+            raise ValueError(f"{path}: truncated IDX {kind} file")
+    return counts, raw
 
 
 def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,
-                     cfg: GenConfig, rng: np.random.Generator | None = None
-                     ) -> Dataset:
+                     cfg: GenConfig) -> Dataset:
     """Deal ``cfg.n_bags`` bags from a fixed instance pool without
     replacement.
 
@@ -580,9 +574,9 @@ def bags_from_arrays(features: np.ndarray, positive_mask: np.ndarray,
     negatives) alternate, positive first, so (n_bags + 1) // 2 bags are
     positive, as in ``generate_normal_bags``. A pool that cannot fill that
     many bags is a ValueError naming how many it can fill. Leftover
-    instances are discarded.
+    instances are discarded. Both pools are shuffled by ``Rng(cfg.seed)``.
     """
-    rng = rng or Rng(cfg.seed)
+    rng = Rng(cfg.seed)
     a = _positive_counts(cfg)
     positive_mask = np.asarray(positive_mask, dtype=bool)
     pos_idx = np.flatnonzero(positive_mask)

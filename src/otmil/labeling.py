@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import check_finite
+from .numkit import bag_sizes, check_finite
 
 # probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before logs
 PROB_FLOOR = 1e-8
@@ -221,20 +221,15 @@ def harden(q: np.ndarray) -> np.ndarray:
 def apply_local_constraint(q: np.ndarray, offsets) -> np.ndarray:
     """Pin the top positive row of every positive bag to a hard [1, 0].
 
-    Bag i owns rows ``offsets[i]:offsets[i + 1]``, as in ``data.Dataset``;
-    every bag needs at least one row. The top row is the first row of its
+    Bag i owns rows ``offsets[i]:offsets[i + 1]``, as in ``data.Dataset``
+    (checked by ``numkit.bag_sizes``). The top row is the first row of its
     bag whose positive-column score equals the bag maximum, so ties break
     toward the lowest row index. All other rows pass through unchanged;
     the operation is idempotent and returns a new array.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.diff(offsets)
-    if offsets[0] != 0 or offsets[-1] != len(q):
-        raise ValueError("bag offsets must run from 0 to the row count")
-    if np.any(sizes < 1):
-        raise ValueError("empty bag in assignment")
+    sizes = bag_sizes(offsets, len(q))
     scores = q[:, 0]
-    starts = offsets[:-1]
+    starts = np.asarray(offsets)[:-1]
     hits = np.flatnonzero(
         scores == np.repeat(np.maximum.reduceat(scores, starts), sizes))
     out = q.copy()

@@ -2,7 +2,7 @@
 quality, and the instance-vs-bag label entropy analytics. All scoring
 goes through ``dataset_scores`` (one ``forward``, then a segment max)
 and ``dataset_aucs``, which also takes a pooling baseline's scores.
-``write_table_csv`` writes every result table but the entropy one."""
+``write_table_csv`` writes every result table."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ClassifierParams, forward
+from .numkit import bag_sizes
 
 
 @dataclass
@@ -77,17 +78,10 @@ def segment_bag_scores(instance_scores: np.ndarray,
     """Per-bag max of instance scores in bag order.
 
     Bag i owns ``instance_scores[offsets[i]:offsets[i + 1]]``, as in
-    ``data.Dataset``: the offsets run from 0 to the number of scores, and
-    every bag needs at least one. Each max is the value ``bag_predict``
-    picks from the same scores.
+    ``data.Dataset`` (checked by ``numkit.bag_sizes``). Each max is the
+    value ``bag_predict`` picks from the same scores.
     """
-    offsets = np.asarray(offsets)
-    if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
-            or offsets[-1] != len(instance_scores)):
-        raise ValueError("bag offsets must be a 1-D run from 0 to the "
-                         "number of instance scores")
-    if np.any(np.diff(offsets) < 1):
-        raise ValueError("empty bag")
+    bag_sizes(offsets, len(instance_scores))
     return np.maximum.reduceat(instance_scores, offsets[:-1])
 
 
@@ -191,11 +185,3 @@ def write_table_csv(path, header, rows) -> None:
             writer.writerow(["" if v is None else repr(v)
                              if isinstance(v, float) else v for v in row])
 
-
-def write_entropy_csv(points: list[EntropyPoint], path) -> None:
-    """Emit the plotting table: K,p,h_instance,h_bag,difference."""
-    with open(path, "w") as fh:
-        fh.write("K,p,h_instance,h_bag,difference\n")
-        for pt in points:
-            fh.write(f"{pt.K},{pt.p!r},{pt.h_instance!r},"
-                     f"{pt.h_bag!r},{pt.difference!r}\n")

@@ -61,12 +61,16 @@ class ClassifierParams:
 
 @dataclass
 class Gradients:
-    """Same shapes as the parameter arrays they differentiate."""
+    """Same shapes as the parameter arrays they differentiate, plus
+    d(loss)/d(logits), the (n, 2) gradient that flows into the output
+    layer; ``sgd_step`` ignores it, and a pooling baseline carries it on
+    below its head."""
 
     w_hidden: np.ndarray | None
     b_hidden: np.ndarray | None
     w_out: np.ndarray
     b_out: np.ndarray
+    logits: np.ndarray | None = None
 
 
 @dataclass
@@ -143,64 +147,65 @@ def forward(params: ClassifierParams, features: np.ndarray) -> np.ndarray:
     (``_softmax2``) gives a shift-stabilized softmax's bits. Neither
     ``features`` nor the parameters are modified.
     """
+    x = _batch(params, features)
+    n = x.shape[0]
+    if params.arch == "linear" or n < 2 * _BLOCK_ROWS:
+        return _block_probs(params, x)[1]
+    probs = np.empty((n, 2))
+    starts = range(0, n - _BLOCK_ROWS + 1, _BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        probs[start:stop] = _block_probs(params, x[start:stop])[1]
+    return probs
+
+
+def _batch(params: ClassifierParams, features) -> np.ndarray:
+    """``features`` as a float64 (n, d) batch of the parameters' width."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be an (n, d) batch, got shape "
                          f"{x.shape}")
     if x.shape[1] != params.feature_dim:
         raise ValueError("feature dimension mismatch")
-    n = x.shape[0]
-    if params.arch == "linear" or n < 2 * _BLOCK_ROWS:
-        return _block_probs(params, x)
-    probs = np.empty((n, 2))
-    starts = range(0, n - _BLOCK_ROWS + 1, _BLOCK_ROWS)
-    for start, stop in zip(starts, [*starts[1:], n]):
-        probs[start:stop] = _block_probs(params, x[start:stop])
-    return probs
+    return x
 
 
-def _block_probs(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
-    """``forward`` over the rows of one (n, d) block, in fresh buffers."""
+def _block_probs(params: ClassifierParams, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``forward`` over the rows of one (n, d) block, in fresh buffers:
+    (the output layer's input, the (n, 2) probabilities). The input is the
+    ReLU-activated hidden layer of the MLP, ``x`` itself for the linear
+    arch."""
     if params.arch == "mlp":
         h = x @ params.w_hidden.T
         h += params.b_hidden
         x = np.maximum(h, 0.0, out=h)
     logits = x @ params.w_out.T
     logits += params.b_out
-    return _softmax2(logits)
+    return x, _softmax2(logits)
 
 
 def backward(params: ClassifierParams, features: np.ndarray,
              targets: np.ndarray) -> tuple[float, Gradients]:
     """Mean soft cross-entropy over the batch and its exact gradients.
 
-    Each intermediate lives in one buffer written in place: the hidden
-    layer takes its bias and ReLU, the logits become the probabilities
-    (``_softmax2``) and then d(loss)/d(logits), and the hidden gradient is
-    masked by the ReLU's active set. Every value has the bits of the
+    The hidden layer and the probabilities come from ``forward``'s block
+    pass, as one block, on input ``forward`` accepts. Each intermediate
+    lives in one buffer written in place: the probabilities become
+    d(loss)/d(logits), returned as ``Gradients.logits``, and the hidden
+    gradient is masked by the ReLU's active set, the activated units
+    (h > 0 iff its input > 0). Every value has the bits of the
     out-of-place expressions (``np.maximum(x @ W.T + b, 0)``, a
     shift-stabilized softmax, ``-mean(sum(t * log p, axis=1))``,
     ``(p - t) / n``, ``dh * (pre > 0)``). Neither ``features``,
     ``targets`` nor the parameters are modified.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = _batch(params, features)
     t = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[-1] != params.feature_dim:
-        raise ValueError("feature dimension mismatch")
     if t.shape != (x.shape[0], 2):
         raise ValueError("targets must be (batch, 2)")
     n = x.shape[0]
 
-    if params.arch == "mlp":
-        h = x @ params.w_hidden.T
-        h += params.b_hidden
-        active = h > 0.0
-        np.maximum(h, 0.0, out=h)
-    else:
-        h = x
-    logits = h @ params.w_out.T
-    logits += params.b_out
-    probs = _softmax2(logits)
+    h, probs = _block_probs(params, x)
     # np.clip(probs, PROB_CLAMP, None) is this np.maximum call
     ll = np.maximum(probs, PROB_CLAMP)
     np.log(ll, out=ll)
@@ -214,12 +219,12 @@ def backward(params: ClassifierParams, features: np.ndarray,
     g_b_out = dlogits.sum(axis=0)
     if params.arch == "mlp":
         dpre = dlogits @ params.w_out
-        np.multiply(dpre, active, out=dpre)
+        np.multiply(dpre, h > 0.0, out=dpre)
         g_w_hidden = dpre.T @ x
         g_b_hidden = dpre.sum(axis=0)
     else:
         g_w_hidden = g_b_hidden = None
-    return loss, Gradients(g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    return loss, Gradients(g_w_hidden, g_b_hidden, g_w_out, g_b_out, dlogits)
 
 
 def sgd_step(params: ClassifierParams, grads: Gradients, lr: float) -> ClassifierParams:

@@ -3,16 +3,17 @@
 Everything here is deliberately small. Matrices are plain ``np.ndarray`` in
 row-major float64; the helpers below only add the pieces numpy does not give
 us directly: a counter-based RNG with explicit seed/stream identity,
-finiteness checks and Gaussian draws. ``fan_out`` runs independent jobs in
-forked worker processes and hands the items each job yields back in job
-order, so that data I/O and training can both spread work over the usable
-CPUs.
+finiteness checks, the one check of bag offsets (``bag_sizes``) and
+Gaussian draws. ``fan_out`` runs independent jobs in forked worker
+processes and hands the items each job yields back in job order, so that
+data I/O and training can both spread work over the usable CPUs.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import reprlib
 import signal
 import sys
 
@@ -39,6 +40,24 @@ def check_finite(values, what: str = "array") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite values in {what}")
     return arr
+
+
+def bag_sizes(offsets, n_rows: int) -> np.ndarray:
+    """The sizes of the bags that own rows ``offsets[i]:offsets[i + 1]`` of
+    an ``n_rows``-row array, the ``data.Dataset`` layout.
+
+    ``offsets`` must be a 1-D integer array that runs from 0 to ``n_rows``
+    with at least one bag and no empty bag; anything else is a ValueError
+    that names the offsets.
+    """
+    arr = np.asarray(offsets)
+    if arr.ndim == 1 and arr.size > 1 and arr.dtype.kind in "iu":
+        sizes = np.diff(arr.astype(np.int64, copy=False))
+        if arr[0] == 0 and arr[-1] == n_rows and sizes.min() > 0:
+            return sizes
+    raise ValueError(f"bag offsets {reprlib.repr(arr.tolist())} must be a "
+                     f"1-D integer run from 0 to N = {n_rows} rows with no "
+                     "empty bag")
 
 
 def sample_gaussian(rng: np.random.Generator, mean, std: float) -> np.ndarray:

@@ -41,14 +41,8 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def instance_auc(params, dataset) -> float:
-    scores = np.concatenate([forward(params, b.feature_matrix())[:, 0]
-                             for b in dataset.bags])
-    labels = [i.label for b in dataset.bags for i in b.instances]
-    return roc_auc(scores, labels).auc
-
-
-def split_labels(dataset):
-    return [i.label for b in dataset.bags for i in b.instances]
+    return roc_auc(forward(params, dataset.features)[:, 0],
+                   dataset.instance_labels).auc
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +79,7 @@ def hard_suite():
     for name, split in (("pos0", test_pos0), ("pos8", test_pos8)):
         aucs[name] = instance_auc(params, split)
         scores = baseline_instance_scores(attn, split)
-        aucs["attn_" + name] = roc_auc(scores, split_labels(split)).auc
+        aucs["attn_" + name] = roc_auc(scores, split.instance_labels).auc
     return {"aucs": aucs, "elapsed": elapsed}
 
 

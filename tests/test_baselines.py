@@ -191,7 +191,7 @@ class TestAttentionPool:
 
     def test_empty_bag_rejected(self):
         params = AttentionParams(v=np.zeros((2, 3)), w=np.zeros(2))
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError, match="no empty bag"):
             pool_bags(single_bag(params), np.zeros((0, 3)), [0, 0])
 
 
@@ -222,9 +222,9 @@ class TestPooling:
         x = Rng(3).standard_normal((4, 3))
         for kind in POOL_KINDS:
             params = init_pool_params(kind, 3, attention_hidden=2, rng=Rng(0))
-            with pytest.raises(ValueError, match="nonempty"):
+            with pytest.raises(ValueError, match="no empty bag"):
                 pool_bags(params, x, [0, 2, 2, 4])
-            with pytest.raises(ValueError, match="covering"):
+            with pytest.raises(ValueError, match="from 0 to N = 4 rows"):
                 pool_bags(params, x, [0, 2, 3])
 
 

@@ -506,6 +506,20 @@ class TestEntropy:
         lines = (out / "entropy.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 9
 
+    def test_csv_layout(self, tmp_path):
+        # the one table writer's layout: CRLF rows, floats by repr
+        out = tmp_path / "e"
+        assert run(["entropy", "--K", "1,2", "--p-steps", "3",
+                    "--out", out]) == 0
+        lines = (out / "entropy.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"K,p,h_instance,h_bag,difference"
+        assert lines[-1] == b"" and len(lines) == 1 + 2 * 3 + 1
+        assert not any(b"\n" in line for line in lines)
+        point = metrics.entropy_curve([2], [0.75])[0]
+        assert lines[6].decode() == ",".join(
+            [str(point.K), *map(repr, (point.p, point.h_instance,
+                                       point.h_bag, point.difference))])
+
     def test_k_spec_forms(self):
         assert parse_k_values("64") == [64]
         assert parse_k_values("2,4,8") == [2, 4, 8]

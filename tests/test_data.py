@@ -80,7 +80,7 @@ class TestContainers:
         (([[1.0]], [0, 1], ["a", "b"], [0, 0], [0]), "lengths"),
         (([[1.0], [2.0]], [0, 1], ["a"], [0], [0, 0]), "0 to N"),
         (([[1.0], [2.0]], [0, 0, 2], ["a", "b"], [0, 0], [0, 0]),
-         "at least one instance"),
+         "no empty bag"),
     ])
     def test_malformed_arrays_rejected(self, args, match):
         with pytest.raises(ValueError, match=match):
@@ -1034,7 +1034,7 @@ class TestBagsFromArrays:
         for n_bags, last in ((10, "neg-0004"), (9, "pos-0004")):
             cfg = GenConfig(n_bags=n_bags, bag_size=20, positive_ratio=0.2,
                             feature_dim=3, seed=0)
-            ds = bags_from_arrays(feats, mask, cfg, Rng(0))
+            ds = bags_from_arrays(feats, mask, cfg)
             assert ds.bag_labels.tolist() == ([1, 0] * 5)[:n_bags]
             assert [b.bag_id for b in ds.bags[:4]] == [
                 "pos-0000", "neg-0000", "pos-0001", "neg-0001"]
@@ -1049,7 +1049,7 @@ class TestBagsFromArrays:
         mask[:40] = True
         cfg = GenConfig(n_bags=6, bag_size=10, positive_ratio=0.2,
                         feature_dim=2, seed=1)
-        ds = bags_from_arrays(feats, mask, cfg, Rng(1))
+        ds = bags_from_arrays(feats, mask, cfg)
         seen = np.concatenate([b.feature_matrix() for b in ds.bags])
         uniq = np.unique(seen, axis=0)
         assert len(uniq) == len(seen)
@@ -1060,7 +1060,7 @@ class TestBagsFromArrays:
         def deal(n_pos, n_bags):
             return bags_from_arrays(feats, np.arange(200) < n_pos, GenConfig(
                 n_bags=n_bags, bag_size=10, positive_ratio=0.2,
-                feature_dim=2), Rng(0))
+                feature_dim=2))
 
         with pytest.raises(ValueError, match="pool too small for 4 bags: "
                                              "it fills at most 0"):

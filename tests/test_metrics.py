@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from otmil.metrics import (_average_ranks, bag_predict, dataset_aucs,
                            dataset_scores, entropy_curve, pseudo_label_metrics,
-                           roc_auc, segment_bag_scores, write_entropy_csv)
+                           roc_auc, segment_bag_scores)
 from otmil.model import forward, init_classifier
 from otmil.numkit import Rng
 
@@ -215,12 +215,3 @@ class TestEntropyCurve:
             entropy_curve([0], [0.5])
         with pytest.raises(ValueError):
             entropy_curve([2], [1.5])
-
-    def test_csv_layout(self, tmp_path):
-        path = tmp_path / "e.csv"
-        write_entropy_csv(entropy_curve([1, 2], [0.25, 0.5]), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "K,p,h_instance,h_bag,difference"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert first[0] == "1" and float(first[1]) == 0.25

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,6 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from otmil.baselines import init_pool_params, pool_bags
+from otmil.data import Dataset
+from otmil.labeling import apply_local_constraint
+from otmil.metrics import segment_bag_scores
 from otmil.numkit import Rng, check_finite, fan_out, sample_gaussian
 
 
@@ -35,6 +40,29 @@ def softmax(values, axis=-1) -> np.ndarray:
     shifted = arr - np.max(arr, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+# every entry point that takes bag offsets over four rows
+OFFSET_ENTRY_POINTS = {
+    "Dataset": lambda offsets: Dataset(np.zeros((4, 2)), offsets,
+                                       ["a", "b"], [0, 0], [0] * 4),
+    "segment_bag_scores": lambda offsets: segment_bag_scores(np.zeros(4),
+                                                             offsets),
+    "apply_local_constraint": lambda offsets: apply_local_constraint(
+        np.full((4, 2), 0.5), offsets),
+    "pool_bags": lambda offsets: pool_bags(init_pool_params("max", 2),
+                                           np.zeros((4, 2)), offsets),
+}
+
+
+@pytest.mark.parametrize("entry", OFFSET_ENTRY_POINTS)
+@pytest.mark.parametrize("offsets", [
+    [], [0], [[0, 4]], [0.0, 2.5, 4.0], [0, 3, 2, 4], [0, 2, 5]],
+    ids=["empty", "no-bag", "2-D", "float", "decreasing", "past-the-end"])
+def test_bad_offsets_fail_at_the_boundary(entry, offsets):
+    # each entry point checks its offsets through numkit.bag_sizes
+    with pytest.raises(ValueError, match=re.escape(f"bag offsets {offsets} ")):
+        OFFSET_ENTRY_POINTS[entry](offsets)
 
 
 class TestRng:
