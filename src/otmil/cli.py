@@ -177,7 +177,10 @@ def cmd_train(args, out_dir: Path) -> None:
 
 
 def cmd_eval(args, out_dir: Path) -> None:
-    params = load_checkpoint(args.checkpoint)
+    try:
+        params = load_checkpoint(args.checkpoint)
+    except ValueError as exc:  # as _load_dataset does, name the file
+        raise ValueError(f"{args.checkpoint}: {exc}") from exc
     dataset = _load_eval(args.data, params.feature_dim,
                          f"checkpoint {args.checkpoint}")
     instance_scores, bag_scores = dataset_scores(params, dataset)

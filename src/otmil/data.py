@@ -1,11 +1,11 @@
 """Bag-structured datasets: synthetic Gaussian-blob generators, NDJSON and
 CSV ingestion, IDX image files, and stratified k-fold splitting.
 
-NDJSON datasets of more than a few thousand rows, and regular NDJSON files
-of more than a few MiB, are encoded and parsed in chunks of whole bags or
-whole lines, spread over forked workers by ``numkit.fan_out``; anything
-smaller is one chunk, run in this process one line at a time. The files,
-the loaded arrays and the errors are those of one in-process pass.
+NDJSON datasets of more than a few thousand rows are saved in chunks of
+whole bags, encoded in forked workers by ``numkit.fan_out``; a smaller one
+is one chunk, encoded in this process one line at a time. Either way the
+file is that of one in-process pass. An NDJSON file is loaded in one pass
+over its lines, in this process.
 
 A ``Dataset`` is a handful of arrays: every instance's features in bag
 order, the bag offsets, and the bag and instance labels. Bag i owns rows
@@ -25,7 +25,6 @@ import json
 import math
 import os
 import shutil
-import stat
 import struct
 from array import array
 from bisect import bisect_left
@@ -33,7 +32,7 @@ from collections import Counter
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -68,8 +67,8 @@ class Dataset:
     ``offsets`` (B + 1,) int64 runs from 0 to N with no empty bag;
     ``bag_labels`` (B,) int64 holds 0 or 1 and ``instance_labels`` (N,)
     int64 holds 0, 1 or -1 (unknown). A bag whose instance labels are all
-    known is positive iff one is. Bag ids are unique. The arrays are
-    read-only views of the inputs.
+    known is positive iff one is. Bag ids are unique strings. The arrays
+    are read-only views of the inputs.
     """
 
     features: np.ndarray
@@ -82,6 +81,10 @@ class Dataset:
         self.bag_ids = tuple(self.bag_ids)
         if not self.bag_ids:
             raise ValueError("dataset must contain at least one bag")
+        bad = [i for i in self.bag_ids if not isinstance(i, str)]
+        if bad:  # save_ndjson would write a file that load_ndjson rejects
+            raise ValueError(f"bag id {bad[0]!r} must be a string, not "
+                             f"{type(bad[0]).__name__}")
         repeated = [i for i, n in Counter(self.bag_ids).items() if n > 1]
         if repeated:
             raise ValueError(f"bag id {repeated[0]!r} is repeated")
@@ -280,24 +283,19 @@ def generate_hard_bags(cfg: GenConfig
             _make_bags(cfg, rng, cfg.test_bags, "t8-", "second"))
 
 
-# NDJSON is read and written in chunks: runs of whole bags (save) or whole
-# lines (load), each a job of numkit.fan_out. Data below two chunks'
-# floor is one chunk, saved or parsed line by line in this process,
-# without importing multiprocessing. Past that, more chunks mean
-# less for the caller to hold at once, but each load job reads the file
-# from its start to reach its lines, so there are at most _MAX_CHUNKS.
+# NDJSON is saved in chunks of whole bags, each a job of numkit.fan_out. A
+# dataset below two chunks' floor is one chunk, saved line by line in this
+# process, without importing multiprocessing; past that, more chunks mean
+# less text for the caller to hold at once.
 _SAVE_CHUNK_ROWS = 2000
-_LOAD_CHUNK_CHARS = 1 << 20
-_MAX_CHUNKS = 8
 
 
 def _chunks(ends: list, floor: int) -> list[tuple[int, int]]:
-    """Cut items, whose running size totals are ``ends``, into at most
-    _MAX_CHUNKS runs of whole items of about equal size, each of about
-    ``floor`` or more unless there is one run: (first, stop) index ranges,
-    none empty."""
+    """Cut items, whose running size totals are ``ends``, into runs of
+    whole items of about equal size, each of about ``floor`` or more unless
+    there is one run: (first, stop) index ranges, none empty."""
     total = ends[-1] if ends else 0
-    n = min(_MAX_CHUNKS, max(1, total // floor))
+    n = max(1, total // floor)
     cuts = sorted({0, len(ends)} | {bisect_left(ends, total * c / n) + 1
                                     for c in range(1, n)})
     return list(zip(cuts, cuts[1:]))
@@ -371,69 +369,44 @@ def _json_features(rows) -> np.ndarray:
 
 
 def load_ndjson(path) -> Dataset:
-    """Parse and validate an NDJSON bag file; errors carry line numbers.
+    """Parse and validate an NDJSON bag file, in one pass in this process;
+    errors carry line numbers.
 
-    Feature values must be JSON numbers and bag ids JSON strings. A
-    regular file of two or more runs' floor is counted line by line and
-    cut into runs of about equal text; anything else, a pipe say, is one
-    run, read once. Each run is parsed as a job of ``numkit.fan_out``, and
-    its bags are appended, in file order, to one growing buffer that the
-    dataset then views, so loading holds the features once, plus one run's
-    bags. A bad file raises the first error in file order: a run stops at
-    its first bad line, after the bags before it. A bag id on two lines is
-    an error that names both.
+    Feature values must be JSON numbers and bag ids JSON strings, and every
+    bag has the first bag's feature dimension. Each bag's rows are appended
+    to one growing buffer that the dataset then views, so loading holds the
+    features once, plus one line's objects. A bad file raises its first
+    error in file order; a bag id on two lines is an error that names both.
     """
-    chunks = [(0, None)]
-    info = os.stat(path)
-    if stat.S_ISREG(info.st_mode) and info.st_size >= 2 * _LOAD_CHUNK_CHARS:
-        with open(path) as fh:
-            chunks = _chunks(list(accumulate(map(len, fh))),
-                             _LOAD_CHUNK_CHARS)
-    bags = _Bags()
-    fan_out(lambda i: _parse_lines(path, *chunks[i]), len(chunks),
-            bags.append)
-    if not bags.ids:
+    feats, labels = array("d"), array("q")
+    offsets, ids, bag_labels, dim = [0], {}, [], None
+    for lineno, bag_id, label, block, inst_labels in _parse_lines(path):
+        if dim not in (None, block.shape[1]):
+            raise ValueError(f"line {lineno}: inconsistent feature dimension")
+        if bag_id in ids:
+            raise ValueError(f"line {lineno}: bag id {bag_id!r} repeats "
+                             f"line {ids[bag_id]}")
+        dim = block.shape[1]
+        feats.frombytes(memoryview(block).cast("B"))
+        labels.extend(inst_labels)
+        offsets.append(len(labels))
+        ids[bag_id] = lineno
+        bag_labels.append(label)
+    if not ids:
         raise ValueError("no bags in file")
     # the buffer keeps its spare capacity (at most 1/16): trimming it
     # would be the very copy this layout avoids
-    return Dataset(np.frombuffer(bags.feats).reshape(-1, bags.feature_dim),
-                   bags.offsets, tuple(bags.ids), bags.bag_labels,
-                   np.frombuffer(bags.labels, dtype=np.int64))
+    return Dataset(np.frombuffer(feats).reshape(-1, dim), offsets,
+                   tuple(ids), bag_labels,
+                   np.frombuffer(labels, dtype=np.int64))
 
 
-class _Bags:
-    """Parsed bags, appended in file order: their rows in one growing
-    buffer, their instance labels in another, and each bag id with its
-    line number."""
-
-    def __init__(self):
-        self.feats, self.labels = array("d"), array("q")
-        self.offsets, self.ids, self.bag_labels = [0], {}, []
-        self.feature_dim = None
-
-    def append(self, parsed) -> None:
-        """Append one of ``_parse_lines``' bags, which follows these in the
-        file; its feature dimension must be the first bag's, its id new."""
-        lineno, bag_id, label, block, inst_labels = parsed
-        if self.feature_dim not in (None, block.shape[1]):
-            raise ValueError(f"line {lineno}: inconsistent feature dimension")
-        if bag_id in self.ids:
-            raise ValueError(f"line {lineno}: bag id {bag_id!r} repeats "
-                             f"line {self.ids[bag_id]}")
-        self.feature_dim = block.shape[1]
-        self.feats.frombytes(memoryview(block).cast("B"))
-        self.labels.extend(inst_labels)
-        self.offsets.append(len(self.labels))
-        self.ids[bag_id] = lineno
-        self.bag_labels.append(label)
-
-
-def _parse_lines(path, first: int, stop: int | None):
+def _parse_lines(path):
     """Yield (line number, bag_id, label, rows, instance labels) for each
-    bag on lines ``first + 1`` to ``stop`` (1-based; ``stop`` None for the
-    end of the file), raising at the first bad line."""
+    bag of the file at ``path`` in file order, raising at the first line
+    that is bad on its own."""
     with open(path) as fh:
-        for lineno, line in islice(enumerate(fh, start=1), first, stop):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue

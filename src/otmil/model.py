@@ -281,13 +281,16 @@ def _json_field(blob, key: str, kind: type, where: str = ""):
 
 
 def load_checkpoint(path) -> ClassifierParams:
-    """Inverse of save_checkpoint. A missing or mistyped field, a layer
-    value that is not a JSON number, or an unknown layer is a ValueError
-    naming it; ``ClassifierParams`` then validates every layer's shape,
-    a missing layer's included, against the arch, feature_dim and hidden in
-    the header."""
+    """Inverse of save_checkpoint. Text that is not JSON, a missing or
+    mistyped field, a layer value that is not a JSON number, or an unknown
+    layer is a ValueError naming it; ``ClassifierParams`` then validates
+    every layer's shape, a missing layer's included, against the arch,
+    feature_dim and hidden in the header."""
     with open(path) as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"checkpoint: malformed JSON ({exc})")
     header = {key: _json_field(blob, key, kind) for key, kind in
               (("arch", str), ("feature_dim", int), ("hidden", int))}
     layers = {}

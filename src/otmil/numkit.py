@@ -6,7 +6,7 @@ us directly: a counter-based RNG with explicit seed/stream identity,
 finiteness checks, the one check of bag offsets (``bag_sizes``) and
 Gaussian draws. ``fan_out`` runs independent jobs in forked worker
 processes and hands the items each job yields back in job order, so that
-data I/O and training can both spread work over the usable CPUs.
+NDJSON saves and training can both spread work over the usable CPUs.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def _receive(process, receiver, i: int):
     exception if it had one.
 
     ``pickle.load`` reads the message from the pipe's buffered reader in
-    frames of at most 64 KiB, so items made of small objects (bags, lines)
-    never need an allocation the size of the whole message.
+    frames of at most 64 KiB, so items made of small objects (the lines of
+    a save) never need an allocation the size of the whole message.
     """
     try:
         items, error = pickle.load(receiver)

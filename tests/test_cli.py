@@ -268,6 +268,32 @@ class TestEval:
         assert result["instance_auc"] == final["instance_auc"]
         assert result["bag_auc"] == final["bag_auc"]
 
+    @pytest.mark.parametrize("defect, message", [
+        ("truncated", "checkpoint: malformed JSON (Expecting"),
+        ("header", "layer w_hidden: shape"),
+        ("no arch", "checkpoint: missing field arch")])
+    def test_checkpoint_error_names_the_file(self, dataset_dir, tmp_path,
+                                             capsys, defect, message):
+        t, e = tmp_path / "t", tmp_path / "e"
+        run(["train", "--data", dataset_dir, *FAST_TRAIN, "--out", t])
+        checkpoint = t / "checkpoint.json"
+        text = checkpoint.read_text()
+        blob = json.loads(text)
+        if defect == "truncated":
+            text = text[:len(text) // 2]
+        else:
+            if defect == "header":
+                blob["hidden"] += 1
+            else:
+                del blob["arch"]
+            text = json.dumps(blob)
+        checkpoint.write_text(text)
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", checkpoint,
+                    "--data", dataset_dir / "test.ndjson", "--out", e]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {checkpoint}: {message}")
+
 
 class TestSweep:
     def test_mu_grid_rows(self, tmp_path):

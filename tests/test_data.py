@@ -100,6 +100,23 @@ class TestContainers:
             Dataset(np.zeros((4, 1)), [0, 1, 2, 3, 4], ["a", "b", "c", "b"],
                     [0] * 4, [0] * 4)
 
+    @pytest.mark.parametrize("bad, message", [
+        (7, "bag id 7 must be a string, not int"),
+        (None, "bag id None must be a string, not NoneType"),
+        (("b",), "bag id ('b',) must be a string, not tuple"),
+        (b"b", "bag id b'b' must be a string, not bytes")],
+        ids=["int", "None", "tuple", "bytes"])
+    def test_non_string_bag_id_is_named(self, bad, message):
+        # save_ndjson would write it, and load_ndjson reject the file
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((2, 1)), [0, 1, 2], ["a", bad], [0, 0], [0, 0])
+
+    def test_string_subclass_bag_ids_are_strings(self, tmp_path):
+        ids = np.array(["a", "b"])  # numpy.str_, a subclass of str
+        ds = Dataset(np.zeros((2, 1)), [0, 1, 2], ids, [0, 0], [0, 0])
+        save_ndjson(ds, tmp_path / "bags.ndjson")
+        assert load_ndjson(tmp_path / "bags.ndjson").bag_ids == ("a", "b")
+
 
 class TestDatasetArrays:
     def _dataset(self, third_label=1):
@@ -443,7 +460,7 @@ class TestNdjson:
         # the text is written one chunk at a time, and a save of one chunk
         # one line at a time: holding every chunk's text, or the one
         # chunk's lines, at once would hold the whole file
-        for n_bags, n_chunks in ((200, 8), (39, 1)):
+        for n_bags, n_chunks in ((200, 10), (39, 1)):
             ds = generate_normal_bags(GenConfig(n_bags=n_bags, bag_size=100,
                                                 feature_dim=16, seed=0))
             assert len(data._chunks(ds.offsets[1:].tolist(),
@@ -517,13 +534,6 @@ def ragged_bags(n_bags, dim, seed):
     return make_dataset(bags)
 
 
-def file_chunks(path):
-    """The (first, stop) line ranges load_ndjson cuts ``path`` into."""
-    with open(path) as fh:
-        ends = list(accumulate(map(len, fh)))
-    return data._chunks(ends, data._LOAD_CHUNK_CHARS)
-
-
 def bag_record(bag_id, features, label=0, inst=0):
     return {"bag_id": bag_id, "label": label,
             "instances": [{"features": features, "label": inst}]}
@@ -557,22 +567,15 @@ BAD_FILES = [
     (1, [bag_record("a", [10 ** 400])], ""),
     *[(1, [bag_record("a", [1.0]), bag_record(bad, [1.0])],
        "bag_id must be a string") for bad in [None, 5, 1.5, True, ["a"]]],
-    # the id of line 3 of the good lines that the chunked test puts first,
-    # which is in an earlier chunk
+    # the id of line 3 of the good lines that the test puts first
     (1, [bag_record("p02", [1.0])], "bag id 'p02' repeats line 3$"),
 ]
 
 
 class TestChunkedNdjson:
-    """Files are saved and loaded in chunks of whole bags or lines, in
-    forked workers where there are two or more usable CPUs; the bytes, the
-    arrays and the errors are those of one pass."""
-
-    @pytest.fixture
-    def small_chunks(self, monkeypatch):
-        """Chunk floors that cut small files into many chunks."""
-        monkeypatch.setattr(data, "_SAVE_CHUNK_ROWS", 8)
-        monkeypatch.setattr(data, "_LOAD_CHUNK_CHARS", 200)
+    """Files are saved in chunks of whole bags, in forked workers where
+    there are two or more usable CPUs, with the bytes of one pass; they are
+    loaded in one pass, in the calling process."""
 
     def test_chunks_are_whole_runs_of_about_equal_size(self):
         ends = list(accumulate([4] * 10))
@@ -583,9 +586,9 @@ class TestChunkedNdjson:
         ends = list(accumulate([5, 1, 1, 30, 1, 1, 1, 1]))
         assert data._chunks(ends, 10) == [(0, 4), (4, 8)]
         assert data._chunks([], 10) == []
-        many = data._chunks(list(range(1, 101)), 1)
-        assert len(many) == data._MAX_CHUNKS
-        assert [a for a, _ in many[1:]] == [b for _, b in many[:-1]]
+        # no cap on the count: each run is about one floor
+        assert data._chunks(list(range(1, 101)), 1) == [
+            (k, k + 1) for k in range(100)]
 
     def test_one_cpu_two_cpus_and_one_chunk_agree(self, tmp_path,
                                                    monkeypatch):
@@ -593,10 +596,8 @@ class TestChunkedNdjson:
         got = {}
         with monkeypatch.context() as m:  # one chunk, as one pass
             m.setattr(data, "_SAVE_CHUNK_ROWS", 10 ** 9)
-            m.setattr(data, "_LOAD_CHUNK_CHARS", 10 ** 12)
             got["one-chunk"] = self._round_trip(ds, tmp_path / "one-chunk")
         monkeypatch.setattr(data, "_SAVE_CHUNK_ROWS", 8)
-        monkeypatch.setattr(data, "_LOAD_CHUNK_CHARS", 1000)
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0},
                       raising=False)
@@ -604,7 +605,6 @@ class TestChunkedNdjson:
             got["one-cpu"] = self._round_trip(ds, tmp_path / "one-cpu")
         got["all-cpus"] = self._round_trip(ds, tmp_path / "all-cpus")
         assert len(data._chunks(ds.offsets[1:].tolist(), 8)) >= 3
-        assert len(file_chunks(tmp_path / "all-cpus" / "bags.ndjson")) >= 3
         want_text, want = got.pop("one-chunk")
         assert_same_bags(want, ds)
         for text, back in got.values():
@@ -624,94 +624,38 @@ class TestChunkedNdjson:
 
     @pytest.mark.parametrize("dim, lines, message", BAD_FILES)
     def test_error_in_the_last_chunk_names_its_line(
-            self, tmp_path, small_chunks, dim, lines, message):
+            self, tmp_path, dim, lines, message):
+        # the whole file is the load's one chunk; its bad line comes last,
+        # after 30 good ones
         good = [json.dumps(bag_record(f"p{k:02d}", [0.5] * dim))
                 for k in range(30)]
         lines = good + [line if isinstance(line, str) else json.dumps(line)
                         for line in lines]
         path = tmp_path / "bad.ndjson"
         path.write_text("\n".join(lines) + "\n")
-        chunks = file_chunks(path)
-        assert len(chunks) >= 2 and chunks[-1][0] < len(lines)
         with pytest.raises(ValueError,
                            match=f"^line {len(lines)}: {message}"):
             load_ndjson(path)
 
-    def test_bad_file_is_parsed_once(self, tmp_path, monkeypatch,
-                                     small_chunks):
-        # one usable CPU, so that every _parse_lines call is seen here
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        calls, real = [], data._parse_lines
-
-        def counted(path, first, stop):
-            calls.append((first, stop))
-            return real(path, first, stop)
-
-        monkeypatch.setattr(data, "_parse_lines", counted)
-        lines = [json.dumps(bag_record(f"p{k:02d}", [0.5]))
-                 for k in range(30)] + ["{broken"]
-        path = tmp_path / "bad.ndjson"
-        path.write_text("\n".join(lines) + "\n")
-        chunks = file_chunks(path)
-        assert len(chunks) >= 2
-        with pytest.raises(ValueError,
-                           match=f"^line {len(lines)}: malformed JSON"):
-            load_ndjson(path)
-        assert calls == chunks
-
-    @pytest.mark.parametrize("rest", ["first line", "whole chunk"])
-    def test_dimension_change_at_a_later_chunk_names_its_line(
-            self, tmp_path, small_chunks, rest):
-        # equal-length lines, so the chunks do not depend on the change
-        def two(k):
-            return json.dumps(bag_record(f"b{k:02d}", [1.5, 2.5]))
-
-        def one(k):
-            return json.dumps(bag_record(f"b{k:02d}", [1.500025]))
-
-        assert len(two(0)) == len(one(0))
-        lines = [two(k) for k in range(40)]
-        path = tmp_path / "bad.ndjson"
-        path.write_text("\n".join(lines) + "\n")
-        first = file_chunks(path)[1][0]  # 0-based index of its first line
-        if rest == "whole chunk":  # no chunk is inconsistent on its own
-            lines[first:] = [one(k) for k in range(first, len(lines))]
-        else:
-            lines[first] = one(first)
-        path.write_text("\n".join(lines) + "\n")
-        assert file_chunks(path)[1][0] == first
-        with pytest.raises(ValueError, match=f"^line {first + 1}: "
-                           "inconsistent feature dimension"):
-            load_ndjson(path)
-
-    def test_blank_lines_at_chunk_edges(self, tmp_path, small_chunks):
+    def test_blank_lines_at_chunk_edges(self, tmp_path):
         ds = ragged_bags(20, 2, seed=6)
         path = tmp_path / "bags.ndjson"
         save_ndjson(ds, path)
         bag_lines = path.read_text().splitlines()
-        # a blank line after every bag, and a blank run as long as a chunk
+        # a blank line after every bag, and a run of 200 blank lines
         lines = [text for line in bag_lines for text in (line, "  ")]
         lines[10:10] = [" " * 9] * 200
         path.write_text("\n".join(lines) + "\n")
-        chunks = file_chunks(path)
-        assert any(all(not line.strip() for line in lines[a:b])
-                   for a, b in chunks)
-        assert any(not lines[a].strip() for a, _ in chunks)
-        assert any(not lines[b - 1].strip() for _, b in chunks)
         assert_same_bags(load_ndjson(path), ds)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
                         reason="needs /dev/fd")
-    def test_loads_a_pipe_in_one_pass(self, tmp_path, small_chunks):
-        # a pipe can be read once: it is parsed in one pass even when a
-        # regular file of its text would be cut into chunks
+    def test_loads_a_pipe_in_one_pass(self, tmp_path):
+        # a pipe can be read once, and loads like any file
         ds = ragged_bags(20, 2, seed=6)
         path = tmp_path / "bags.ndjson"
         save_ndjson(ds, path)
         text = path.read_bytes()
-        assert len(file_chunks(path)) >= 2
         read_end, write_end = os.pipe()
 
         def write():
@@ -728,10 +672,10 @@ class TestChunkedNdjson:
         assert_same_bags(back, ds)
 
     @needs_two_cpus
-    def test_save_and_load_run_in_two_or_more_child_processes(
+    def test_save_runs_in_child_processes_and_load_in_the_caller(
             self, tmp_path, monkeypatch):
         # 8,000 rows of 16 features, the size of a hard-suite test split,
-        # at the default chunk floors
+        # at the default chunk floor
         pid_file = tmp_path / "pids"
 
         def stamped(fn):
@@ -753,9 +697,19 @@ class TestChunkedNdjson:
         for line in pid_file.read_text().splitlines():
             name, pid = line.split()
             pids[name].add(int(pid))
-        for name, seen in pids.items():
-            assert len(seen) >= 2, name
-            assert os.getpid() not in seen, name
+        assert len(pids["_ndjson_lines"]) >= 2
+        assert os.getpid() not in pids["_ndjson_lines"]
+        assert pids["_parse_lines"] == {os.getpid()}
+
+    @staticmethod
+    def _imports_multiprocessing(script, *argv):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script + """
+print("multiprocessing" in sys.modules)
+""", *map(str, argv)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
 
     def test_small_files_do_not_import_multiprocessing(self, tmp_path):
         script = """
@@ -766,14 +720,24 @@ ds = generate_normal_bags(GenConfig(n_bags=10, bag_size=5, feature_dim=3,
                                     positive_ratio=0.4))
 save_ndjson(ds, sys.argv[1])
 assert load_ndjson(sys.argv[1]).features.tobytes() == ds.features.tobytes()
-print("multiprocessing" in sys.modules)
 """
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "bags.ndjson")],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"]
+        assert self._imports_multiprocessing(
+            script, tmp_path / "bags.ndjson") == ["False"]
+
+    def test_large_files_load_without_multiprocessing(self, tmp_path):
+        # a hard-suite test split, larger than 2 MiB of text
+        ds = generate_normal_bags(GenConfig(n_bags=80, bag_size=100,
+                                            feature_dim=16, seed=0))
+        path = tmp_path / "bags.ndjson"
+        save_ndjson(ds, path)
+        assert path.stat().st_size > 2 * 2 ** 20
+        script = """
+import sys
+from otmil.data import load_ndjson
+print(load_ndjson(sys.argv[1]).n_instances)
+"""
+        assert self._imports_multiprocessing(script, path) == ["8000",
+                                                               "False"]
 
 
 class TestBenchmarkCsv:

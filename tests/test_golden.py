@@ -1,6 +1,7 @@
 """Golden output digests: one sha256 per output of the ``otmil`` command on
-tiny corpora, and one of a trained attention baseline's parameters,
-compared with ``tests/golden.json`` to the bit.
+tiny corpora, one of a trained attention baseline's parameters, and the
+``outputs.digest`` of each benchmark workload's tiny unit run, compared
+with ``tests/golden.json`` to the bit.
 
 Every run is a child process with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS set to 1 (they are read when BLAS loads). Each file a
@@ -8,7 +9,8 @@ run writes is hashed; a JSON file is hashed after dropping its
 ``provenance`` block and its path-valued keys, which name the run's
 directory and not its result. The parameters are hashed too because the
 baseline's file holds only rank AUCs, which a last-bit change rarely
-moves.
+moves. Each workload runs as ``perfbench/child.py`` does for the
+benchmark, in unit mode at size ``tiny`` with seed 0.
 
 The bits depend on the numpy build and the BLAS, so the file records
 both; on another numpy or BLAS the test skips and names the mismatch.
@@ -32,6 +34,8 @@ import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).with_name("golden.json")
+PERFBENCH_CHILD = Path(__file__).parents[1] / "perfbench" / "child.py"
+_WORKLOADS = ("hard-train", "ablation", "attention-baseline", "cv-sweep")
 
 # config.json keys that hold a path: the run's directory, not its result
 _PATH_KEYS = {"out", "data", "eval", "checkpoint", "images", "labels",
@@ -123,9 +127,23 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def _workload_digest(workload: str, workdir: Path, env: dict) -> str:
+    """The ``outputs.digest`` of one tiny seed-0 unit run of ``workload``,
+    a child process working in ``workdir``."""
+    workdir.mkdir(parents=True)
+    spec = {"workload": workload, "seed": 0, "mode": "unit", "trace": False,
+            "size": "tiny", "workdir": str(workdir), "spans_path": None,
+            "run_id": workload}
+    out = subprocess.run([sys.executable, str(PERFBENCH_CHILD),
+                          json.dumps(spec)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])["outputs"]["digest"]
+
+
 def compute_digests(workdir: Path) -> dict:
     """Run every command of ``_RUNS`` under ``workdir`` and return the
-    digest of each file it wrote, keyed "run/file", plus the parameters'."""
+    digest of each file it wrote, keyed "run/file", plus the parameters'
+    and each benchmark workload's, keyed "perfbench/workload"."""
     env = _child_env()
     dirs = {"idx": workdir / "idx"}
     _write_idx(dirs["idx"])
@@ -142,6 +160,9 @@ def compute_digests(workdir: Path) -> dict:
         [sys.executable, "-c", _PARAMS,
          str(dirs["gen-normal"] / "train.ndjson")],
         env=env, check=True, capture_output=True, text=True).stdout.strip()
+    for workload in _WORKLOADS:
+        digests[f"perfbench/{workload}"] = _workload_digest(
+            workload, workdir / "perfbench" / workload, env)
     return digests
 
 

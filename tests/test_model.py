@@ -496,6 +496,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"layers.b_hidden.{message}"):
             load_checkpoint(path)
 
+    def test_malformed_json_rejected(self, tmp_path):
+        path, _ = self._saved_blob(tmp_path)
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ValueError,
+                           match=r"^checkpoint: malformed JSON \(.*char"):
+            load_checkpoint(path)
+
     def test_unknown_layer_rejected(self, tmp_path):
         path, blob = self._saved_blob(tmp_path)
         blob["layers"]["w_extra"] = blob["layers"]["b_out"]
