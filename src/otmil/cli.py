@@ -36,7 +36,7 @@ from .trainer import (TrainConfig, benchmark_cv, holdout_sweep,
 
 def _write_json(path: Path, blob, default=None) -> None:
     """Every JSON output: one-space indent, sorted keys, final newline."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=1, sort_keys=True, default=default)
         fh.write("\n")
 

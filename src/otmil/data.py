@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import shutil
 import struct
 from array import array
@@ -316,7 +317,7 @@ def save_ndjson(dataset: Dataset, path) -> None:
     partial = f"{target}.{os.getpid()}.tmp"
     chunks = _chunks(dataset.offsets[1:].tolist(), _SAVE_CHUNK_ROWS)
     try:
-        with open(partial, "w") as fh:
+        with open(partial, "w", encoding="utf-8") as fh:
             fan_out(lambda i: _ndjson_lines(dataset, *chunks[i]),
                     len(chunks), fh.write)
         with suppress(FileNotFoundError):  # no earlier file
@@ -405,8 +406,8 @@ def _parse_lines(path):
     """Yield (line number, bag_id, label, rows, instance labels) for each
     bag of the file at ``path`` in file order, raising at the first line
     that is bad on its own."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _utf8_lines(fh):
             line = line.strip()
             if not line:
                 continue
@@ -441,15 +442,35 @@ def _parse_lines(path):
             yield lineno, bag_id, label, block, inst_labels
 
 
+# a byte that is not UTF-8, as the "surrogateescape" error handler reads it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _utf8_lines(fh):
+    """Yield (line number, line) for each line of ``fh``, a text file opened
+    with ``errors="surrogateescape"``; a byte that is not UTF-8 is a
+    ValueError that names its line and column. A decoding error of the
+    file itself would name only an offset into the decoder's buffer."""
+    for lineno, line in enumerate(fh, start=1):
+        bad = None if line.isascii() else _NOT_UTF8.search(line)
+        if bad:
+            raise ValueError(f"line {lineno}: byte "
+                             f"0x{ord(bad.group()) - 0xDC00:02x} at column "
+                             f"{bad.start() + 1} is not UTF-8")
+        yield lineno, line
+
+
 def load_benchmark_csv(path) -> Dataset:
     """Pre-extracted feature benchmark: header bag_id,bag_label,f0,...
 
     One instance per row, bags contiguous or not: a bag's rows keep their
     file order. All rows of a bag must agree on the bag label. Instance
-    labels are unknown in this format.
+    labels are unknown in this format. The file is UTF-8 text, and may
+    start with a byte-order mark, as spreadsheets' "CSV UTF-8" exports do.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lines = _utf8_lines(fh)
+        header = next(lines, (1, ""))[1].strip().split(",")
         if header[:2] != ["bag_id", "bag_label"]:
             raise ValueError("header must start with bag_id,bag_label")
         dim = len(header) - 2
@@ -458,7 +479,7 @@ def load_benchmark_csv(path) -> Dataset:
         rows, row_bags = [], []
         bags: dict[str, int] = {}  # bag id -> index, in first-seen order
         labels: list[int] = []
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue

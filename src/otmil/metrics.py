@@ -178,7 +178,7 @@ def write_table_csv(path, header, rows) -> None:
     """A CSV table: the ``header`` row, then each row's cells in its
     order, with CRLF line ends. None is a blank cell and a float keeps
     full precision via repr; any other value is written as ``str`` does."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

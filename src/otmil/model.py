@@ -56,7 +56,8 @@ class ClassifierParams:
                     f"arch {self.arch!r}, feature_dim {self.feature_dim}, "
                     f"hidden {self.hidden}")
             if arr is not None and not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite classifier parameters")
+                raise ValueError(f"layer {name}: non-finite classifier "
+                                 "parameters")
 
 
 @dataclass
@@ -263,7 +264,7 @@ def save_checkpoint(params: ClassifierParams, path) -> None:
             continue
         blob["layers"][name] = {"shape": list(arr.shape),
                                 "data": [float(v) for v in arr.ravel()]}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=1)
         fh.write("\n")
 
@@ -286,7 +287,7 @@ def load_checkpoint(path) -> ClassifierParams:
     layer is a ValueError naming it; ``ClassifierParams`` then validates
     every layer's shape, a missing layer's included, against the arch,
     feature_dim and hidden in the header."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
         except json.JSONDecodeError as exc:

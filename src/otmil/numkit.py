@@ -7,6 +7,12 @@ finiteness checks, the one check of bag offsets (``bag_sizes``) and
 Gaussian draws. ``fan_out`` runs independent jobs in forked worker
 processes and hands the items each job yields back in job order, so that
 NDJSON saves and training can both spread work over the usable CPUs.
+``Background`` applies one function to a stream of items on one forked
+process while the caller goes on, so that a per-epoch report runs beside
+the next epoch's training. Both fork under one rule (``_forkable``), and
+``blas_threads`` reads the loaded OpenBLAS's thread count: a worker of
+``fan_out`` runs BLAS on one thread, and ``Background`` forks only beside a
+one-thread BLAS, so that no two processes share a CPU's BLAS threads.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import pickle
 import reprlib
 import signal
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -85,28 +92,26 @@ def fan_out(job, n_jobs: int, take) -> None:
     raised reach ``take`` before its exception is raised here, with its
     type and message, as is one from ``take``; every worker has been
     joined (after ``terminate`` if this call failed) before it returns or
-    raises, and a worker whose caller dies stops too.
+    raises, and a worker whose caller dies stops too. The workers run
+    BLAS on one thread, so that W workers do not share the CPUs with W
+    BLAS thread pools; so does this process while they run.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    n_workers = min(cpus, n_jobs)
-    if n_workers > 1:
-        # imported here: about 0.6 MB and 8-18 ms that runs which never
-        # fan out should not pay
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            n_workers = 1
-    if n_workers < 2:
+    n_workers, context = _forkable(n_jobs)
+    if context is None:
         for i in range(n_jobs):
             for item in job(i):
                 take(item)
         return
 
-    context = multiprocessing.get_context("fork")
     caller = os.getpid()
     workers = []
+    # the workers inherit one BLAS thread from this process, where the
+    # count is restored at the end: set in a worker, it would restart
+    # OpenBLAS's thread pool there, whose idle thread spins for ~0.1 s
+    openblas = _openblas()
+    threads = None if openblas is None else openblas[0]()
+    if threads not in (None, 1):
+        openblas[1](1)
     try:
         for w in range(n_workers):
             read_end, write_end = os.pipe()
@@ -132,6 +137,8 @@ def fan_out(job, n_jobs: int, take) -> None:
                 process.join()
                 process.close()
             receiver.close()
+        if threads not in (None, 1):
+            openblas[1](threads)
 
 
 def _receive(process, receiver, i: int):
@@ -171,17 +178,216 @@ def _work(job, indices, write_end: int, caller: int) -> None:
                 items.extend(job(i))
             except Exception as exc:  # the caller re-raises it
                 error = exc
-            try:
-                data = pickle.dumps((items, error))
-            except Exception as exc:  # it does not pickle
-                failure = exc if error is None else error
-                error = RuntimeError(f"{type(failure).__name__}: {failure}")
-                data = pickle.dumps(([], error))
+            data, error = _message(items, error)
             sender.write(data)
             sender.flush()
             if error is not None:
                 return
             del items, data  # free job i's items while job i + W runs
+
+
+def _message(items: list, error) -> tuple[bytes, Exception | None]:
+    """``(items, error)`` pickled, and the error that the message carries:
+    one that does not pickle is sent as ``([], RuntimeError)``, the
+    RuntimeError naming the failure's type and message."""
+    try:
+        return pickle.dumps((items, error)), error
+    except Exception as exc:  # it does not pickle
+        failure = exc if error is None else error
+        error = RuntimeError(f"{type(failure).__name__}: {failure}")
+        return pickle.dumps(([], error)), error
+
+
+def _forkable(n_tasks: int):
+    """``(W, context)``: W processes, one per usable CPU and at most
+    ``n_tasks``, can run the tasks side by side, forked from ``context``,
+    the ``fork`` context of ``multiprocessing``; ``(1, None)`` when forking
+    cannot help: one usable CPU, one task, or no ``fork`` start method.
+    ``fan_out`` and ``Background`` both fork by this rule."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    n_workers = min(cpus, n_tasks)
+    if n_workers < 2:
+        return 1, None
+    # imported here: about 0.6 MB and 8-18 ms that runs which never
+    # fork should not pay
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1, None
+    return n_workers, multiprocessing.get_context("fork")
+
+
+class Background:
+    """``[fn(item) for item in items]`` over the items given to ``submit``,
+    computed on one forked process while the caller goes on, or in the
+    caller, at each ``submit``, when a fork cannot help.
+
+    ``fork`` is the caller's judgement that the work pays for a fork,
+    which costs about 10 ms to start and join. The process is forked only
+    if, besides, ``_forkable`` finds two usable CPUs and the ``fork`` start
+    method, the caller is not itself a forked worker (of ``fan_out``, say,
+    which already keeps every CPU busy), and ``blas_threads`` reads 1: a
+    caller whose BLAS runs a thread per CPU would share the CPUs with it.
+
+    The process reaches everything but the items through the fork. Each
+    item is pickled when it is submitted, so it is a snapshot of the item
+    at that point. The process keeps its results until ``results`` ends
+    the stream, and then sends them all at once, so neither side waits on
+    a full pipe that the other is not reading. An exception of ``fn`` ends
+    the process; it is raised in the caller, with its type and message as
+    inline, at the next ``submit`` or at ``results``. Use it as a context
+    manager: the process has been joined when the block exits, after
+    ``terminate`` if the block raised, and on Linux it is killed when its
+    caller dies.
+    """
+
+    def __init__(self, fn, fork: bool):
+        self._fn = fn
+        self._results = []
+        self._process = None
+        _, context = _forkable(2) if fork else (1, None)
+        if (context is None or context.parent_process() is not None
+                or blas_threads() != 1):
+            return
+        item_read, item_write = os.pipe()
+        result_read, result_write = os.pipe()
+        self._sender = open(item_write, "wb")
+        self._receiver = open(result_read, "rb")
+        process = context.Process(target=_serve, args=(
+            fn, item_read, result_write, (item_write, result_read)))
+        try:
+            process.start()
+        except BaseException:
+            self._sender.close()
+            self._receiver.close()
+            raise
+        finally:  # so that each side sees EOF once the other is gone
+            os.close(item_read)
+            os.close(result_write)
+        self._process = process
+
+    def submit(self, item) -> None:
+        """Apply ``fn`` to ``item``, now or on the process; raise the
+        process's exception, if it has raised one before this call."""
+        if self._process is None:
+            self._results.append(self._fn(item))
+            return
+        try:
+            pickle.dump(item, self._sender)
+            self._sender.flush()
+        except BrokenPipeError:  # it has stopped: see _serve
+            self._receive()
+
+    def results(self) -> list:
+        """End the stream and return every item's result, in submit order,
+        or raise the exception of the first item that raised one."""
+        if self._process is not None:
+            self._sender.close()
+            self._results = self._receive()
+            self._process.join()
+        return self._results
+
+    def _receive(self) -> list:
+        """The process's results, once it has sent them, or its
+        exception raised here."""
+        try:
+            results, error = pickle.load(self._receiver)
+        except (EOFError, pickle.UnpicklingError):  # the pipe closed early
+            self._process.join()
+            raise RuntimeError("the background process exited with code "
+                               f"{self._process.exitcode} before sending "
+                               "its results") from None
+        if error is not None:
+            raise error
+        return results
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        process, self._process = self._process, None
+        if process is None:
+            return
+        if process.exitcode is None:  # still running: the block raised
+            process.terminate()
+        process.join()
+        process.close()
+        with suppress(OSError):  # an item left unsent in a broken pipe
+            self._sender.close()
+        self._receiver.close()
+
+
+def _serve(fn, item_read: int, result_write: int, caller_ends) -> None:
+    """A ``Background`` process's whole life: apply ``fn`` to each item
+    read from the pipe at ``item_read`` until its end, then write the
+    pickled ``(results, None)`` to ``result_write``; at the first exception
+    of ``fn``, stop reading and write ``(results so far, exception)``
+    (see ``_message``). It closes its copies of the caller's ends of both
+    pipes, ``caller_ends``, first, so that it sees the end of the stream
+    when the caller closes its own."""
+    _die_with_parent()
+    for fd in caller_ends:
+        os.close(fd)
+    results, error = [], None
+    with open(item_read, "rb") as receiver:
+        try:
+            while True:
+                try:
+                    item = pickle.load(receiver)
+                except EOFError:  # the caller ended the stream
+                    break
+                results.append(fn(item))
+        except Exception as exc:  # the caller re-raises it
+            error = exc
+    # the item pipe is closed: the caller's next write to it fails at once,
+    # so it reads this message at its next submit, not after the stream
+    with open(result_write, "wb") as sender:
+        sender.write(_message(results, error)[0])
+
+
+def _openblas():
+    """``(get, set)``: the ``openblas_get_num_threads`` and
+    ``openblas_set_num_threads`` of the OpenBLAS that this process has
+    loaded, under the prefix and suffix that its build gave them (the
+    scipy-openblas wheels that numpy ships use ``scipy_`` and ``64_``);
+    None when no OpenBLAS is mapped, or the platform has no
+    ``/proc/self/maps`` to find one in."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            paths = {fields[5].strip() for fields in map(bytes.split, fh)
+                     if len(fields) > 5}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        if b"openblas" not in os.path.basename(path).lower():
+            continue
+        try:  # RTLD_NOLOAD: a handle to the mapped copy, or no handle
+            lib = ctypes.CDLL(os.fsdecode(path),
+                              mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads"
+                                   f"{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads"
+                                   f"{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """The number of threads that the loaded OpenBLAS runs a BLAS call on,
+    or None when none is found (see ``_openblas``): another BLAS, or
+    another platform."""
+    openblas = _openblas()
+    return None if openblas is None else openblas[0]()
 
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>

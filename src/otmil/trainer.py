@@ -12,7 +12,11 @@ The positive-mass target mu_t can warm up from 0.5 toward its final value
 so early epochs stay exploratory while the classifier is still random.
 
 ``_train_epochs`` runs that loop and only trains; ``train`` runs it to
-its end and ``self_train`` adds the per-epoch report. Both sweeps train
+its end and ``self_train`` adds the per-epoch report. No later epoch reads
+the report's evaluation AUCs, so ``self_train`` scores each epoch's
+parameters on a ``numkit.Background`` process while the next epoch
+trains, where that pays and may fork, with the bits of inline scoring.
+Both sweeps train
 one model per cell of one (mu, T) grid: ``benchmark_cv`` scores each only
 on its held-out folds, ``holdout_sweep`` once on an evaluation set. The
 ablation rows, the k-fold folds and the holdout grid cells are
@@ -36,11 +40,18 @@ from .metrics import (bag_predict, dataset_aucs, dataset_scores,
                       pseudo_label_metrics, roc_auc, write_table_csv)
 from .model import (ClassifierParams, SgdConfig, backward, forward,
                     init_classifier, sgd_step)
-from .numkit import Rng, fan_out
+from .numkit import Background, Rng, fan_out
 
 # rng stream ids, fixed so that runs are reproducible per seed
 _INIT_STREAM = 1
 _SHUFFLE_STREAM = 2
+
+# self_train scores its evaluation set on a forked numkit.Background
+# process only past this many row evaluations (epochs x evaluation rows).
+# Measured on 2 CPUs with one BLAS thread, forking broke even at about
+# 25,000 (the fork and join against about 0.5 us a row evaluation), and
+# saved 9-10 ms at 50,000
+_EVAL_FORK_ROWS = 50_000
 
 
 @dataclass
@@ -213,24 +224,37 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
     Metrics in the returned record refer to eval_dataset when given, else
     to the training set. Pseudo-label precision/accuracy always refer to
     the training positive bags and are None unless every training instance
-    label is known.
+    label is known. Each epoch's AUCs are scored on a ``numkit.Background``
+    process past ``_EVAL_FORK_ROWS`` row evaluations (see there for when it
+    forks), else inline; an error in scoring, such as an evaluation set of
+    another width, is raised as inline, at the latest once training ends.
     """
     eval_set = dataset if eval_dataset is None else eval_dataset
     labels = dataset.instance_labels
     # true labels of the pseudo-label rows: positive-bag rows in bag order
     true_pos = None if labels.min() < 0 else labels[
         np.repeat(dataset.bag_labels == 1, np.diff(dataset.offsets))]
-    record = RunRecord()
-    for epoch, (mu_t, loss, q_values, converged, params) in enumerate(
-            _train_epochs(dataset, cfg)):
-        pseudo_p = pseudo_a = None
-        if true_pos is not None:
-            rep = pseudo_label_metrics(q_values, true_pos)
-            pseudo_p, pseudo_a = rep.precision, rep.accuracy
-        inst_auc, bag_auc = dataset_aucs(eval_set,
-                                         *dataset_scores(params, eval_set))
-        record.rows.append(EpochRow(epoch, mu_t, loss, pseudo_p, pseudo_a,
-                                    inst_auc, bag_auc, converged))
+
+    def aucs(params):
+        return dataset_aucs(eval_set, *dataset_scores(params, eval_set))
+
+    fork = cfg.sgd.epochs * eval_set.features.shape[0] > _EVAL_FORK_ROWS
+    epochs = []
+    with Background(aucs, fork) as evaluator:
+        for epoch, (mu_t, loss, q_values, converged, params) in enumerate(
+                _train_epochs(dataset, cfg)):
+            evaluator.submit(params)
+            pseudo_p = pseudo_a = None
+            if true_pos is not None:
+                rep = pseudo_label_metrics(q_values, true_pos)
+                pseudo_p, pseudo_a = rep.precision, rep.accuracy
+            epochs.append((epoch, mu_t, loss, pseudo_p, pseudo_a, converged))
+        scores = evaluator.results()
+    record = RunRecord([
+        EpochRow(epoch, mu_t, loss, pseudo_p, pseudo_a, inst_auc, bag_auc,
+                 converged)
+        for (epoch, mu_t, loss, pseudo_p, pseudo_a, converged),
+        (inst_auc, bag_auc) in zip(epochs, scores)])
 
     final = record.rows[-1]
     first = record.rows[0]

@@ -1,8 +1,11 @@
 """Shared test helpers."""
 
+import os
 import tracemalloc
 
 import pytest
+
+from otmil import numkit
 
 
 @pytest.fixture
@@ -23,3 +26,34 @@ def traced_peak():
             if started:
                 tracemalloc.stop()
     return measure
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Run the test with the loaded OpenBLAS on one thread, the one BLAS
+    beside which ``numkit.Background`` forks, and yield OpenBLAS's setter
+    of the count; skip the test when no OpenBLAS is found. The count is
+    restored afterwards."""
+    openblas = numkit._openblas()
+    if openblas is None:
+        pytest.skip("no OpenBLAS found")
+    get, put = openblas
+    before = get()
+    put(1)
+    yield put
+    put(before)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that have called ``os.fork`` since the
+    test began, one entry per call (a forked process inherits the list)."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls

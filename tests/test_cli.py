@@ -271,7 +271,8 @@ class TestEval:
     @pytest.mark.parametrize("defect, message", [
         ("truncated", "checkpoint: malformed JSON (Expecting"),
         ("header", "layer w_hidden: shape"),
-        ("no arch", "checkpoint: missing field arch")])
+        ("no arch", "checkpoint: missing field arch"),
+        ("non-finite", "layer w_out: non-finite")])
     def test_checkpoint_error_names_the_file(self, dataset_dir, tmp_path,
                                              capsys, defect, message):
         t, e = tmp_path / "t", tmp_path / "e"
@@ -284,15 +285,44 @@ class TestEval:
         else:
             if defect == "header":
                 blob["hidden"] += 1
-            else:
+            elif defect == "no arch":
                 del blob["arch"]
-            text = json.dumps(blob)
+            else:
+                blob["layers"]["w_out"]["data"][0] = "VALUE"
+            text = json.dumps(blob).replace('"VALUE"', "1e999")
         checkpoint.write_text(text)
         capsys.readouterr()
         assert run(["eval", "--checkpoint", checkpoint,
                     "--data", dataset_dir / "test.ndjson", "--out", e]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {checkpoint}: {message}")
+
+
+def test_text_files_are_utf8_in_any_locale(tmp_path):
+    # every text file the library opens names its encoding: otherwise it
+    # would read and write in the locale's, and here fail with a warning
+    script = """
+import sys
+from otmil.cli import main
+from otmil.data import load_benchmark_csv
+out = sys.argv[1]
+for argv in (["gen", "normal", "--bags", "12", "--test-bags", "6",
+              "--bag-size", "12", "--ratio", "0.25", "--out", out + "/d"],
+             ["train", "--data", out + "/d", "--epochs", "2",
+              "--out", out + "/t"],
+             ["eval", "--checkpoint", out + "/t/checkpoint.json",
+              "--data", out + "/d/test.ndjson", "--out", out + "/e"]):
+    assert main(argv) == 0, argv
+with open(out + "/b.csv", "w", encoding="utf-8") as fh:
+    fh.write("bag_id,bag_label,f0\\nb\\u00e9,1,0.5\\n")
+assert load_benchmark_csv(out + "/b.csv").bag_ids == ("b\\u00e9",)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSweep:

@@ -324,6 +324,23 @@ class TestNdjson:
         save_ndjson(generate_normal_bags(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("bad, column", [
+        (b"\xff", 12), (b"\xe9", 12), (b"\xc3(", 12),
+        (b"\xed\xa0\x80", 12)])  # an encoded surrogate is not UTF-8
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, bad,
+                                                  column):
+        # 300 good lines first: past the first read of the file, a decode
+        # error names only an offset into the decoder's buffer
+        good = [json.dumps(bag_record(f"p{k:03d}", [0.5, 1.5]))
+                for k in range(300)]
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes("\n".join(good).encode() + b'\n{"bag_id": '
+                         + bad + b'"x"}\n' + good[0].encode() + b"\n")
+        with pytest.raises(ValueError, match="^line 301: byte "
+                           f"0x{bad[0]:02x} at column {column} is not "
+                           "UTF-8$"):
+            load_ndjson(path)
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         good = json.dumps({"bag_id": "a", "label": 0,
@@ -757,6 +774,30 @@ class TestBenchmarkCsv:
         path = tmp_path / "m.csv"
         path.write_text("id,label,f0\nx,0,1.0\n")
         with pytest.raises(ValueError, match="header"):
+            load_benchmark_csv(path)
+
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path):
+        # spreadsheets' "CSV UTF-8" exports start with one
+        path = tmp_path / "m.csv"
+        self._write(path, ["m\u00e91,1,0.1,0.2", "m2,0,0.5,0.6"])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        ds = load_benchmark_csv(path)
+        assert ds.bag_ids == ("m\u00e91", "m2")
+        assert ds.features.tolist() == [[0.1, 0.2], [0.5, 0.6]]
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, header):
+        path = tmp_path / "m.csv"
+        self._write(path, [f"m{k},1,0.1,0.2" for k in range(1000)])
+        text = path.read_bytes()
+        if header:
+            text = text.replace(b"bag_id", b"bag_\xffid", 1)
+        else:
+            text += b"m\xff,0,0.5,0.6\n"
+        path.write_bytes(text)
+        line, column = (1, 5) if header else (1002, 2)
+        with pytest.raises(ValueError, match=f"^line {line}: byte 0xff at "
+                           f"column {column} is not UTF-8$"):
             load_benchmark_csv(path)
 
     def test_label_flip_within_bag(self, tmp_path):

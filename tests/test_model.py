@@ -496,6 +496,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"layers.b_hidden.{message}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["w_hidden", "b_hidden", "w_out",
+                                      "b_out"])
+    @pytest.mark.parametrize("value", ["1e999", "NaN"])
+    def test_non_finite_layer_value_named(self, tmp_path, name, value):
+        path, blob = self._saved_blob(tmp_path)
+        blob["layers"][name]["data"][1] = "VALUE"
+        path.write_text(json.dumps(blob).replace('"VALUE"', value))
+        with pytest.raises(ValueError, match=f"^layer {name}: non-finite"):
+            load_checkpoint(path)
+
     def test_malformed_json_rejected(self, tmp_path):
         path, _ = self._saved_blob(tmp_path)
         path.write_text(path.read_text()[:40])

@@ -15,7 +15,9 @@ from otmil.baselines import init_pool_params, pool_bags
 from otmil.data import Dataset
 from otmil.labeling import apply_local_constraint
 from otmil.metrics import segment_bag_scores
-from otmil.numkit import Rng, check_finite, fan_out, sample_gaussian
+from otmil import numkit
+from otmil.numkit import (Background, Rng, check_finite, fan_out,
+                         sample_gaussian)
 
 
 def usable_cpus():
@@ -231,3 +233,85 @@ fan_out(lambda i: [job(i)], 2, lambda result: None)
         for pid in orphans:  # leave nothing running when the test fails
             os.kill(pid, signal.SIGKILL)
         assert orphans == []
+
+    @needs_two_cpus
+    @pytest.mark.skipif(numkit.blas_threads() is None,
+                        reason="no OpenBLAS found")
+    def test_workers_run_blas_on_one_thread(self):
+        script = """
+from otmil.numkit import blas_threads, fan_out
+got = []
+fan_out(lambda i: [blas_threads()], 2, got.append)
+print(blas_threads(), *got)
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "1", "1"]
+
+
+def snapshot_sum(arr):
+    return float(arr.sum())
+
+
+@needs_two_cpus
+class TestBackground:
+    """``Background`` forks one process beside a one-thread BLAS, hands
+    back each item's result in order, raises its function's exception at
+    the next ``submit``, and leaves no process behind; test_trainer.py's
+    ``TestBackgroundEvaluation`` covers its use in ``self_train``, and
+    there, in a child interpreter with a timeout, a caller that raises."""
+
+    def test_results_are_of_snapshots_in_submit_order(self, one_blas_thread,
+                                                      forks):
+        arr = np.zeros(3)
+        with Background(snapshot_sum, True) as background:
+            for k in range(5):
+                arr += k
+                background.submit(arr)  # pickled now: later edits unseen
+            arr[:] = -1.0
+            got = background.results()
+        assert got == [0.0, 3.0, 9.0, 18.0, 30.0]
+        assert forks == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_error_is_raised_at_a_later_submit(self, one_blas_thread, fork):
+        def fn(item):
+            if item == 0:
+                raise KeyError("item 0 failed")
+            return item
+
+        deadline = time.monotonic() + 30
+        with pytest.raises(KeyError, match="item 0 failed"):
+            with Background(fn, fork) as background:
+                background.submit(0)
+                while time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    background.submit(1)
+        assert time.monotonic() < deadline
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_error_keeps_its_type_and_message(
+            self, one_blas_thread):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def fn(item):
+            raise LocalError(f"item {item} failed")
+
+        with pytest.raises(RuntimeError, match="LocalError: item 0 failed"):
+            with Background(fn, True) as background:
+                background.submit(0)
+                background.results()
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_beside_a_multithreaded_blas(self, one_blas_thread,
+                                                 forks):
+        one_blas_thread(2)
+        with Background(snapshot_sum, True) as background:
+            background.submit(np.ones(2))
+            assert background.results() == [2.0]
+        assert forks == []

@@ -604,3 +604,103 @@ print("same")
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["same"]
+
+
+@needs_two_cpus
+class TestBackgroundEvaluation:
+    """``self_train`` scores each epoch on a forked ``numkit.Background``
+    process beside a one-thread BLAS, past ``_EVAL_FORK_ROWS`` row
+    evaluations, with the record and parameters of inline scoring."""
+
+    def run(self):
+        ds = small_dataset(n_bags=12, bag_size=10)
+        test = small_dataset(seed=7, n_bags=10, bag_size=10)
+        return self_train(ds, small_config(epochs=4), test)
+
+    def test_forked_and_inline_scoring_agree(self, one_blas_thread, forks,
+                                             monkeypatch):
+        monkeypatch.setattr(trainer, "_EVAL_FORK_ROWS", 0)
+        params, record = self.run()
+        assert forks == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+        def inline(i):  # a fan_out worker scores inline: it forks nothing
+            if i == 0:
+                return self.run(), [pid for pid in forks
+                                    if pid == os.getpid()]
+
+        (want_params, want), worker_forks = fan_out_list(inline, 2)[0]
+        assert worker_forks == []
+        assert record == want
+        assert [r.instance_auc is not None for r in record.rows] == [True] * 4
+        for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            assert (getattr(params, name).tobytes()
+                    == getattr(want_params, name).tobytes())
+
+    def test_wrong_width_eval_set_raises_the_inline_error(
+            self, one_blas_thread, forks, monkeypatch):
+        monkeypatch.setattr(trainer, "_EVAL_FORK_ROWS", 0)
+        ds = small_dataset(n_bags=12, bag_size=10)
+        narrow = small_dataset(seed=7, n_bags=10, bag_size=10, dim=5)
+        cfg = small_config(epochs=4)
+        with pytest.raises(ValueError) as inline:
+            fan_out_list(lambda i: self_train(ds, cfg, narrow), 2)
+        del forks[:]
+        with pytest.raises(ValueError) as forked:
+            self_train(ds, cfg, narrow)
+        assert forks == [os.getpid()]
+        assert str(forked.value) == str(inline.value)
+        assert multiprocessing.active_children() == []
+
+    def test_training_error_returns_promptly(self):
+        script = """
+import multiprocessing, os
+from otmil import trainer
+from otmil.data import GenConfig, generate_normal_bags
+from otmil.labeling import MuSchedule
+from otmil.model import SgdConfig
+from otmil.numkit import blas_threads
+
+real_mu = trainer.adaptive_mu
+def failing_mu(epoch, schedule):
+    if epoch == 3:
+        raise KeyError("epoch 3 failed")
+    return real_mu(epoch, schedule)
+
+real_fork = os.fork
+forks = []
+def fork():
+    forks.append(os.getpid())
+    return real_fork()
+
+trainer.adaptive_mu, trainer._EVAL_FORK_ROWS, os.fork = failing_mu, 0, fork
+ds = generate_normal_bags(GenConfig(n_bags=12, bag_size=10, seed=2))
+cfg = trainer.TrainConfig(sgd=SgdConfig(epochs=6),
+                          schedule=MuSchedule(warmup_epochs=2))
+try:
+    trainer.self_train(ds, cfg)
+except KeyError as exc:
+    print("raised", exc.args[0].replace(" ", "-"))
+print(blas_threads(), len(forks), len(multiprocessing.active_children()))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        threads, n_forks, n_children = proc.stdout.split()[2:]
+        assert proc.stdout.split()[:2] == ["raised", "epoch-3-failed"]
+        # with an OpenBLAS found, the evaluator was forked and is gone
+        assert (n_forks, n_children) == ("1" if threads == "1" else "0", "0")
+
+    @pytest.mark.parametrize("why", ["small run", "two BLAS threads"])
+    def test_runs_that_cannot_gain_fork_nothing(self, one_blas_thread, forks,
+                                                monkeypatch, why):
+        if why == "small run":
+            assert 4 * 100 < trainer._EVAL_FORK_ROWS
+        else:
+            monkeypatch.setattr(trainer, "_EVAL_FORK_ROWS", 0)
+            one_blas_thread(2)
+        _, record = self.run()
+        assert forks == []
+        assert len(record.rows) == 4
