@@ -5,7 +5,10 @@ bag of a corpus (features in bag order plus bag offsets, the
 ``data.Dataset`` layout) in one pass, by a segment max, a segment mean,
 or an attention-weighted segment sum, into one feature vector per bag. A
 linear head maps those vectors to two-class probabilities trained with
-cross entropy against the bag labels.
+cross entropy against the bag labels. The attention arm takes each
+batch's gradient as the size-weighted mean of two halves of its bags; in
+long runs a ``numkit.Pair`` peer computes the second half on a second
+CPU, with the same bits (``pool_baseline_train``).
 
 Instance scores are derived afterwards: the attention arm exposes its
 per-instance attention weights (min-max normalized over the whole
@@ -22,10 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ClassifierParams, Gradients, SgdConfig, backward,
-                    forward, init_classifier, sgd_step)
-from .numkit import Rng, bag_sizes
+                    forward, init_classifier)
+from .numkit import Pair, Rng, bag_sizes
 
 POOL_KINDS = ("max", "mean", "attention")
+
+# pool_baseline_train forks its attention peer (numkit.Pair) only past this
+# many row steps (epochs x training rows). Measured on 2 CPUs with one BLAS
+# thread, d 16, batches of 8 to 16 bags: forking broke even at 40,000 to
+# 50,000, and at 100,000 it saved 12-20% on three shapes of bags and lost 4%
+# on a fourth, where the fork and join (about 5 ms) outweigh the halves
+_PAIR_FORK_ROWS = 100_000
 
 
 @dataclass
@@ -170,7 +180,11 @@ def pool_baseline_train(dataset, kind: str, sgd: SgdConfig,
     """Train a pooling baseline on bag labels only.
 
     Bags are shuffled each epoch and consumed in batches of
-    sgd.batch_size bags; every array updates by plain SGD.
+    sgd.batch_size bags; every array updates by plain SGD on the batch's
+    gradient (``_batch_gradient``). The attention arm trains on a
+    ``numkit.Pair`` that forks a peer past ``_PAIR_FORK_ROWS`` row steps
+    (epochs x rows), where the peer computes the second half of every
+    batch; the parameters are the same to the bit either way.
     """
     if kind not in POOL_KINDS:
         raise ValueError(f"unknown pooling kind: {kind!r}")
@@ -186,19 +200,66 @@ def pool_baseline_train(dataset, kind: str, sgd: SgdConfig,
     # one-hot bag targets, positive class first
     positive = dataset.bag_labels == 1
     targets = np.stack([positive, ~positive], axis=1).astype(np.float64)
-    for _ in range(sgd.epochs):
-        order = shuffle_rng.permutation(len(feats))
-        for start in range(0, len(order), sgd.batch_size):
-            idx = order[start:start + sgd.batch_size]
-            _, grads = pool_loss_and_grads(params, [feats[i] for i in idx],
-                                           targets[idx])
-            sgd_step(params.head, grads.head, sgd.learning_rate)
-            if params.attention is not None:
-                grads.v *= sgd.learning_rate
-                params.attention.v -= grads.v
-                grads.w *= sgd.learning_rate
-                params.attention.w -= grads.w
-    return params
+
+    def train(pair):
+        # the peer runs this too, on its copies of params and shuffle_rng
+        for _ in range(sgd.epochs):
+            order = shuffle_rng.permutation(len(feats))
+            for start in range(0, len(order), sgd.batch_size):
+                idx = order[start:start + sgd.batch_size]
+                grad = _batch_gradient(params, [feats[i] for i in idx],
+                                       targets[idx], pair)
+                grad *= sgd.learning_rate
+                at = 0
+                for arr in _arrays(params):
+                    arr -= grad[at:at + arr.size].reshape(arr.shape)
+                    at += arr.size
+        return params
+
+    fork = (kind == "attention"
+            and sgd.epochs * dataset.n_instances > _PAIR_FORK_ROWS)
+    return Pair(fork).run(train)
+
+
+def _arrays(params: PoolParams) -> list[np.ndarray]:
+    """The trainable arrays, in the order of a flat gradient."""
+    arrays = [params.head.w_out, params.head.b_out]
+    if params.attention is not None:
+        arrays += [params.attention.v, params.attention.w]
+    return arrays
+
+
+def _flat_gradient(params: PoolParams, bag_feats: list[np.ndarray],
+                   targets: np.ndarray) -> np.ndarray:
+    """``pool_loss_and_grads``'s gradient as one vector, the arrays in
+    ``_arrays`` order."""
+    _, grads = pool_loss_and_grads(params, bag_feats, targets)
+    parts = [grads.head.w_out, grads.head.b_out]
+    if grads.v is not None:
+        parts += [grads.v, grads.w]
+    return np.concatenate([part.ravel() for part in parts])
+
+
+def _batch_gradient(params: PoolParams, bag_feats: list[np.ndarray],
+                    targets: np.ndarray, pair: Pair) -> np.ndarray:
+    """The batch's mean gradient as one vector (``_flat_gradient``).
+
+    Max and mean take it in one pass, as does a batch of one bag. The
+    attention arm takes it in two halves, on ``pair``: the first
+    ceil(n / 2) of the batch's n bags and the rest, combined as their
+    size-weighted mean (n1 g1 + n2 g2) / n. The halves cost as much as the
+    whole in one process, and a forked peer can take the second; the sum
+    re-associates the batch's reductions, so the result differs from the
+    whole batch's in its low-order bits.
+    """
+    n = len(bag_feats)
+    if params.kind != "attention" or n == 1:
+        return _flat_gradient(params, bag_feats, targets)
+    cut = (n + 1) // 2
+    first, second = pair.map(
+        lambda part: _flat_gradient(params, bag_feats[part], targets[part]),
+        slice(0, cut), slice(cut, n))
+    return (cut * first + (n - cut) * second) / n
 
 
 def attention_instance_scores(attn: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import shutil
 import struct
 from array import array
@@ -38,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numkit import Rng, bag_sizes, fan_out, sample_gaussian
+from .numkit import Rng, bag_sizes, fan_out, sample_gaussian, utf8_lines
 
 
 class Instance(NamedTuple):
@@ -407,7 +406,7 @@ def _parse_lines(path):
     bag of the file at ``path`` in file order, raising at the first line
     that is bad on its own."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in _utf8_lines(fh):
+        for lineno, line in utf8_lines(fh):
             line = line.strip()
             if not line:
                 continue
@@ -442,24 +441,6 @@ def _parse_lines(path):
             yield lineno, bag_id, label, block, inst_labels
 
 
-# a byte that is not UTF-8, as the "surrogateescape" error handler reads it
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")
-
-
-def _utf8_lines(fh):
-    """Yield (line number, line) for each line of ``fh``, a text file opened
-    with ``errors="surrogateescape"``; a byte that is not UTF-8 is a
-    ValueError that names its line and column. A decoding error of the
-    file itself would name only an offset into the decoder's buffer."""
-    for lineno, line in enumerate(fh, start=1):
-        bad = None if line.isascii() else _NOT_UTF8.search(line)
-        if bad:
-            raise ValueError(f"line {lineno}: byte "
-                             f"0x{ord(bad.group()) - 0xDC00:02x} at column "
-                             f"{bad.start() + 1} is not UTF-8")
-        yield lineno, line
-
-
 def load_benchmark_csv(path) -> Dataset:
     """Pre-extracted feature benchmark: header bag_id,bag_label,f0,...
 
@@ -469,7 +450,7 @@ def load_benchmark_csv(path) -> Dataset:
     start with a byte-order mark, as spreadsheets' "CSV UTF-8" exports do.
     """
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        lines = _utf8_lines(fh)
+        lines = utf8_lines(fh)
         header = next(lines, (1, ""))[1].strip().split(",")
         if header[:2] != ["bag_id", "bag_label"]:
             raise ValueError("header must start with bag_id,bag_label")

@@ -108,7 +108,10 @@ def _check_probs(probs) -> np.ndarray:
         raise ValueError("predictions must be an (N, 2) array")
     if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
         raise ValueError("predictions must lie in [0, 1]")
-    if p.size and np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+    # |row sum - 1| with the sum taken column by column: the bits of
+    # np.abs(p.sum(axis=1) - 1.0), though a row of two -0.0 sums to -0.0
+    # here and to 0.0 there
+    if p.size and np.max(np.abs(p[:, 0] + p[:, 1] - 1.0)) > 1e-9:
         raise ValueError("prediction rows must sum to 1")
     return p
 
@@ -210,11 +213,20 @@ def sinkhorn_assign(probs, mu: float, sharpness: float = 5.0
     )
 
 
+def positive_rows(q: np.ndarray) -> np.ndarray:
+    """The (N,) mask of the rows of (N, 2) labels whose argmax is the
+    positive column, ties included: ``np.argmax(q, axis=1) == 0`` on
+    finite labels, compared column by column."""
+    return q[:, 0] >= q[:, 1]
+
+
 def harden(q: np.ndarray) -> np.ndarray:
     """One-hot labels: each row becomes the indicator of its argmax (ties
     go to the positive column)."""
+    positive = positive_rows(q)
     hard = np.zeros_like(q)
-    hard[np.arange(len(q)), np.argmax(q, axis=1)] = 1.0
+    hard[:, 0] = positive
+    hard[:, 1] = ~positive
     return hard
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .labeling import positive_rows
 from .model import ClassifierParams, forward
 from .numkit import bag_sizes
 
@@ -122,7 +123,7 @@ def pseudo_label_metrics(q_values: np.ndarray, true_labels) -> PseudoLabelReport
     true_labels = np.asarray(true_labels)
     if len(true_labels) != len(q_values):
         raise ValueError("pseudo labels and true labels differ in length")
-    pred_pos = np.argmax(q_values, axis=1) == 0
+    pred_pos = positive_rows(q_values)
     true_pos = true_labels == 1
     n_pred = int(pred_pos.sum())
     tp = int(np.sum(pred_pos & true_pos))

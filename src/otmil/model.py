@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Rng
+from .numkit import Rng, utf8_lines
 
 PROB_CLAMP = 1e-12  # floor inside log() of the cross-entropy
 # Rows per ``forward`` block of the MLP. Blocks must give the bits of one
@@ -282,16 +282,22 @@ def _json_field(blob, key: str, kind: type, where: str = ""):
 
 
 def load_checkpoint(path) -> ClassifierParams:
-    """Inverse of save_checkpoint. Text that is not JSON, a missing or
-    mistyped field, a layer value that is not a JSON number, or an unknown
-    layer is a ValueError naming it; ``ClassifierParams`` then validates
-    every layer's shape, a missing layer's included, against the arch,
-    feature_dim and hidden in the header."""
-    with open(path, encoding="utf-8") as fh:
+    """Inverse of save_checkpoint. A byte that is not UTF-8, text that is
+    not JSON, a missing or mistyped field, a layer value that is not a
+    JSON number, or an unknown layer is a ValueError naming it (the byte
+    by its line and column, as ``numkit.utf8_lines`` reads it);
+    ``ClassifierParams`` then validates every layer's shape, a missing
+    layer's included, against the arch, feature_dim and hidden in the
+    header."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"checkpoint: malformed JSON ({exc})")
+            text = "".join(line for _, line in utf8_lines(fh))
+        except ValueError as exc:
+            raise ValueError(f"checkpoint: {exc}") from None
+    try:
+        blob = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"checkpoint: malformed JSON ({exc})")
     header = {key: _json_field(blob, key, kind) for key, kind in
               (("arch", str), ("feature_dim", int), ("hidden", int))}
     layers = {}

@@ -9,20 +9,27 @@ processes and hands the items each job yields back in job order, so that
 NDJSON saves and training can both spread work over the usable CPUs.
 ``Background`` applies one function to a stream of items on one forked
 process while the caller goes on, so that a per-epoch report runs beside
-the next epoch's training. Both fork under one rule (``_forkable``), and
-``blas_threads`` reads the loaded OpenBLAS's thread count: a worker of
-``fan_out`` runs BLAS on one thread, and ``Background`` forks only beside a
-one-thread BLAS, so that no two processes share a CPU's BLAS threads.
+the next epoch's training. ``Pair`` runs one loop on the caller and a
+forked peer in step, each computing one half of every step and swapping
+its result, a float64 vector, through a pipe, so that a baseline's
+training step uses both CPUs. All three fork under one rule
+(``_forkable``), and ``blas_threads`` reads the loaded OpenBLAS's thread
+count: ``fan_out``'s workers and a ``Pair`` run BLAS on one thread, and
+``Background`` forks only beside a one-thread BLAS, so that no two
+processes share a CPU's BLAS threads. ``utf8_lines`` reads a text file
+line by line and names the line and column of a byte that is not UTF-8.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
 import reprlib
 import signal
+import struct
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -67,6 +74,24 @@ def bag_sizes(offsets, n_rows: int) -> np.ndarray:
                      "empty bag")
 
 
+# a byte that is not UTF-8, as the "surrogateescape" error handler reads it
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def utf8_lines(fh):
+    """Yield (line number, line) for each line of ``fh``, a text file opened
+    with ``errors="surrogateescape"``; a byte that is not UTF-8 is a
+    ValueError that names its line and column. A decoding error of the
+    file itself would name only an offset into the decoder's buffer."""
+    for lineno, line in enumerate(fh, start=1):
+        bad = None if line.isascii() else _NOT_UTF8.search(line)
+        if bad:
+            raise ValueError(f"line {lineno}: byte "
+                             f"0x{ord(bad.group()) - 0xDC00:02x} at column "
+                             f"{bad.start() + 1} is not UTF-8")
+        yield lineno, line
+
+
 def sample_gaussian(rng: np.random.Generator, mean, std: float) -> np.ndarray:
     """One draw from an isotropic Gaussian centered at ``mean``; std > 0."""
     if std <= 0:
@@ -105,38 +130,48 @@ def fan_out(job, n_jobs: int, take) -> None:
 
     caller = os.getpid()
     workers = []
-    # the workers inherit one BLAS thread from this process, where the
-    # count is restored at the end: set in a worker, it would restart
-    # OpenBLAS's thread pool there, whose idle thread spins for ~0.1 s
+    with _one_blas_thread():
+        try:
+            for w in range(n_workers):
+                read_end, write_end = os.pipe()
+                process = context.Process(target=_work, args=(
+                    job, range(w, n_jobs, n_workers), write_end, caller))
+                workers.append((process, open(read_end, "rb")))
+                try:
+                    process.start()
+                finally:  # so that a read sees EOF once the worker is gone
+                    os.close(write_end)
+            for i in range(n_jobs):
+                for item in _receive(*workers[i % n_workers], i):
+                    take(item)
+                item = None  # no local keeps job i's last item past its turn
+        except BaseException:
+            for process, _ in workers:
+                if process.pid is not None:
+                    process.terminate()
+            raise
+        finally:
+            for process, receiver in workers:
+                if process.pid is not None:
+                    process.join()
+                    process.close()
+                receiver.close()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with the loaded OpenBLAS (``_openblas``) on one
+    thread, and restore its count afterwards. Processes forked in the
+    block inherit the one thread: set in a forked process instead, the
+    count would restart OpenBLAS's thread pool there, whose idle thread
+    spins for ~0.1 s."""
     openblas = _openblas()
     threads = None if openblas is None else openblas[0]()
     if threads not in (None, 1):
         openblas[1](1)
     try:
-        for w in range(n_workers):
-            read_end, write_end = os.pipe()
-            process = context.Process(target=_work, args=(
-                job, range(w, n_jobs, n_workers), write_end, caller))
-            workers.append((process, open(read_end, "rb")))
-            try:
-                process.start()
-            finally:  # so that a read sees EOF once the worker is gone
-                os.close(write_end)
-        for i in range(n_jobs):
-            for item in _receive(*workers[i % n_workers], i):
-                take(item)
-            item = None  # no local keeps job i's last item past its turn
-    except BaseException:
-        for process, _ in workers:
-            if process.pid is not None:
-                process.terminate()
-        raise
+        yield
     finally:
-        for process, receiver in workers:
-            if process.pid is not None:
-                process.join()
-                process.close()
-            receiver.close()
         if threads not in (None, 1):
             openblas[1](threads)
 
@@ -203,7 +238,7 @@ def _forkable(n_tasks: int):
     ``n_tasks``, can run the tasks side by side, forked from ``context``,
     the ``fork`` context of ``multiprocessing``; ``(1, None)`` when forking
     cannot help: one usable CPU, one task, or no ``fork`` start method.
-    ``fan_out`` and ``Background`` both fork by this rule."""
+    ``fan_out``, ``Background`` and ``Pair`` all fork by this rule."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -345,6 +380,178 @@ def _serve(fn, item_read: int, result_write: int, caller_ends) -> None:
     # so it reads this message at its next submit, not after the stream
     with open(result_write, "wb") as sender:
         sender.write(_message(results, error)[0])
+
+
+class Pair:
+    """Run one loop on two processes in step: the caller and, where that
+    pays, one forked peer, which split the work of each step between them.
+
+    ``run(loop)`` returns the caller's ``loop(pair)``. Each ``pair.map(fn,
+    first, second)`` returns ``(fn(first), fn(second))``, where ``fn``
+    returns a float64 vector (a 1-D array). Paired, the caller computes
+    ``fn(first)`` and the peer, running the same loop on its copy of the
+    caller's state, ``fn(second)``; each writes its vector's bytes to a
+    pipe, reads the other's, and returns both, so the two copies of the
+    state stay the same, without being sent, while ``loop`` changes it
+    only by the results of ``map``. The loop must make the same ``map``
+    calls, in the same order, in both processes.
+
+    ``fork`` is the caller's judgement that the loop's work pays for a
+    fork, which costs about 5 ms to start and join, and a swap of about
+    15 us per ``map``. The peer is forked only if, besides, ``_forkable``
+    finds two usable CPUs and the ``fork`` start method, and the caller is
+    not itself a forked worker; otherwise ``loop`` runs in the caller
+    alone, which computes both of each ``map``. Either way each
+    result is ``fn``'s on the same inputs. While paired, both processes
+    run BLAS on one thread, as ``fan_out``'s workers do.
+
+    The peer writes its vector before it reads the caller's only when the
+    message fits in half of its pipe's buffer, so the two never wait on
+    each other's full pipe. An exception of the peer's loop ends it; it is
+    raised in the caller, with its type and message, at the caller's next
+    ``map`` or when its loop returns. An exception of the caller's loop
+    terminates the peer. The peer has been joined when ``run`` returns or
+    raises, and on Linux it is killed when its caller dies.
+    """
+
+    def __init__(self, fork: bool):
+        self._fork = fork
+        self._is_peer = False
+        self._sender = self._receiver = None  # the pipe ends while paired
+        self._room = 0  # half the peer's outgoing pipe buffer, in bytes
+
+    def run(self, loop):
+        """``loop(self)``, run in the caller and, if it forks, the peer."""
+        _, context = _forkable(2) if self._fork else (1, None)
+        if context is None or context.parent_process() is not None:
+            return loop(self)
+        to_peer, from_peer = os.pipe(), os.pipe()
+        self._sender = open(to_peer[1], "wb")
+        self._receiver = open(from_peer[0], "rb")
+        self._room = _pipe_bytes(from_peer[1]) // 2
+        process = context.Process(target=_pair_peer, args=(
+            self, loop, to_peer[0], from_peer[1], (to_peer[1], from_peer[0])))
+        with _one_blas_thread():
+            try:
+                try:
+                    process.start()
+                finally:  # so that each side sees EOF once the other is gone
+                    os.close(to_peer[0])
+                    os.close(from_peer[1])
+                result = loop(self)
+                if self._receive() is not None:  # the peer's loop ended too
+                    raise RuntimeError("the peer of a pair sent a result "
+                                       "after its caller's loop had ended")
+                return result
+            except BaseException:
+                if process.pid is not None and process.exitcode is None:
+                    process.terminate()
+                raise
+            finally:
+                if process.pid is not None:
+                    process.join()
+                    process.close()
+                with suppress(OSError):  # a vector left unsent in a pipe
+                    self._sender.close()
+                self._receiver.close()
+                self._sender = self._receiver = None
+
+    def map(self, fn, first, second) -> tuple[np.ndarray, np.ndarray]:
+        """``(fn(first), fn(second))``, the second computed by the peer
+        while paired."""
+        if self._sender is None:
+            return _vector(fn(first)), _vector(fn(second))
+        mine = _vector(fn(second if self._is_peer else first))
+        if not self._is_peer or 8 * (mine.size + 1) <= self._room:
+            self._send(mine)
+            theirs = self._receive()
+        else:
+            theirs = self._receive()
+            self._send(mine)
+        if theirs is None:
+            raise RuntimeError("the peer of a pair ended its loop before "
+                               "its caller did")
+        return (theirs, mine) if self._is_peer else (mine, theirs)
+
+    def _send(self, vector: np.ndarray) -> None:
+        """Write ``vector``'s length, then its bytes."""
+        try:
+            self._sender.write(_LENGTH.pack(vector.size))
+            self._sender.write(vector)
+            self._sender.flush()
+        except BrokenPipeError:  # the peer has stopped: see _pair_peer
+            if self._is_peer:
+                raise
+            self._receive()
+
+    def _receive(self) -> np.ndarray | None:
+        """The other side's next vector; None for the end of the peer's
+        loop, or the exception that ended it raised here."""
+        header = self._receiver.read(_LENGTH.size)
+        if len(header) == _LENGTH.size:
+            (length,) = _LENGTH.unpack(header)
+            if length >= 0:
+                vector = np.empty(length)
+                if self._receiver.readinto(vector) == vector.nbytes:
+                    return vector
+            else:
+                ending = self._receiver.read(-length)
+                if len(ending) == -length:
+                    error = pickle.loads(ending)[1]
+                    if error is not None:
+                        raise error
+                    return None
+        raise RuntimeError("the other process of a pair exited mid-message")
+
+
+# a Pair message starts with its length: a vector's number of values, or
+# minus the number of bytes of the pickled end of the peer's loop
+_LENGTH = struct.Struct("=q")
+
+
+def _vector(result) -> np.ndarray:
+    """``result`` if it is a C-contiguous float64 vector, which ``Pair``
+    sends as raw bytes; a TypeError otherwise."""
+    if (not isinstance(result, np.ndarray) or result.dtype != np.float64
+            or result.ndim != 1 or not result.flags.c_contiguous):
+        raise TypeError("Pair.map's function must return a contiguous "
+                        "float64 vector")
+    return result
+
+
+def _pair_peer(pair: Pair, loop, read_end: int, write_end: int,
+               caller_ends) -> None:
+    """A ``Pair`` peer's whole life: run ``loop(pair)`` as the second side,
+    then send the end of the loop to the caller, the pickled ``(None,
+    None)``, or ``(None, exception)`` at its first exception (see
+    ``_message``). It closes its copies of the caller's ends of both
+    pipes, ``caller_ends``, first."""
+    _die_with_parent()
+    for fd in caller_ends:
+        os.close(fd)
+    with open(read_end, "rb") as receiver:
+        sender = open(write_end, "wb")
+        pair._is_peer, pair._receiver, pair._sender = True, receiver, sender
+        error = None
+        try:
+            loop(pair)
+        except Exception as exc:  # the caller re-raises it
+            error = exc
+        ending = _message(None, error)[0]
+        with suppress(OSError), sender:  # the caller has stopped reading
+            sender.write(_LENGTH.pack(-len(ending)))
+            sender.write(ending)
+
+
+def _pipe_bytes(fd: int) -> int:
+    """The buffer size of the pipe at ``fd``: read from Linux, else
+    ``select.PIPE_BUF``, the least that POSIX allows."""
+    import fcntl
+    import select
+    try:
+        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+    except (AttributeError, OSError):  # not Linux
+        return select.PIPE_BUF
 
 
 def _openblas():

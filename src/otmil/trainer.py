@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import kfold_split
 from .labeling import (MuSchedule, adaptive_mu, apply_local_constraint,
-                       harden, sinkhorn_assign)
+                       harden, positive_rows, sinkhorn_assign)
 # bag_predict and roc_auc are not called here; perfbench/spans.py wraps
 # trainer.bag_predict and trainer.roc_auc
 from .metrics import (bag_predict, dataset_aucs, dataset_scores,
@@ -258,7 +258,7 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
 
     final = record.rows[-1]
     first = record.rows[0]
-    positive_fraction = float(np.mean(np.argmax(q_values, axis=1) == 0))
+    positive_fraction = float(np.mean(positive_rows(q_values)))
     record.summary = {
         "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,

@@ -1,11 +1,26 @@
 """Shared test helpers."""
 
+import multiprocessing
 import os
 import tracemalloc
 
 import pytest
 
 from otmil import numkit
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fail every test that leaves a ``multiprocessing`` child running: a
+    worker of ``numkit.fan_out``, a ``Background`` process or a ``Pair``
+    peer. The children left are terminated first, so that the next test
+    starts without them."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert left == [], f"processes left running: {left}"
 
 
 @pytest.fixture

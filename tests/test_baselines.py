@@ -1,24 +1,30 @@
 """Pooling baselines: attention math, gradients, training sanity."""
 
+import hashlib
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otmil import baselines
 from otmil.baselines import (POOL_KINDS, AttentionParams, PoolGradients,
                              PoolParams, attention_instance_scores,
                              baseline_instance_scores, baseline_scores,
                              init_pool_params, pool_bags, pool_baseline_train,
                              pool_loss_and_grads)
-from otmil.data import GenConfig, generate_normal_bags
+from otmil.data import GenConfig, generate_hard_bags, generate_normal_bags
 from otmil.metrics import roc_auc
 from otmil.model import (Gradients, SgdConfig, backward, forward,
-                         init_classifier)
-from otmil.numkit import Rng
+                         init_classifier, sgd_step)
+from otmil.numkit import Pair, Rng
 
 from test_data import make_dataset
 from test_model import assert_same_bits, soft_cross_entropy
-from test_numkit import softmax
+from test_numkit import needs_two_cpus, run_script, softmax
+from test_trainer import fan_out_list
 
 
 def pool_params_to_vector(params: PoolParams) -> np.ndarray:
@@ -486,3 +492,208 @@ class TestTraining:
             scores = baseline_instance_scores(params, ds)
             assert scores.shape == (ds.n_instances,)
             assert np.all((scores >= 0) & (scores <= 1))
+
+
+# --- reference: the training loop before the split -------------------------
+
+def whole_batch_train(dataset, kind, sgd, attention_hidden=64):
+    """``pool_baseline_train`` with one whole-batch ``pool_loss_and_grads``
+    per batch and the model's ``sgd_step`` on the head, as it was before
+    the attention arm split its batches in two."""
+    params = init_pool_params(kind, dataset.feature_dim, attention_hidden,
+                              Rng(sgd.seed, stream=11))
+    shuffle_rng = Rng(sgd.seed, stream=12)
+    offsets = dataset.offsets
+    feats = [dataset.features[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    positive = dataset.bag_labels == 1
+    targets = np.stack([positive, ~positive], axis=1).astype(np.float64)
+    for _ in range(sgd.epochs):
+        order = shuffle_rng.permutation(len(feats))
+        for start in range(0, len(order), sgd.batch_size):
+            idx = order[start:start + sgd.batch_size]
+            _, grads = pool_loss_and_grads(params, [feats[i] for i in idx],
+                                           targets[idx])
+            sgd_step(params.head, grads.head, sgd.learning_rate)
+            if params.attention is not None:
+                grads.v *= sgd.learning_rate
+                params.attention.v -= grads.v
+                grads.w *= sgd.learning_rate
+                params.attention.w -= grads.w
+    return params
+
+
+def split_case(sizes, seed, dim=5):
+    """Fresh attention parameters, one bag per size, and soft targets."""
+    params, bags, rng = ragged_case("attention", sizes, seed, dim)
+    raw = rng.uniform(0.05, 0.95, len(bags))
+    return params, bags, np.stack([raw, 1 - raw], axis=1)
+
+
+class TestSplitGradient:
+    """The attention arm's batch gradient, the size-weighted mean of its two
+    halves, against the whole batch's ``pool_loss_and_grads`` (the oracle),
+    to 1e-12; max, mean and a one-bag batch keep the whole batch's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=17),
+           st.integers(0, 2 ** 32 - 1))
+    def test_halves_match_the_whole_batch(self, sizes, seed):
+        params, bags, targets = split_case(sizes, seed)
+        got = baselines._batch_gradient(params, bags, targets, Pair(False))
+        want = analytic_pool_vector(
+            "attention", pool_loss_and_grads(params, bags, targets)[1])
+        close(got, want)
+
+    @pytest.mark.parametrize("n_bags,cut", [(2, 1), (5, 3), (16, 8), (17, 9)])
+    def test_first_half_is_the_first_ceil_half(self, n_bags, cut):
+        class Recorder:
+            def map(self, fn, *items):
+                self.items = items
+                return [fn(item) for item in items]
+
+        params, bags, targets = split_case([3] * n_bags, 0)
+        pair = Recorder()
+        baselines._batch_gradient(params, bags, targets, pair)
+        assert pair.items == (slice(0, cut), slice(cut, n_bags))
+
+    @pytest.mark.parametrize("kind,sizes", [
+        ("attention", [7]), ("max", [3, 1, 4, 1, 5]),
+        ("mean", [3, 1, 4, 1, 5])])
+    def test_one_pass_keeps_the_whole_batch_bits(self, kind, sizes):
+        params, bags, rng = ragged_case(kind, sizes, 4)
+        raw = rng.uniform(0.05, 0.95, len(bags))
+        targets = np.stack([raw, 1 - raw], axis=1)
+        got = baselines._batch_gradient(params, bags, targets, Pair(False))
+        want = analytic_pool_vector(
+            kind, pool_loss_and_grads(params, bags, targets)[1])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,batch_size", [
+        ("attention", 1), ("max", 1), ("max", 16), ("mean", 7)])
+    def test_training_without_a_split_keeps_its_bits(self, kind, batch_size):
+        ds = generate_normal_bags(GenConfig(n_bags=30, bag_size=10,
+                                            feature_dim=4, seed=2))
+        sgd = SgdConfig(learning_rate=0.05, batch_size=batch_size, epochs=3,
+                        seed=1)
+        got = pool_baseline_train(ds, kind, sgd, attention_hidden=8)
+        want = whole_batch_train(ds, kind, sgd, attention_hidden=8)
+        assert (pool_params_to_vector(got).tobytes()
+                == pool_params_to_vector(want).tobytes())
+
+
+def hard_corpus():
+    """The benchmark's attention-baseline training shape: 200 two-concept
+    bags of 100 rows, 16 features."""
+    return generate_hard_bags(GenConfig(
+        n_bags=200, bag_size=100, feature_dim=16, seed=0, scheme="hard",
+        n_concepts=2))[0]
+
+
+ATTENTION_SGD = SgdConfig(learning_rate=0.01, batch_size=16, epochs=2, seed=0)
+
+
+def params_digest(params: PoolParams) -> str:
+    return hashlib.sha256(pool_params_to_vector(params).tobytes()).hexdigest()
+
+
+@needs_two_cpus
+class TestPairedTraining:
+    """Past ``_PAIR_FORK_ROWS`` row steps the attention arm trains on a
+    forked ``numkit.Pair`` peer, with the parameters of one process to the
+    bit; a peer's or the caller's error is raised, and no process is left
+    behind."""
+
+    def test_forked_and_inline_training_agree(self, forks, monkeypatch):
+        monkeypatch.setattr(baselines, "_PAIR_FORK_ROWS", 0)
+        ds = hard_corpus()
+        params = pool_baseline_train(ds, "attention", ATTENTION_SGD)
+        assert forks == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+        def inline(i):  # a fan_out worker trains inline: it forks nothing
+            if i == 0:
+                before = len(forks)
+                return (pool_baseline_train(ds, "attention", ATTENTION_SGD),
+                        len(forks) - before)
+
+        want, worker_forks = fan_out_list(inline, 2)[0]
+        assert worker_forks == 0
+        assert params_digest(params) == params_digest(want)
+
+    def test_blas_thread_variables_do_not_move_the_bits(self):
+        script = """
+import hashlib
+import numpy as np
+from otmil import baselines
+from otmil.data import GenConfig, generate_hard_bags
+from otmil.model import SgdConfig
+ds = generate_hard_bags(GenConfig(n_bags=200, bag_size=100, feature_dim=16,
+                                  seed=0, scheme="hard", n_concepts=2))[0]
+for floor in (0, 10 ** 12):  # forked, then inline
+    baselines._PAIR_FORK_ROWS = floor
+    p = baselines.pool_baseline_train(ds, "attention", SgdConfig(
+        learning_rate=0.01, batch_size=16, epochs=2, seed=0))
+    print(hashlib.sha256(np.concatenate([
+        p.head.w_out.ravel(), p.head.b_out, p.attention.v.ravel(),
+        p.attention.w]).tobytes()).hexdigest())
+"""
+        unset = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                               "MKL_NUM_THREADS"))
+        one = run_script(script, **{**unset, "OPENBLAS_NUM_THREADS": "1"})
+        assert run_script(script, **unset) == one
+        assert one[0] == one[1]
+
+    def test_peer_error_is_raised_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_PAIR_FORK_ROWS", 0)
+        caller, real = os.getpid(), baselines.pool_loss_and_grads
+
+        def failing(params, bag_feats, targets):
+            if os.getpid() != caller:
+                raise KeyError(f"{len(bag_feats)} bags failed")
+            return real(params, bag_feats, targets)
+
+        monkeypatch.setattr(baselines, "pool_loss_and_grads", failing)
+        with pytest.raises(KeyError, match="8 bags failed"):
+            pool_baseline_train(hard_corpus(), "attention", ATTENTION_SGD)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_returns_promptly(self):
+        script = """
+import multiprocessing, os, time
+from otmil import baselines
+from otmil.data import GenConfig, generate_hard_bags
+from otmil.model import SgdConfig
+real_fork, forks = os.fork, []
+def fork():
+    forks.append(os.getpid())
+    return real_fork()
+caller, real, calls = os.getpid(), baselines.pool_loss_and_grads, []
+def failing(params, bag_feats, targets):
+    calls.append(1)
+    if os.getpid() == caller and len(calls) == 5:
+        raise KeyError("step 5 failed")
+    return real(params, bag_feats, targets)
+os.fork, baselines.pool_loss_and_grads = fork, failing
+baselines._PAIR_FORK_ROWS = 0
+ds = generate_hard_bags(GenConfig(n_bags=40, bag_size=20, seed=1,
+                                  scheme="hard", n_concepts=2))[0]
+start = time.monotonic()
+try:
+    baselines.pool_baseline_train(ds, "attention", SgdConfig(epochs=50))
+except KeyError as exc:
+    print("raised", exc.args[0].replace(" ", "-"))
+print(len(forks), len(multiprocessing.active_children()),
+      time.monotonic() - start < 30)
+"""
+        assert run_script(script) == ["raised", "step-5-failed", "1", "0",
+                                      "True"]
+
+    @pytest.mark.parametrize("kind,epochs", [
+        ("attention", 2), ("max", 200), ("mean", 200)])
+    def test_runs_that_cannot_gain_fork_nothing(self, forks, kind, epochs):
+        ds = generate_normal_bags(GenConfig(n_bags=40, bag_size=20,
+                                            feature_dim=4, seed=2))
+        rows = epochs * ds.n_instances
+        assert (rows > baselines._PAIR_FORK_ROWS) == (kind != "attention")
+        pool_baseline_train(ds, kind, SgdConfig(epochs=epochs))
+        assert forks == []

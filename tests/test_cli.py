@@ -272,7 +272,8 @@ class TestEval:
         ("truncated", "checkpoint: malformed JSON (Expecting"),
         ("header", "layer w_hidden: shape"),
         ("no arch", "checkpoint: missing field arch"),
-        ("non-finite", "layer w_out: non-finite")])
+        ("non-finite", "layer w_out: non-finite"),
+        ("not utf-8", "checkpoint: line ")])
     def test_checkpoint_error_names_the_file(self, dataset_dir, tmp_path,
                                              capsys, defect, message):
         t, e = tmp_path / "t", tmp_path / "e"
@@ -282,6 +283,8 @@ class TestEval:
         blob = json.loads(text)
         if defect == "truncated":
             text = text[:len(text) // 2]
+        elif defect == "not utf-8":
+            text = text.replace('"w_out"', '"\udcffw_out"')
         else:
             if defect == "header":
                 blob["hidden"] += 1
@@ -290,7 +293,7 @@ class TestEval:
             else:
                 blob["layers"]["w_out"]["data"][0] = "VALUE"
             text = json.dumps(blob).replace('"VALUE"', "1e999")
-        checkpoint.write_text(text)
+        checkpoint.write_text(text, encoding="utf-8", errors="surrogateescape")
         capsys.readouterr()
         assert run(["eval", "--checkpoint", checkpoint,
                     "--data", dataset_dir / "test.ndjson", "--out", e]) == 2

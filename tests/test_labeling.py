@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from otmil import labeling
 from otmil.labeling import (MAX_STEPS, PROB_FLOOR, MuSchedule, adaptive_mu,
-                            apply_local_constraint, harden, sinkhorn_assign,
-                            transport_objective)
+                            apply_local_constraint, harden, positive_rows,
+                            sinkhorn_assign, transport_objective)
+from otmil.metrics import pseudo_label_metrics
 
 
 def regularized_objective(
@@ -263,6 +264,70 @@ class TestHarden:
 
     def test_tie_goes_to_positive_column(self):
         assert np.array_equal(harden(np.array([[0.5, 0.5]])), [[1.0, 0.0]])
+
+
+def two_column_cases():
+    """Finite (N, 2) arrays of 1 to 20,011 rows, with ties, signed zeros
+    and rows that do not sum to one, under the names the tests print."""
+    rng = np.random.default_rng(8)
+    p = rng.uniform(0.0, 1.0, 20_011)
+    probs = np.stack([p, 1.0 - p], axis=1)
+    ties = np.repeat(rng.uniform(-1.0, 1.0, (50, 1)), 2, axis=1)
+    mixed = rng.standard_normal((20_011, 2))
+    mixed[::7] = mixed[::7, ::-1]
+    mixed[::5, 1] = mixed[::5, 0]
+    return {"one row": probs[:1], "one tied row": np.array([[0.5, 0.5]]),
+            "ties": ties, "signed zeros": np.array([[0.0, -0.0], [-0.0, 0.0],
+                                                    [-0.0, -0.0]]),
+            "probabilities": probs, "mixed": mixed}
+
+
+class TestTwoColumnReductions:
+    """The row reductions of (N, 2) labels, taken column by column, keep
+    the bits of numpy's axis-1 reductions on finite input."""
+
+    @pytest.mark.parametrize("case", two_column_cases())
+    def test_positive_rows_is_argmax_zero(self, case):
+        q = two_column_cases()[case]
+        want = np.argmax(q, axis=1) == 0
+        assert positive_rows(q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", two_column_cases())
+    def test_harden_is_the_argmax_one_hot(self, case):
+        q = two_column_cases()[case]
+        want = np.zeros_like(q)
+        want[np.arange(len(q)), np.argmax(q, axis=1)] = 1.0
+        assert harden(q).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", two_column_cases())
+    def test_pseudo_label_metrics_of_argmax_labels(self, case):
+        q = two_column_cases()[case]
+        truth = np.arange(len(q)) % 3 == 0
+        pred = np.argmax(q, axis=1) == 0
+        n_pred = int(pred.sum())
+        rep = pseudo_label_metrics(q, truth.astype(np.int64))
+        assert rep.n_predicted_positive == n_pred
+        assert rep.precision == (int(np.sum(pred & truth)) / n_pred
+                                 if n_pred else 1.0)
+        assert rep.accuracy == float(np.mean(pred == truth))
+
+    @pytest.mark.parametrize("case", two_column_cases())
+    def test_row_sum_error_is_the_axis_sums(self, case):
+        # the sums themselves differ in the sign of a zero: (-0.0, -0.0)
+        # sums to 0.0 along axis 1
+        q = two_column_cases()[case]
+        got = np.abs(q[:, 0] + q[:, 1] - 1.0)
+        assert got.tobytes() == np.abs(q.sum(axis=1) - 1.0).tobytes()
+
+    @pytest.mark.parametrize("shift", [-2e-9, -1e-9, 0.0, 1e-9, 2e-9])
+    def test_row_sum_check_accepts_what_it_did(self, shift):
+        p = np.full((3, 2), 0.5)
+        p[1, 1] += shift
+        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
+            with pytest.raises(ValueError, match="sum to 1"):
+                labeling._check_probs(p)
+        else:
+            assert labeling._check_probs(p) is not None
 
 
 class TestLocalConstraint:

@@ -506,6 +506,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^layer {name}: non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["arch", "w_out", "data"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, key):
+        path, _ = self._saved_blob(tmp_path)
+        raw = path.read_bytes()
+        at = raw.rindex(f'"{key}"'.encode()) + 1  # the key's first letter
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        line = raw[:at].count(b"\n") + 1
+        column = at - raw.rfind(b"\n", 0, at)
+        with pytest.raises(ValueError, match=(
+                f"^checkpoint: line {line}: byte 0xff at column {column} "
+                "is not UTF-8$")):
+            load_checkpoint(path)
+
     def test_malformed_json_rejected(self, tmp_path):
         path, _ = self._saved_blob(tmp_path)
         path.write_text(path.read_text()[:40])

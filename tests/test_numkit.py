@@ -16,7 +16,7 @@ from otmil.data import Dataset
 from otmil.labeling import apply_local_constraint
 from otmil.metrics import segment_bag_scores
 from otmil import numkit
-from otmil.numkit import (Background, Rng, check_finite, fan_out,
+from otmil.numkit import (Background, Pair, Rng, check_finite, fan_out,
                          sample_gaussian)
 
 
@@ -315,3 +315,170 @@ class TestBackground:
             background.submit(np.ones(2))
             assert background.results() == [2.0]
         assert forks == []
+
+
+def run_script(script, timeout=60, **env_vars):
+    """The whitespace-separated words that ``script`` prints, run in a
+    child interpreter that imports otmil from this test's path, with
+    ``env_vars`` set (a value of None unsets the variable); the child must
+    exit 0 within ``timeout`` seconds."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for var, value in env_vars.items():
+        env.pop(var, None)
+        if value is not None:
+            env[var] = value
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def counting_loop(steps, size=3):
+    """A loop that adds the sum of each step's two vectors to its state, as
+    a training step applies its combined gradient, and returns the state
+    and each step's results with the pid that computed each."""
+    def loop(pair):
+        state, seen = np.zeros(size), []
+        for step in range(steps):
+            first, second = pair.map(
+                lambda k: np.concatenate([state + k, [os.getpid()]]),
+                step, 10 * step)
+            state += first[:-1] + second[:-1]
+            seen.append((first[:-1].tolist(), second[:-1].tolist(),
+                         int(first[-1]), int(second[-1])))
+        return state, seen
+    return loop
+
+
+@needs_two_cpus
+class TestPair:
+    """``Pair`` runs one loop on the caller and a forked peer in step, each
+    computing one half of every ``map``, with the results of the caller
+    alone, raises the peer's exception in the caller, and leaves no process
+    behind; test_baselines.py's ``TestPairedTraining`` covers its use in
+    ``pool_baseline_train``."""
+
+    def test_forked_and_inline_results_agree(self, forks):
+        state, seen = Pair(True).run(counting_loop(5))
+        assert forks == [os.getpid()]
+        want_state, want_seen = Pair(False).run(counting_loop(5))
+        assert state.tobytes() == want_state.tobytes()
+        assert [s[:2] for s in seen] == [s[:2] for s in want_seen]
+        # the caller computed each first item and the peer each second one
+        assert {s[2] for s in seen} == {os.getpid()}
+        assert len({s[3] for s in seen}) == 1
+        assert seen[0][3] != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_peer_error_is_raised_in_the_caller(self, fork):
+        caller = os.getpid()
+
+        def loop(pair):
+            for step in range(1000):
+                def fn(k):
+                    if k == 1 and (step == 3 or os.getpid() != caller):
+                        raise KeyError(f"step {step} failed")
+                    return np.zeros(2)
+                pair.map(fn, 0, 1)
+
+        with pytest.raises(KeyError, match="step . failed") as raised:
+            Pair(fork).run(loop)
+        # inline, the caller itself raises at step 3; paired, the peer
+        # raises at its first step
+        assert raised.value.args[0] == ("step 0 failed" if fork
+                                        else "step 3 failed")
+        assert multiprocessing.active_children() == []
+
+    def test_peer_error_after_the_last_step(self):
+        caller = os.getpid()
+
+        def loop(pair):
+            pair.map(lambda k: np.zeros(1), 0, 1)
+            if os.getpid() != caller:
+                raise KeyError("after the loop")
+            return "done"
+
+        with pytest.raises(KeyError, match="after the loop"):
+            Pair(True).run(loop)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_peer_error_keeps_its_type_and_message(self):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def fn(k):
+            if k == 1:
+                raise LocalError(f"item {k} failed")
+            return np.zeros(1)
+
+        with pytest.raises(RuntimeError, match="LocalError: item 1 failed"):
+            Pair(True).run(lambda pair: pair.map(fn, 0, 1))
+
+    @pytest.mark.parametrize("fork", [False, True])
+    @pytest.mark.parametrize("result", [
+        [1.0, 2.0], np.zeros((2, 2)), np.zeros(3, dtype=np.float32),
+        np.zeros(6)[::2]], ids=["list", "matrix", "float32", "strided"])
+    def test_result_must_be_a_float64_vector(self, fork, result):
+        with pytest.raises(TypeError, match="float64 vector"):
+            Pair(fork).run(lambda pair: pair.map(lambda k: result, 0, 1))
+
+    def test_vectors_larger_than_the_pipe_are_swapped(self):
+        # 1 MiB vectors, past any pipe's buffer: were both to write first,
+        # each would wait on the other's full pipe until the timeout
+        script = """
+import numpy as np
+from otmil.numkit import Pair
+def loop(pair):
+    total = 0.0
+    for step in range(20):
+        a, b = pair.map(lambda k: np.full(1 << 17, k + step), 1.0, 2.0)
+        total += a.sum() + b.sum()
+    return total
+print(Pair(True).run(loop) == Pair(False).run(loop))
+"""
+        assert run_script(script) == ["True"]
+
+    def test_caller_error_terminates_the_peer(self):
+        script = """
+import multiprocessing, os, time
+import numpy as np
+from otmil.numkit import Pair
+caller = os.getpid()
+def loop(pair):
+    for step in range(100000):
+        pair.map(lambda k: np.zeros(4), 0, 1)
+        if step == 5 and os.getpid() == caller:
+            raise KeyError("caller failed")
+start = time.monotonic()
+try:
+    Pair(True).run(loop)
+except KeyError as exc:
+    print("raised", exc.args[0].replace(" ", "-"))
+print(len(multiprocessing.active_children()), time.monotonic() - start < 30)
+"""
+        assert run_script(script) == ["raised", "caller-failed", "0", "True"]
+
+    @pytest.mark.skipif(numkit.blas_threads() is None,
+                        reason="no OpenBLAS found")
+    def test_paired_processes_run_blas_on_one_thread(self):
+        script = """
+import numpy as np
+from otmil.numkit import Pair, blas_threads
+def loop(pair):
+    return pair.map(lambda k: np.array([blas_threads() + 0.0]), 0, 1)
+got = Pair(True).run(loop)
+print(blas_threads(), *(int(v[0]) for v in got))
+"""
+        assert run_script(script, OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
+
+    def test_no_peer_inside_a_forked_worker(self, forks):
+        def job(i):
+            before = len(forks)
+            state, _ = Pair(True).run(counting_loop(3))
+            return [(len(forks) - before, state.tolist())]
+
+        got = []
+        fan_out(job, 2, got.append)
+        want = Pair(False).run(counting_loop(3))[0].tolist()
+        assert got == [(0, want), (0, want)]
