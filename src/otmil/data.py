@@ -407,13 +407,15 @@ def _parse_lines(path):
     that is bad on its own."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in utf8_lines(fh):
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(text)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})")
+                column = exc.colno + len(line) - len(line.lstrip())
+                raise ValueError(f"line {lineno}: malformed JSON ({exc.msg} "
+                                 f"at column {column})")
             try:
                 instances = rec["instances"]
                 block = _json_features([inst["features"]
@@ -453,10 +455,12 @@ def load_benchmark_csv(path) -> Dataset:
         lines = utf8_lines(fh)
         header = next(lines, (1, ""))[1].strip().split(",")
         if header[:2] != ["bag_id", "bag_label"]:
-            raise ValueError("header must start with bag_id,bag_label")
+            raise ValueError("line 1: header must start with "
+                             "bag_id,bag_label")
         dim = len(header) - 2
         if dim < 1 or header[2:] != [f"f{i}" for i in range(dim)]:
-            raise ValueError("feature columns must be named f0..f{d-1}")
+            raise ValueError("line 1: feature columns must be named "
+                             "f0..f{d-1}")
         rows, row_bags = [], []
         bags: dict[str, int] = {}  # bag id -> index, in first-seen order
         labels: list[int] = []

@@ -283,8 +283,9 @@ def _json_field(blob, key: str, kind: type, where: str = ""):
 
 def load_checkpoint(path) -> ClassifierParams:
     """Inverse of save_checkpoint. A byte that is not UTF-8, text that is
-    not JSON, a missing or mistyped field, a layer value that is not a
-    JSON number, or an unknown layer is a ValueError naming it (the byte
+    not JSON, a missing or mistyped field, an arch other than "linear" or
+    "mlp", a layer value that is not a JSON number, or an unknown layer is
+    a ValueError naming it (the byte
     by its line and column, as ``numkit.utf8_lines`` reads it);
     ``ClassifierParams`` then validates every layer's shape, a missing
     layer's included, against the arch, feature_dim and hidden in the
@@ -300,6 +301,9 @@ def load_checkpoint(path) -> ClassifierParams:
         raise ValueError(f"checkpoint: malformed JSON ({exc})")
     header = {key: _json_field(blob, key, kind) for key, kind in
               (("arch", str), ("feature_dim", int), ("hidden", int))}
+    if header["arch"] not in ("linear", "mlp"):
+        raise ValueError("checkpoint: field arch must be \"linear\" or "
+                         f"\"mlp\", not {json.dumps(header['arch'])}")
     layers = {}
     for name, entry in _json_field(blob, "layers", dict).items():
         if name not in _LAYERS:

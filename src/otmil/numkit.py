@@ -4,20 +4,26 @@ Everything here is deliberately small. Matrices are plain ``np.ndarray`` in
 row-major float64; the helpers below only add the pieces numpy does not give
 us directly: a counter-based RNG with explicit seed/stream identity,
 finiteness checks, the one check of bag offsets (``bag_sizes``) and
-Gaussian draws. ``fan_out`` runs independent jobs in forked worker
-processes and hands the items each job yields back in job order, so that
-NDJSON saves and training can both spread work over the usable CPUs.
-``Background`` applies one function to a stream of items on one forked
-process while the caller goes on, so that a per-epoch report runs beside
-the next epoch's training. ``Pair`` runs one loop on the caller and a
-forked peer in step, each computing one half of every step and swapping
-its result, a float64 vector, through a pipe, so that a baseline's
-training step uses both CPUs. All three fork under one rule
-(``_forkable``), and ``blas_threads`` reads the loaded OpenBLAS's thread
-count: ``fan_out``'s workers and a ``Pair`` run BLAS on one thread, and
-``Background`` forks only beside a one-thread BLAS, so that no two
-processes share a CPU's BLAS threads. ``utf8_lines`` reads a text file
-line by line and names the line and column of a byte that is not UTF-8.
+Gaussian draws. ``utf8_lines`` reads a text file line by line and names
+the line and column of a byte that is not UTF-8.
+
+Three helpers put the second CPU to work. ``fan_out`` runs independent
+jobs in forked worker processes and hands the items each job yields back
+in job order, so that NDJSON saves and training can both spread work over
+the usable CPUs. ``Background`` applies one function to a stream of items
+on one forked process while the caller goes on, so that a per-epoch report
+runs beside the next epoch's training. ``Pair`` runs one loop on the
+caller and a forked peer in step, each computing one half of every step
+and swapping its result, a float64 vector, so that a baseline's training
+step uses both CPUs. All three fork under one rule (``_forkable``) through
+one helper (``_forked``), which owns a forked process's life: its two
+pipes, its death with its caller, and its end. Every message on those
+pipes is written by ``_send`` and read by ``_receive``: a signed length,
+then a float64 vector's raw bytes or a pickled ``(value, error)``.
+``blas_threads`` reads the loaded OpenBLAS's thread count: ``fan_out``'s
+workers and a ``Pair`` run BLAS on one thread, and ``Background`` forks
+only beside a one-thread BLAS, so that no two processes share a CPU's BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import reprlib
 import signal
 import struct
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 
 import numpy as np
 
@@ -112,14 +118,13 @@ def fan_out(job, n_jobs: int, take) -> None:
     while the workers go on with later jobs, so this process holds one
     job's items at a time. W is the number of usable CPUs, at most n_jobs.
     The jobs run in this process, each item going to ``take`` as it is
-    made, when fan-out cannot help: one usable CPU, one job, or no
-    ``fork`` start method. Either way, the items a job made before it
-    raised reach ``take`` before its exception is raised here, with its
-    type and message, as is one from ``take``; every worker has been
-    joined (after ``terminate`` if this call failed) before it returns or
-    raises, and a worker whose caller dies stops too. The workers run
-    BLAS on one thread, so that W workers do not share the CPUs with W
-    BLAS thread pools; so does this process while they run.
+    made, when fan-out cannot help (see ``_forkable``). Either way, the
+    items a job made before it raised reach ``take`` before its exception
+    is raised here, with its type and message, as is one from ``take``;
+    every worker has been joined (after ``terminate`` if this call failed)
+    before it returns or raises, and a worker whose caller dies stops too.
+    The workers run BLAS on one thread, so that W workers do not share the
+    CPUs with W BLAS thread pools; so does this process while they run.
     """
     n_workers, context = _forkable(n_jobs)
     if context is None:
@@ -129,33 +134,17 @@ def fan_out(job, n_jobs: int, take) -> None:
         return
 
     caller = os.getpid()
-    workers = []
-    with _one_blas_thread():
-        try:
-            for w in range(n_workers):
-                read_end, write_end = os.pipe()
-                process = context.Process(target=_work, args=(
-                    job, range(w, n_jobs, n_workers), write_end, caller))
-                workers.append((process, open(read_end, "rb")))
-                try:
-                    process.start()
-                finally:  # so that a read sees EOF once the worker is gone
-                    os.close(write_end)
-            for i in range(n_jobs):
-                for item in _receive(*workers[i % n_workers], i):
-                    take(item)
-                item = None  # no local keeps job i's last item past its turn
-        except BaseException:
-            for process, _ in workers:
-                if process.pid is not None:
-                    process.terminate()
-            raise
-        finally:
-            for process, receiver in workers:
-                if process.pid is not None:
-                    process.join()
-                    process.close()
-                receiver.close()
+    with _one_blas_thread(), ExitStack() as stack:
+        receives = [stack.enter_context(_forked(
+            context, _work, job, range(w, n_jobs, n_workers), caller))[1]
+            for w in range(n_workers)]
+        for i in range(n_jobs):
+            items, error = receives[i % n_workers]()
+            for item in items:
+                take(item)
+            if error is not None:
+                raise error
+            items = item = None  # no local keeps job i's items past its turn
 
 
 @contextmanager
@@ -176,69 +165,31 @@ def _one_blas_thread():
             openblas[1](threads)
 
 
-def _receive(process, receiver, i: int):
-    """Yield job i's items from the worker that ran it, then raise its
-    exception if it had one.
-
-    ``pickle.load`` reads the message from the pipe's buffered reader in
-    frames of at most 64 KiB, so items made of small objects (the lines of
-    a save) never need an allocation the size of the whole message.
-    """
-    try:
-        items, error = pickle.load(receiver)
-    except (EOFError, pickle.UnpicklingError):  # the pipe closed early
-        process.join()
-        raise RuntimeError(f"the worker of job {i} exited with code "
-                           f"{process.exitcode} before sending its result"
-                           ) from None
-    yield from items
-    if error is not None:
-        raise error
-
-
-def _work(job, indices, write_end: int, caller: int) -> None:
-    """A worker's whole life: run its jobs in turn and write ``(items,
-    None)`` for each to the pipe, pickled, or ``(items made so far,
-    exception)`` for the first that raised and then stop. A message that
-    does not pickle is sent as a RuntimeError naming the failure. It also
-    stops, before its next job, once ``caller`` is no longer its parent,
-    and on Linux the kernel kills it when the caller dies."""
-    _die_with_parent()
-    with open(write_end, "wb") as sender:
-        for i in indices:
-            if os.getppid() != caller:  # the caller died; no one will read
-                return
-            items, error = [], None
-            try:
-                items.extend(job(i))
-            except Exception as exc:  # the caller re-raises it
-                error = exc
-            data, error = _message(items, error)
-            sender.write(data)
-            sender.flush()
-            if error is not None:
-                return
-            del items, data  # free job i's items while job i + W runs
-
-
-def _message(items: list, error) -> tuple[bytes, Exception | None]:
-    """``(items, error)`` pickled, and the error that the message carries:
-    one that does not pickle is sent as ``([], RuntimeError)``, the
-    RuntimeError naming the failure's type and message."""
-    try:
-        return pickle.dumps((items, error)), error
-    except Exception as exc:  # it does not pickle
-        failure = exc if error is None else error
-        error = RuntimeError(f"{type(failure).__name__}: {failure}")
-        return pickle.dumps(([], error)), error
+def _work(job, indices, caller: int, receiver, sender) -> None:
+    """A ``fan_out`` worker's life: run its jobs in turn and send ``(items,
+    None)`` for each, or ``(items made so far, exception)`` for the first
+    that raised and then stop. It also stops, before its next job, once
+    ``caller`` is no longer its parent."""
+    for i in indices:
+        if os.getppid() != caller:  # the caller died; no one will read
+            return
+        items, error = [], None
+        try:
+            items.extend(job(i))
+        except Exception as exc:  # the caller re-raises it
+            error = exc
+        if _send(sender, items, error) is not None:
+            return
 
 
 def _forkable(n_tasks: int):
     """``(W, context)``: W processes, one per usable CPU and at most
     ``n_tasks``, can run the tasks side by side, forked from ``context``,
     the ``fork`` context of ``multiprocessing``; ``(1, None)`` when forking
-    cannot help: one usable CPU, one task, or no ``fork`` start method.
-    ``fan_out``, ``Background`` and ``Pair`` all fork by this rule."""
+    cannot help: one usable CPU, one task, no ``fork`` start method, or a
+    caller that is itself a forked process (a worker of ``fan_out``, say,
+    which already keeps every CPU busy). ``fan_out``, ``Background`` and
+    ``Pair`` all fork by this rule."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -249,9 +200,138 @@ def _forkable(n_tasks: int):
     # imported here: about 0.6 MB and 8-18 ms that runs which never
     # fork should not pay
     import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
         return 1, None
     return n_workers, multiprocessing.get_context("fork")
+
+
+@contextmanager
+def _forked(context, main, *args):
+    """Fork, from ``context``, a process that runs ``main(*args, receiver,
+    sender)`` on its ends of two pipes to this process, and yield
+    ``(sender, receive)``: this process's end of the first pipe, and a
+    function that returns the next message from the second (``_receive``),
+    or raises a RuntimeError naming the process's exit code if the pipe
+    ends first.
+
+    The process is killed on Linux when this process dies. When the block
+    exits, this process's ends are closed, so that the process reads EOF
+    and a write of its fails at once; the process is terminated if the
+    block raised and it is still running; and it is joined. The ends are
+    closed before the join, so that a process that waits on its pipes
+    cannot keep the join waiting.
+    """
+    down, up = os.pipe(), os.pipe()  # each (read end, write end)
+    sender, receiver = open(down[1], "wb"), open(up[0], "rb")
+    process = context.Process(target=_child, args=(
+        main, args, down[0], up[1], (down[1], up[0])))
+
+    def receive():
+        try:
+            return _receive(receiver)
+        except EOFError:
+            process.join()
+            raise RuntimeError(f"a forked process exited with code "
+                               f"{process.exitcode} before it sent a whole "
+                               "message") from None
+
+    try:
+        try:
+            process.start()
+        finally:  # so that each side sees EOF once the other is gone
+            os.close(down[0])
+            os.close(up[1])
+        yield sender, receive
+    except BaseException:
+        if process.pid is not None and process.exitcode is None:
+            process.terminate()
+        raise
+    finally:
+        receiver.close()
+        with suppress(OSError):  # a message left unsent in a broken pipe
+            sender.close()
+        if process.pid is not None:
+            process.join()
+            process.close()
+
+
+def _child(main, args, read_end: int, write_end: int, caller_ends) -> None:
+    """A process of ``_forked``: have it die with its caller, close its
+    copies of the caller's ends of both pipes, ``caller_ends``, so that it
+    sees EOF when the caller closes its own, and run ``main`` on its ends.
+    A write to a caller that has stopped reading ends it quietly: that
+    caller has failed, and terminates it."""
+    _die_with_parent()
+    for fd in caller_ends:
+        os.close(fd)
+    with (suppress(BrokenPipeError), open(read_end, "rb") as receiver,
+          open(write_end, "wb") as sender):
+        main(*args, receiver, sender)
+
+
+# every message on a pipe of _forked starts with a signed length: a float64
+# vector's number of values, or minus the number of bytes of a pickle
+_LENGTH = struct.Struct("=q")
+
+
+def _send(sender, value, error=None) -> Exception | None:
+    """Write one message, and return the error that it carries: a float64
+    vector (``_is_vector``) with no error as its length and raw bytes, so
+    that a ``Pair`` swap pays no pickle; anything else as the pickled
+    ``(value, error)``. A message that does not pickle is sent as ``([],
+    RuntimeError)``, the RuntimeError naming the failure's type and
+    message."""
+    if error is None and _is_vector(value):
+        sender.write(_LENGTH.pack(value.size))
+        sender.write(value)
+    else:
+        try:
+            data = pickle.dumps((value, error))
+        except Exception as exc:  # it does not pickle
+            failure = exc if error is None else error
+            error = RuntimeError(f"{type(failure).__name__}: {failure}")
+            data = pickle.dumps(([], error))
+        sender.write(_LENGTH.pack(-len(data)))
+        sender.write(data)
+    sender.flush()
+    return error
+
+
+def _receive(receiver) -> tuple:
+    """The next message's ``(value, error)``; a vector's is ``(vector,
+    None)``. A pipe that ends before a whole message is an EOFError.
+
+    ``pickle.load`` reads a pickle from the pipe's buffered reader in
+    frames of at most 64 KiB, so items made of small objects (the lines of
+    a save) never need an allocation the size of the whole message.
+    """
+    header = receiver.read(_LENGTH.size)
+    if len(header) == _LENGTH.size:
+        (length,) = _LENGTH.unpack(header)
+        if length >= 0:
+            vector = np.empty(length)
+            if receiver.readinto(vector) == vector.nbytes:
+                return vector, None
+        else:
+            with suppress(EOFError, pickle.UnpicklingError):  # cut short
+                return pickle.load(receiver)
+    raise EOFError
+
+
+def _raised(message):
+    """The value of a message ``(value, error)``, or its error raised."""
+    value, error = message
+    if error is not None:
+        raise error
+    return value
+
+
+def _is_vector(value) -> bool:
+    """Whether ``value`` is a C-contiguous float64 vector, whose raw bytes
+    ``_send`` sends."""
+    return (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and value.ndim == 1 and value.flags.c_contiguous)
 
 
 class Background:
@@ -261,16 +341,14 @@ class Background:
 
     ``fork`` is the caller's judgement that the work pays for a fork,
     which costs about 10 ms to start and join. The process is forked only
-    if, besides, ``_forkable`` finds two usable CPUs and the ``fork`` start
-    method, the caller is not itself a forked worker (of ``fan_out``, say,
-    which already keeps every CPU busy), and ``blas_threads`` reads 1: a
+    if, besides, ``_forkable`` allows it and ``blas_threads`` reads 1: a
     caller whose BLAS runs a thread per CPU would share the CPUs with it.
 
     The process reaches everything but the items through the fork. Each
-    item is pickled when it is submitted, so it is a snapshot of the item
-    at that point. The process keeps its results until ``results`` ends
-    the stream, and then sends them all at once, so neither side waits on
-    a full pipe that the other is not reading. An exception of ``fn`` ends
+    item is sent when it is submitted, so it is a snapshot of the item at
+    that point. The process keeps its results until ``results`` ends the
+    stream, and then sends them all at once, so neither side waits on a
+    full pipe that the other is not reading. An exception of ``fn`` ends
     the process; it is raised in the caller, with its type and message as
     inline, at the next ``submit`` or at ``results``. Use it as a context
     manager: the process has been joined when the block exits, after
@@ -281,105 +359,59 @@ class Background:
     def __init__(self, fn, fork: bool):
         self._fn = fn
         self._results = []
-        self._process = None
+        self._child = None
         _, context = _forkable(2) if fork else (1, None)
-        if (context is None or context.parent_process() is not None
-                or blas_threads() != 1):
-            return
-        item_read, item_write = os.pipe()
-        result_read, result_write = os.pipe()
-        self._sender = open(item_write, "wb")
-        self._receiver = open(result_read, "rb")
-        process = context.Process(target=_serve, args=(
-            fn, item_read, result_write, (item_write, result_read)))
-        try:
-            process.start()
-        except BaseException:
-            self._sender.close()
-            self._receiver.close()
-            raise
-        finally:  # so that each side sees EOF once the other is gone
-            os.close(item_read)
-            os.close(result_write)
-        self._process = process
+        if context is not None and blas_threads() == 1:
+            self._child = _forked(context, _serve, fn)
+            self._sender, self._next_message = self._child.__enter__()
 
     def submit(self, item) -> None:
         """Apply ``fn`` to ``item``, now or on the process; raise the
         process's exception, if it has raised one before this call."""
-        if self._process is None:
+        if self._child is None:
             self._results.append(self._fn(item))
             return
         try:
-            pickle.dump(item, self._sender)
-            self._sender.flush()
+            _send(self._sender, item)
         except BrokenPipeError:  # it has stopped: see _serve
-            self._receive()
+            _raised(self._next_message())
 
     def results(self) -> list:
         """End the stream and return every item's result, in submit order,
         or raise the exception of the first item that raised one."""
-        if self._process is not None:
+        if self._child is not None:
             self._sender.close()
-            self._results = self._receive()
-            self._process.join()
+            self._results = _raised(self._next_message())
         return self._results
-
-    def _receive(self) -> list:
-        """The process's results, once it has sent them, or its
-        exception raised here."""
-        try:
-            results, error = pickle.load(self._receiver)
-        except (EOFError, pickle.UnpicklingError):  # the pipe closed early
-            self._process.join()
-            raise RuntimeError("the background process exited with code "
-                               f"{self._process.exitcode} before sending "
-                               "its results") from None
-        if error is not None:
-            raise error
-        return results
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
-        process, self._process = self._process, None
-        if process is None:
-            return
-        if process.exitcode is None:  # still running: the block raised
-            process.terminate()
-        process.join()
-        process.close()
-        with suppress(OSError):  # an item left unsent in a broken pipe
-            self._sender.close()
-        self._receiver.close()
+        child, self._child = self._child, None
+        if child is not None:
+            child.__exit__(*exc_info)
 
 
-def _serve(fn, item_read: int, result_write: int, caller_ends) -> None:
-    """A ``Background`` process's whole life: apply ``fn`` to each item
-    read from the pipe at ``item_read`` until its end, then write the
-    pickled ``(results, None)`` to ``result_write``; at the first exception
-    of ``fn``, stop reading and write ``(results so far, exception)``
-    (see ``_message``). It closes its copies of the caller's ends of both
-    pipes, ``caller_ends``, first, so that it sees the end of the stream
-    when the caller closes its own."""
-    _die_with_parent()
-    for fd in caller_ends:
-        os.close(fd)
+def _serve(fn, receiver, sender) -> None:
+    """A ``Background`` process's life: apply ``fn`` to each item received
+    until the caller ends the stream, then send ``(results, None)``; at the
+    first exception of ``fn``, stop reading and send ``(results so far,
+    exception)``."""
     results, error = [], None
-    with open(item_read, "rb") as receiver:
-        try:
-            while True:
-                try:
-                    item = pickle.load(receiver)
-                except EOFError:  # the caller ended the stream
-                    break
-                results.append(fn(item))
-        except Exception as exc:  # the caller re-raises it
-            error = exc
+    try:
+        while True:
+            try:
+                item, _ = _receive(receiver)
+            except EOFError:  # the caller ended the stream
+                break
+            results.append(fn(item))
+    except Exception as exc:  # the caller re-raises it
+        error = exc
     # the item pipe is closed: the caller's next write to it fails at once,
     # so it reads this message at its next submit, not after the stream
-    with open(result_write, "wb") as sender:
-        sender.write(_message(results, error)[0])
+    receiver.close()
+    _send(sender, results, error)
 
 
 class Pair:
@@ -390,71 +422,55 @@ class Pair:
     first, second)`` returns ``(fn(first), fn(second))``, where ``fn``
     returns a float64 vector (a 1-D array). Paired, the caller computes
     ``fn(first)`` and the peer, running the same loop on its copy of the
-    caller's state, ``fn(second)``; each writes its vector's bytes to a
-    pipe, reads the other's, and returns both, so the two copies of the
-    state stay the same, without being sent, while ``loop`` changes it
-    only by the results of ``map``. The loop must make the same ``map``
-    calls, in the same order, in both processes.
+    caller's state, ``fn(second)``; each sends its vector's raw bytes
+    through a pipe, receives the other's, and returns both, so the two
+    copies of the state stay the same, without being sent, while ``loop``
+    changes it only by the results of ``map``. The loop must make the same
+    ``map`` calls, in the same order, in both processes.
 
     ``fork`` is the caller's judgement that the loop's work pays for a
     fork, which costs about 5 ms to start and join, and a swap of about
     15 us per ``map``. The peer is forked only if, besides, ``_forkable``
-    finds two usable CPUs and the ``fork`` start method, and the caller is
-    not itself a forked worker; otherwise ``loop`` runs in the caller
-    alone, which computes both of each ``map``. Either way each
-    result is ``fn``'s on the same inputs. While paired, both processes
-    run BLAS on one thread, as ``fan_out``'s workers do.
+    allows it; otherwise ``loop`` runs in the caller alone, which computes
+    both of each ``map``. Either way each result is ``fn``'s on the same
+    inputs. While paired, both processes run BLAS on one thread, as
+    ``fan_out``'s workers do.
 
     The peer writes its vector before it reads the caller's only when the
     message fits in half of its pipe's buffer, so the two never wait on
-    each other's full pipe. An exception of the peer's loop ends it; it is
-    raised in the caller, with its type and message, at the caller's next
-    ``map`` or when its loop returns. An exception of the caller's loop
-    terminates the peer. The peer has been joined when ``run`` returns or
-    raises, and on Linux it is killed when its caller dies.
+    each other's full pipe. When the peer's loop ends, by returning or by
+    an exception, it sends that end to the caller, which raises the
+    exception, with its type and message, or a RuntimeError if its own
+    loop had not ended, at its next ``map`` or when its loop returns. An
+    exception of the caller's loop terminates the peer. The peer has been
+    joined when ``run`` returns or raises, and on Linux it is killed when
+    its caller dies.
     """
 
     def __init__(self, fork: bool):
         self._fork = fork
         self._is_peer = False
-        self._sender = self._receiver = None  # the pipe ends while paired
+        # while paired: this side's sender, and the function that returns
+        # the other side's next message
+        self._sender = self._next_message = None
         self._room = 0  # half the peer's outgoing pipe buffer, in bytes
 
     def run(self, loop):
         """``loop(self)``, run in the caller and, if it forks, the peer."""
         _, context = _forkable(2) if self._fork else (1, None)
-        if context is None or context.parent_process() is not None:
+        if context is None:
             return loop(self)
-        to_peer, from_peer = os.pipe(), os.pipe()
-        self._sender = open(to_peer[1], "wb")
-        self._receiver = open(from_peer[0], "rb")
-        self._room = _pipe_bytes(from_peer[1]) // 2
-        process = context.Process(target=_pair_peer, args=(
-            self, loop, to_peer[0], from_peer[1], (to_peer[1], from_peer[0])))
-        with _one_blas_thread():
+        with _one_blas_thread(), _forked(context, _pair_peer, self,
+                                         loop) as link:
+            self._sender, self._next_message = link
             try:
-                try:
-                    process.start()
-                finally:  # so that each side sees EOF once the other is gone
-                    os.close(to_peer[0])
-                    os.close(from_peer[1])
                 result = loop(self)
-                if self._receive() is not None:  # the peer's loop ended too
+                if _raised(self._next_message()) is not None:  # None: its end
                     raise RuntimeError("the peer of a pair sent a result "
                                        "after its caller's loop had ended")
                 return result
-            except BaseException:
-                if process.pid is not None and process.exitcode is None:
-                    process.terminate()
-                raise
             finally:
-                if process.pid is not None:
-                    process.join()
-                    process.close()
-                with suppress(OSError):  # a vector left unsent in a pipe
-                    self._sender.close()
-                self._receiver.close()
-                self._sender = self._receiver = None
+                self._sender = self._next_message = None
 
     def map(self, fn, first, second) -> tuple[np.ndarray, np.ndarray]:
         """``(fn(first), fn(second))``, the second computed by the peer
@@ -464,9 +480,9 @@ class Pair:
         mine = _vector(fn(second if self._is_peer else first))
         if not self._is_peer or 8 * (mine.size + 1) <= self._room:
             self._send(mine)
-            theirs = self._receive()
+            theirs = _raised(self._next_message())
         else:
-            theirs = self._receive()
+            theirs = _raised(self._next_message())
             self._send(mine)
         if theirs is None:
             raise RuntimeError("the peer of a pair ended its loop before "
@@ -474,73 +490,40 @@ class Pair:
         return (theirs, mine) if self._is_peer else (mine, theirs)
 
     def _send(self, vector: np.ndarray) -> None:
-        """Write ``vector``'s length, then its bytes."""
+        """Send ``vector`` to the other side, unless that side has stopped
+        reading: then its last message, read next, says why. (Not
+        ``suppress``, which costs about 0.7 us a step.)"""
         try:
-            self._sender.write(_LENGTH.pack(vector.size))
-            self._sender.write(vector)
-            self._sender.flush()
-        except BrokenPipeError:  # the peer has stopped: see _pair_peer
-            if self._is_peer:
-                raise
-            self._receive()
-
-    def _receive(self) -> np.ndarray | None:
-        """The other side's next vector; None for the end of the peer's
-        loop, or the exception that ended it raised here."""
-        header = self._receiver.read(_LENGTH.size)
-        if len(header) == _LENGTH.size:
-            (length,) = _LENGTH.unpack(header)
-            if length >= 0:
-                vector = np.empty(length)
-                if self._receiver.readinto(vector) == vector.nbytes:
-                    return vector
-            else:
-                ending = self._receiver.read(-length)
-                if len(ending) == -length:
-                    error = pickle.loads(ending)[1]
-                    if error is not None:
-                        raise error
-                    return None
-        raise RuntimeError("the other process of a pair exited mid-message")
-
-
-# a Pair message starts with its length: a vector's number of values, or
-# minus the number of bytes of the pickled end of the peer's loop
-_LENGTH = struct.Struct("=q")
+            _send(self._sender, vector)
+        except BrokenPipeError:
+            pass
 
 
 def _vector(result) -> np.ndarray:
     """``result`` if it is a C-contiguous float64 vector, which ``Pair``
     sends as raw bytes; a TypeError otherwise."""
-    if (not isinstance(result, np.ndarray) or result.dtype != np.float64
-            or result.ndim != 1 or not result.flags.c_contiguous):
+    if not _is_vector(result):
         raise TypeError("Pair.map's function must return a contiguous "
                         "float64 vector")
     return result
 
 
-def _pair_peer(pair: Pair, loop, read_end: int, write_end: int,
-               caller_ends) -> None:
-    """A ``Pair`` peer's whole life: run ``loop(pair)`` as the second side,
-    then send the end of the loop to the caller, the pickled ``(None,
-    None)``, or ``(None, exception)`` at its first exception (see
-    ``_message``). It closes its copies of the caller's ends of both
-    pipes, ``caller_ends``, first."""
-    _die_with_parent()
-    for fd in caller_ends:
-        os.close(fd)
-    with open(read_end, "rb") as receiver:
-        sender = open(write_end, "wb")
-        pair._is_peer, pair._receiver, pair._sender = True, receiver, sender
-        error = None
-        try:
-            loop(pair)
-        except Exception as exc:  # the caller re-raises it
-            error = exc
-        ending = _message(None, error)[0]
-        with suppress(OSError), sender:  # the caller has stopped reading
-            sender.write(_LENGTH.pack(-len(ending)))
-            sender.write(ending)
+def _pair_peer(pair: Pair, loop, receiver, sender) -> None:
+    """A ``Pair`` peer's life: run ``loop(pair)`` as the second side, then
+    send the end of the loop to the caller, ``(None, None)``, or ``(None,
+    exception)`` at its first exception."""
+    pair._is_peer, pair._sender = True, sender
+    pair._next_message = lambda: _receive(receiver)
+    pair._room = _pipe_bytes(sender.fileno()) // 2
+    error = None
+    try:
+        loop(pair)
+    except Exception as exc:  # the caller re-raises it
+        error = exc
+    # closed, so that a caller still writing a vector fails at once and
+    # reads this message next
+    receiver.close()
+    _send(sender, None, error)
 
 
 def _pipe_bytes(fd: int) -> int:

@@ -23,6 +23,27 @@ def no_process_left():
     assert left == [], f"processes left running: {left}"
 
 
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail every test that leaves a file descriptor of this process open,
+    a raw ``os.pipe`` end included, which ``ResourceWarning`` does not see,
+    and name what each one is open on. Where there is no ``/proc``, it
+    checks nothing."""
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        yield
+        return
+    before = set(os.listdir(fds))
+    yield
+    left = {}
+    for fd in set(os.listdir(fds)) - before:
+        try:
+            left[int(fd)] = os.readlink(f"{fds}/{fd}")
+        except FileNotFoundError:  # the listing's own descriptor, now closed
+            pass
+    assert left == {}, f"descriptors left open: {left}"
+
+
 @pytest.fixture
 def traced_peak():
     """``traced_peak(fn, *args)``: the peak bytes that tracemalloc sees

@@ -403,6 +403,27 @@ class TestPair:
             Pair(True).run(loop)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("size", [4, 200_000])
+    def test_peer_that_ends_its_loop_first_is_named(self, size):
+        # 200,000 values are past the pipe's buffer: the caller's write
+        # fails with the peer gone, not only its next read
+        script = f"""
+import os, time
+import numpy as np
+from otmil.numkit import Pair
+caller = os.getpid()
+def loop(pair):
+    for step in range(5 if os.getpid() == caller else 2):
+        pair.map(lambda k: np.zeros({size}), 0, 1)
+        time.sleep(0.05)
+try:
+    Pair(True).run(loop)
+except RuntimeError as exc:
+    print(str(exc).replace(" ", "-"))
+"""
+        assert run_script(script) == [
+            "the-peer-of-a-pair-ended-its-loop-before-its-caller-did"]
+
     def test_unpicklable_peer_error_keeps_its_type_and_message(self):
         class LocalError(Exception):  # a local class does not pickle
             pass
