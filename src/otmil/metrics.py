@@ -109,13 +109,11 @@ class PseudoLabelReport:
     """How well hardened pseudo labels match known instance labels.
 
     When nothing is predicted positive (the degenerate fixed point),
-    precision has no denominator and is reported as 1.0 by convention;
-    n_predicted_positive == 0 flags that case.
+    precision has no denominator and is reported as 1.0 by convention.
     """
 
     precision: float
     accuracy: float
-    n_predicted_positive: int
 
 
 def pseudo_label_metrics(q_values: np.ndarray, true_labels) -> PseudoLabelReport:
@@ -129,8 +127,7 @@ def pseudo_label_metrics(q_values: np.ndarray, true_labels) -> PseudoLabelReport
     tp = int(np.sum(pred_pos & true_pos))
     precision = tp / n_pred if n_pred > 0 else 1.0
     accuracy = float(np.mean(pred_pos == true_pos))
-    return PseudoLabelReport(precision=precision, accuracy=accuracy,
-                             n_predicted_positive=n_pred)
+    return PseudoLabelReport(precision=precision, accuracy=accuracy)
 
 
 @dataclass

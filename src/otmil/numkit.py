@@ -17,13 +17,11 @@ caller and a forked peer in step, each computing one half of every step
 and swapping its result, a float64 vector, so that a baseline's training
 step uses both CPUs. All three fork under one rule (``_forkable``) through
 one helper (``_forked``), which owns a forked process's life: its two
-pipes, its death with its caller, and its end. Every message on those
-pipes is written by ``_send`` and read by ``_receive``: a signed length,
-then a float64 vector's raw bytes or a pickled ``(value, error)``.
-``blas_threads`` reads the loaded OpenBLAS's thread count: ``fan_out``'s
-workers and a ``Pair`` run BLAS on one thread, and ``Background`` forks
-only beside a one-thread BLAS, so that no two processes share a CPU's BLAS
-threads.
+pipes, its death with its caller, its BLAS threads and its end. A forked
+process and its caller run BLAS on one thread while it lives, so that no
+two processes share a CPU's BLAS threads. Every message on those pipes is
+written by ``_send`` and read by ``_receive``: a signed length, then a
+float64 vector's raw bytes or a pickled ``(value, error)``.
 """
 
 from __future__ import annotations
@@ -123,8 +121,8 @@ def fan_out(job, n_jobs: int, take) -> None:
     is raised here, with its type and message, as is one from ``take``;
     every worker has been joined (after ``terminate`` if this call failed)
     before it returns or raises, and a worker whose caller dies stops too.
-    The workers run BLAS on one thread, so that W workers do not share the
-    CPUs with W BLAS thread pools; so does this process while they run.
+    The workers, and this process while they run, run BLAS on one thread
+    (see ``_forked``).
     """
     n_workers, context = _forkable(n_jobs)
     if context is None:
@@ -134,7 +132,7 @@ def fan_out(job, n_jobs: int, take) -> None:
         return
 
     caller = os.getpid()
-    with _one_blas_thread(), ExitStack() as stack:
+    with ExitStack() as stack:
         receives = [stack.enter_context(_forked(
             context, _work, job, range(w, n_jobs, n_workers), caller))[1]
             for w in range(n_workers)]
@@ -153,7 +151,8 @@ def _one_blas_thread():
     thread, and restore its count afterwards. Processes forked in the
     block inherit the one thread: set in a forked process instead, the
     count would restart OpenBLAS's thread pool there, whose idle thread
-    spins for ~0.1 s."""
+    spins for ~0.1 s. A block nested in another leaves the count to the
+    outer one."""
     openblas = _openblas()
     threads = None if openblas is None else openblas[0]()
     if threads not in (None, 1):
@@ -215,12 +214,14 @@ def _forked(context, main, *args):
     or raises a RuntimeError naming the process's exit code if the pipe
     ends first.
 
-    The process is killed on Linux when this process dies. When the block
-    exits, this process's ends are closed, so that the process reads EOF
-    and a write of its fails at once; the process is terminated if the
-    block raised and it is still running; and it is joined. The ends are
-    closed before the join, so that a process that waits on its pipes
-    cannot keep the join waiting.
+    The process is killed on Linux when this process dies. Both it and
+    this process run BLAS on one thread (``_one_blas_thread``) from before
+    the fork until after the join, so that the two do not share the CPUs
+    with two BLAS thread pools. When the block exits, this process's ends
+    are closed, so that the process reads EOF and a write of its fails at
+    once; the process is terminated if the block raised and it is still
+    running; and it is joined. The ends are closed before the join, so
+    that a process that waits on its pipes cannot keep the join waiting.
     """
     down, up = os.pipe(), os.pipe()  # each (read end, write end)
     sender, receiver = open(down[1], "wb"), open(up[0], "rb")
@@ -236,24 +237,25 @@ def _forked(context, main, *args):
                                f"{process.exitcode} before it sent a whole "
                                "message") from None
 
-    try:
+    with _one_blas_thread():
         try:
-            process.start()
-        finally:  # so that each side sees EOF once the other is gone
-            os.close(down[0])
-            os.close(up[1])
-        yield sender, receive
-    except BaseException:
-        if process.pid is not None and process.exitcode is None:
-            process.terminate()
-        raise
-    finally:
-        receiver.close()
-        with suppress(OSError):  # a message left unsent in a broken pipe
-            sender.close()
-        if process.pid is not None:
-            process.join()
-            process.close()
+            try:
+                process.start()
+            finally:  # so that each side sees EOF once the other is gone
+                os.close(down[0])
+                os.close(up[1])
+            yield sender, receive
+        except BaseException:
+            if process.pid is not None and process.exitcode is None:
+                process.terminate()
+            raise
+        finally:
+            receiver.close()
+            with suppress(OSError):  # a message left unsent in a broken pipe
+                sender.close()
+            if process.pid is not None:
+                process.join()
+                process.close()
 
 
 def _child(main, args, read_end: int, write_end: int, caller_ends) -> None:
@@ -341,8 +343,8 @@ class Background:
 
     ``fork`` is the caller's judgement that the work pays for a fork,
     which costs about 10 ms to start and join. The process is forked only
-    if, besides, ``_forkable`` allows it and ``blas_threads`` reads 1: a
-    caller whose BLAS runs a thread per CPU would share the CPUs with it.
+    if, besides, ``_forkable`` allows it; while it lives, it and the caller
+    run BLAS on one thread (see ``_forked``).
 
     The process reaches everything but the items through the fork. Each
     item is sent when it is submitted, so it is a snapshot of the item at
@@ -361,7 +363,7 @@ class Background:
         self._results = []
         self._child = None
         _, context = _forkable(2) if fork else (1, None)
-        if context is not None and blas_threads() == 1:
+        if context is not None:
             self._child = _forked(context, _serve, fn)
             self._sender, self._next_message = self._child.__enter__()
 
@@ -433,8 +435,8 @@ class Pair:
     15 us per ``map``. The peer is forked only if, besides, ``_forkable``
     allows it; otherwise ``loop`` runs in the caller alone, which computes
     both of each ``map``. Either way each result is ``fn``'s on the same
-    inputs. While paired, both processes run BLAS on one thread, as
-    ``fan_out``'s workers do.
+    inputs. While paired, both processes run BLAS on one thread (see
+    ``_forked``).
 
     The peer writes its vector before it reads the caller's only when the
     message fits in half of its pipe's buffer, so the two never wait on
@@ -460,8 +462,7 @@ class Pair:
         _, context = _forkable(2) if self._fork else (1, None)
         if context is None:
             return loop(self)
-        with _one_blas_thread(), _forked(context, _pair_peer, self,
-                                         loop) as link:
+        with _forked(context, _pair_peer, self, loop) as link:
             self._sender, self._next_message = link
             try:
                 result = loop(self)
@@ -570,14 +571,6 @@ def _openblas():
                     put.argtypes, put.restype = [ctypes.c_int], None
                     return get, put
     return None
-
-
-def blas_threads() -> int | None:
-    """The number of threads that the loaded OpenBLAS runs a BLAS call on,
-    or None when none is found (see ``_openblas``): another BLAS, or
-    another platform."""
-    openblas = _openblas()
-    return None if openblas is None else openblas[0]()
 
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>

@@ -16,12 +16,12 @@ its end and ``self_train`` adds the per-epoch report. No later epoch reads
 the report's evaluation AUCs, so ``self_train`` scores each epoch's
 parameters on a ``numkit.Background`` process while the next epoch
 trains, where that pays and may fork, with the bits of inline scoring.
-Both sweeps train
-one model per cell of one (mu, T) grid: ``benchmark_cv`` scores each only
-on its held-out folds, ``holdout_sweep`` once on an evaluation set. The
-ablation rows, the k-fold folds and the holdout grid cells are
-independent runs; ``numkit.fan_out`` spreads them over forked worker
-processes, one per usable CPU, with the same outputs as one loop.
+Both sweeps train one model per cell of one (mu, T) grid:
+``benchmark_cv`` scores each only on its held-out folds,
+``holdout_sweep`` once on an evaluation set. The ablation rows, the
+k-fold folds and the holdout grid cells are independent runs;
+``numkit.fan_out`` spreads them over forked worker processes, one per
+usable CPU, with the same outputs as one loop.
 """
 
 from __future__ import annotations
@@ -226,8 +226,10 @@ def self_train(dataset, cfg: TrainConfig, eval_dataset=None
     the training positive bags and are None unless every training instance
     label is known. Each epoch's AUCs are scored on a ``numkit.Background``
     process past ``_EVAL_FORK_ROWS`` row evaluations (see there for when it
-    forks), else inline; an error in scoring, such as an evaluation set of
-    another width, is raised as inline, at the latest once training ends.
+    forks), else inline; while that process lives, it and the training run
+    BLAS on one thread each. An error in scoring, such as an evaluation set
+    of another width, is raised as inline, at the latest once training
+    ends.
     """
     eval_set = dataset if eval_dataset is None else eval_dataset
     labels = dataset.instance_labels

@@ -6,8 +6,6 @@ import tracemalloc
 
 import pytest
 
-from otmil import numkit
-
 
 @pytest.fixture(autouse=True)
 def no_process_left():
@@ -62,22 +60,6 @@ def traced_peak():
             if started:
                 tracemalloc.stop()
     return measure
-
-
-@pytest.fixture
-def one_blas_thread():
-    """Run the test with the loaded OpenBLAS on one thread, the one BLAS
-    beside which ``numkit.Background`` forks, and yield OpenBLAS's setter
-    of the count; skip the test when no OpenBLAS is found. The count is
-    restored afterwards."""
-    openblas = numkit._openblas()
-    if openblas is None:
-        pytest.skip("no OpenBLAS found")
-    get, put = openblas
-    before = get()
-    put(1)
-    yield put
-    put(before)
 
 
 @pytest.fixture

@@ -29,6 +29,9 @@ def usable_cpus():
 needs_two_cpus = pytest.mark.skipif(
     usable_cpus() < 2, reason="fan-out needs two usable CPUs")
 
+needs_openblas = pytest.mark.skipif(numkit._openblas() is None,
+                                    reason="no OpenBLAS found")
+
 
 def softmax(values, axis=-1) -> np.ndarray:
     """Shift-stabilized softmax; rows sum to 1 and order is preserved.
@@ -235,14 +238,14 @@ fan_out(lambda i: [job(i)], 2, lambda result: None)
         assert orphans == []
 
     @needs_two_cpus
-    @pytest.mark.skipif(numkit.blas_threads() is None,
-                        reason="no OpenBLAS found")
+    @needs_openblas
     def test_workers_run_blas_on_one_thread(self):
         script = """
-from otmil.numkit import blas_threads, fan_out
+from otmil.numkit import _openblas, fan_out
+threads, _ = _openblas()
 got = []
-fan_out(lambda i: [blas_threads()], 2, got.append)
-print(blas_threads(), *got)
+fan_out(lambda i: [threads()], 2, got.append)
+print(threads(), *got)
 """
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -256,16 +259,28 @@ def snapshot_sum(arr):
     return float(arr.sum())
 
 
+@pytest.fixture
+def openblas():
+    """``(get, set)`` of the loaded OpenBLAS's thread count, which is
+    restored after the test; the test is skipped when none is found."""
+    found = numkit._openblas()
+    if found is None:
+        pytest.skip("no OpenBLAS found")
+    before = found[0]()
+    yield found
+    found[1](before)
+
+
 @needs_two_cpus
 class TestBackground:
-    """``Background`` forks one process beside a one-thread BLAS, hands
-    back each item's result in order, raises its function's exception at
-    the next ``submit``, and leaves no process behind; test_trainer.py's
-    ``TestBackgroundEvaluation`` covers its use in ``self_train``, and
-    there, in a child interpreter with a timeout, a caller that raises."""
+    """``Background`` forks one process, runs it and the caller on one BLAS
+    thread while it lives, hands back each item's result in order, raises
+    its function's exception at the next ``submit``, and leaves no process
+    behind; test_trainer.py's ``TestBackgroundEvaluation`` covers its use in
+    ``self_train``, and there, in a child interpreter with a timeout, a
+    caller that raises."""
 
-    def test_results_are_of_snapshots_in_submit_order(self, one_blas_thread,
-                                                      forks):
+    def test_results_are_of_snapshots_in_submit_order(self, forks):
         arr = np.zeros(3)
         with Background(snapshot_sum, True) as background:
             for k in range(5):
@@ -278,7 +293,7 @@ class TestBackground:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fork", [False, True])
-    def test_error_is_raised_at_a_later_submit(self, one_blas_thread, fork):
+    def test_error_is_raised_at_a_later_submit(self, fork):
         def fn(item):
             if item == 0:
                 raise KeyError("item 0 failed")
@@ -294,8 +309,7 @@ class TestBackground:
         assert time.monotonic() < deadline
         assert multiprocessing.active_children() == []
 
-    def test_unpicklable_error_keeps_its_type_and_message(
-            self, one_blas_thread):
+    def test_unpicklable_error_keeps_its_type_and_message(self):
         class LocalError(Exception):  # a local class does not pickle
             pass
 
@@ -308,13 +322,38 @@ class TestBackground:
                 background.results()
         assert multiprocessing.active_children() == []
 
-    def test_no_fork_beside_a_multithreaded_blas(self, one_blas_thread,
-                                                 forks):
-        one_blas_thread(2)
-        with Background(snapshot_sum, True) as background:
-            background.submit(np.ones(2))
-            assert background.results() == [2.0]
-        assert forks == []
+    @needs_openblas
+    def test_process_and_caller_run_blas_on_one_thread(self):
+        script = """
+import multiprocessing
+from otmil.numkit import Background, _openblas
+threads, _ = _openblas()
+with Background(lambda item: threads(), True) as background:
+    background.submit(0)
+    inside = threads(), len(multiprocessing.active_children())
+    got = background.results()
+print(threads(), *inside, *got)
+"""
+        assert (run_script(script, OPENBLAS_NUM_THREADS="2")
+                == ["2", "1", "1", "1"])
+
+    @pytest.mark.parametrize("how", ["block raises", "start fails"])
+    def test_caller_blas_threads_restored_after_a_failure(
+            self, openblas, forks, monkeypatch, how):
+        threads, set_threads = openblas
+        set_threads(2)
+        error = KeyError if how == "block raises" else OSError
+        if error is OSError:
+            def start(process):
+                raise OSError("no fork")
+            monkeypatch.setattr(multiprocessing.context.ForkProcess,
+                                "start", start)
+        with pytest.raises(error):
+            with Background(snapshot_sum, True):
+                assert (threads(), forks) == (1, [os.getpid()])
+                raise KeyError("block failed")
+        assert threads() == 2
+        assert multiprocessing.active_children() == []
 
 
 def run_script(script, timeout=60, **env_vars):
@@ -480,16 +519,16 @@ print(len(multiprocessing.active_children()), time.monotonic() - start < 30)
 """
         assert run_script(script) == ["raised", "caller-failed", "0", "True"]
 
-    @pytest.mark.skipif(numkit.blas_threads() is None,
-                        reason="no OpenBLAS found")
+    @needs_openblas
     def test_paired_processes_run_blas_on_one_thread(self):
         script = """
 import numpy as np
-from otmil.numkit import Pair, blas_threads
+from otmil.numkit import Pair, _openblas
+threads, _ = _openblas()
 def loop(pair):
-    return pair.map(lambda k: np.array([blas_threads() + 0.0]), 0, 1)
+    return pair.map(lambda k: np.array([threads() + 0.0]), 0, 1)
 got = Pair(True).run(loop)
-print(blas_threads(), *(int(v[0]) for v in got))
+print(threads(), *(int(v[0]) for v in got))
 """
         assert run_script(script, OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
 
