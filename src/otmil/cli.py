@@ -419,8 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(out_dir, args)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _echo_config(out_dir, args)
+    except OSError as exc:  # it names the path; no .failed can go there
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args.func(args, out_dir)
     except Exception as exc:  # surface the reason, flag partial outputs

@@ -2,10 +2,10 @@
 CSV ingestion, IDX image files, and stratified k-fold splitting.
 
 NDJSON datasets of more than a few thousand rows are saved in chunks of
-whole bags, encoded in forked workers by ``numkit.fan_out``; a smaller one
-is one chunk, encoded in this process one line at a time. Either way the
-file is that of one in-process pass. An NDJSON file is loaded in one pass
-over its lines, in this process.
+whole bags, each encoded to lines by a ``numkit.fan_out`` job in a forked
+worker; a smaller one is one chunk, encoded in this process one line at a
+time. Either way the file is that of one in-process pass. An NDJSON file
+is loaded in one pass over its lines, in this process.
 
 A ``Dataset`` is a handful of arrays: every instance's features in bag
 order, the bag offsets, and the bag and instance labels. Bag i owns rows
@@ -304,21 +304,25 @@ def _chunks(ends: list, floor: int) -> list[tuple[int, int]]:
 def save_ndjson(dataset: Dataset, path) -> None:
     """One bag per line: {"bag_id", "label", "instances": [...]}.
 
-    Runs of bags are encoded as jobs of ``numkit.fan_out``; a dataset below
-    two runs' floor is one job, run in this process one line at a time. The
-    lines go, in file order, to a temporary file next to the file ``path``
-    names (through any symlinks), which then replaces it with the earlier
-    file's mode: a save that fails leaves any earlier file there as it was.
-    The new file belongs to the saving user, and hard links to the old one
-    keep the old content.
+    Runs of bags are encoded to lines as jobs of ``numkit.fan_out``; a
+    dataset below two runs' floor is one run, encoded in this process one
+    line at a time. The lines go, in file order, to a temporary file next
+    to the file ``path`` names (through any symlinks), which then replaces
+    it with the earlier file's mode: a save that fails leaves any earlier
+    file there as it was. The new file belongs to the saving user, and hard
+    links to the old one keep the old content.
     """
     target = os.path.realpath(path)
     partial = f"{target}.{os.getpid()}.tmp"
     chunks = _chunks(dataset.offsets[1:].tolist(), _SAVE_CHUNK_ROWS)
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            fan_out(lambda i: _ndjson_lines(dataset, *chunks[i]),
-                    len(chunks), fh.write)
+            if len(chunks) == 1:
+                fh.writelines(_ndjson_lines(dataset, *chunks[0]))
+            else:  # the chain drops each run's lines before the next's
+                fh.writelines(chain.from_iterable(fan_out(
+                    lambda i: list(_ndjson_lines(dataset, *chunks[i])),
+                    len(chunks))))
         with suppress(FileNotFoundError):  # no earlier file
             shutil.copymode(target, partial)
         os.replace(partial, target)

@@ -19,11 +19,9 @@ from .numkit import bag_sizes
 
 @dataclass
 class RocResult:
-    """Area under the ROC curve plus the class counts behind it."""
+    """Area under the ROC curve."""
 
     auc: float
-    n_pos: int
-    n_neg: int
 
 
 def roc_auc(scores, labels) -> RocResult:
@@ -46,7 +44,7 @@ def roc_auc(scores, labels) -> RocResult:
     ranks = _average_ranks(scores)
     pos_rank_sum = float(ranks[labels == 1].sum())
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return RocResult(auc=auc, n_pos=n_pos, n_neg=n_neg)
+    return RocResult(auc=auc)
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:

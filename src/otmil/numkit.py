@@ -8,9 +8,9 @@ Gaussian draws. ``utf8_lines`` reads a text file line by line and names
 the line and column of a byte that is not UTF-8.
 
 Three helpers put the second CPU to work. ``fan_out`` runs independent
-jobs in forked worker processes and hands the items each job yields back
-in job order, so that NDJSON saves and training can both spread work over
-the usable CPUs. ``Background`` applies one function to a stream of items
+jobs in forked worker processes and yields each job's result in job
+order, so that NDJSON saves and training can both spread work over the
+usable CPUs. ``Background`` applies one function to a stream of items
 on one forked process while the caller goes on, so that a per-epoch report
 runs beside the next epoch's training. ``Pair`` runs one loop on the
 caller and a forked peer in step, each computing one half of every step
@@ -104,31 +104,27 @@ def sample_gaussian(rng: np.random.Generator, mean, std: float) -> np.ndarray:
     return mean + std * rng.standard_normal(mean.shape)
 
 
-def fan_out(job, n_jobs: int, take) -> None:
-    """Call ``take(item)`` for every item of ``job(i)``, an iterable, for
-    i = 0, 1, ..., n_jobs - 1: in job order, then item order, with the jobs
-    run in forked workers.
+def fan_out(job, n_jobs: int):
+    """Yield ``job(0)``, ..., ``job(n_jobs - 1)`` in job order, as
+    ``multiprocessing.Pool.imap`` does, with the jobs run in forked workers.
 
-    Worker w of W runs jobs w, w + W, w + 2W, ... in turn and sends back
-    each job, once it is done, as one message: its items, then its
-    exception or None. It reaches its inputs through the fork, so only
-    items are pickled. ``take`` gets job i's items once they have arrived,
-    while the workers go on with later jobs, so this process holds one
-    job's items at a time. W is the number of usable CPUs, at most n_jobs.
-    The jobs run in this process, each item going to ``take`` as it is
-    made, when fan-out cannot help (see ``_forkable``). Either way, the
-    items a job made before it raised reach ``take`` before its exception
-    is raised here, with its type and message, as is one from ``take``;
-    every worker has been joined (after ``terminate`` if this call failed)
-    before it returns or raises, and a worker whose caller dies stops too.
-    The workers, and this process while they run, run BLAS on one thread
-    (see ``_forked``).
+    Worker w of W runs jobs w, w + W, w + 2W, ... in turn and sends each
+    job's result as one message once it is done, which is yielded as soon
+    as it arrives; it reaches its inputs through the fork, so only results
+    are pickled. W is the number of usable CPUs, at most n_jobs. The jobs
+    run in this process, each when its result is asked for, when fan-out
+    cannot help (see ``_forkable``). Either way, job i's exception is
+    raised here, with its type and message, in place of its result. Every
+    worker has been joined once the generator ends or is closed (as a
+    consumer that raises or stops early closes it), after ``terminate`` if
+    it did not run to its end; a worker whose caller dies stops too. The
+    workers, and this process while they run, run BLAS on one thread (see
+    ``_forked``).
     """
     n_workers, context = _forkable(n_jobs)
     if context is None:
         for i in range(n_jobs):
-            for item in job(i):
-                take(item)
+            yield job(i)
         return
 
     caller = os.getpid()
@@ -137,12 +133,7 @@ def fan_out(job, n_jobs: int, take) -> None:
             context, _work, job, range(w, n_jobs, n_workers), caller))[1]
             for w in range(n_workers)]
         for i in range(n_jobs):
-            items, error = receives[i % n_workers]()
-            for item in items:
-                take(item)
-            if error is not None:
-                raise error
-            items = item = None  # no local keeps job i's items past its turn
+            yield _raised(receives[i % n_workers]())
 
 
 @contextmanager
@@ -165,19 +156,19 @@ def _one_blas_thread():
 
 
 def _work(job, indices, caller: int, receiver, sender) -> None:
-    """A ``fan_out`` worker's life: run its jobs in turn and send ``(items,
-    None)`` for each, or ``(items made so far, exception)`` for the first
-    that raised and then stop. It also stops, before its next job, once
-    ``caller`` is no longer its parent."""
+    """A ``fan_out`` worker's life: run its jobs in turn and send ``(result,
+    None)`` for each, or ``(None, exception)`` for the first that raised
+    and then stop. It also stops, before its next job, once ``caller`` is
+    no longer its parent."""
     for i in indices:
         if os.getppid() != caller:  # the caller died; no one will read
             return
-        items, error = [], None
+        result, error = None, None
         try:
-            items.extend(job(i))
+            result = job(i)
         except Exception as exc:  # the caller re-raises it
             error = exc
-        if _send(sender, items, error) is not None:
+        if _send(sender, result, error) is not None:
             return
 
 
@@ -305,8 +296,8 @@ def _receive(receiver) -> tuple:
     None)``. A pipe that ends before a whole message is an EOFError.
 
     ``pickle.load`` reads a pickle from the pipe's buffered reader in
-    frames of at most 64 KiB, so items made of small objects (the lines of
-    a save) never need an allocation the size of the whole message.
+    frames of at most 64 KiB, so a result made of small objects (the lines
+    of a save) never needs an allocation the size of the whole message.
     """
     header = receiver.read(_LENGTH.size)
     if len(header) == _LENGTH.size:

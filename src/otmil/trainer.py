@@ -20,8 +20,9 @@ Both sweeps train one model per cell of one (mu, T) grid:
 ``benchmark_cv`` scores each only on its held-out folds,
 ``holdout_sweep`` once on an evaluation set. The ablation rows, the
 k-fold folds and the holdout grid cells are independent runs;
-``numkit.fan_out`` spreads them over forked worker processes, one per
-usable CPU, with the same outputs as one loop.
+each is one job of ``numkit.fan_out`` that returns its row's record,
+its fold's accuracies or its cell's AUCs from a forked worker process,
+one per usable CPU, with the same outputs as one loop.
 """
 
 from __future__ import annotations
@@ -306,10 +307,9 @@ def run_ablation_suite(dataset, base_cfg: TrainConfig, eval_dataset=None
     rows = ablation_configs(base_cfg)
 
     def row_record(i):
-        yield self_train(dataset, rows[i][1], eval_dataset)[1]
+        return self_train(dataset, rows[i][1], eval_dataset)[1]
 
-    records = []
-    fan_out(row_record, len(rows), records.append)
+    records = list(fan_out(row_record, len(rows)))
     table = []
     for (name, cfg), record in zip(rows, records):
         final = record.rows[-1]
@@ -351,10 +351,9 @@ def benchmark_cv(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
 
     def fold_accuracies(i):
         train_ds, test_ds = folds[i]
-        yield [bag_accuracy(train(train_ds, cfg), test_ds) for cfg in cfgs]
+        return [bag_accuracy(train(train_ds, cfg), test_ds) for cfg in cfgs]
 
-    results = []
-    fan_out(fold_accuracies, len(folds), results.append)
+    results = list(fan_out(fold_accuracies, len(folds)))
     for cell, accuracies in zip(cells, zip(*results)):
         cell["fold_accuracies"] = list(accuracies)
         cell["mean_bag_accuracy"] = float(np.mean(cell["fold_accuracies"]))
@@ -371,11 +370,10 @@ def holdout_sweep(dataset, base_cfg: TrainConfig, mu_grid, warmup_grid,
     cells, cfgs = _grid(base_cfg, mu_grid, warmup_grid)
 
     def aucs(i):
-        yield dataset_aucs(eval_dataset, *dataset_scores(
+        return dataset_aucs(eval_dataset, *dataset_scores(
             train(dataset, cfgs[i]), eval_dataset))
 
-    results = []
-    fan_out(aucs, len(cfgs), results.append)
+    results = list(fan_out(aucs, len(cfgs)))
     return [{**cell, "instance_auc": instance_auc, "bag_auc": bag_auc}
             for cell, (instance_auc, bag_auc) in zip(cells, results)]
 

@@ -19,12 +19,11 @@ from otmil.data import GenConfig, generate_hard_bags, generate_normal_bags
 from otmil.metrics import roc_auc
 from otmil.model import (Gradients, SgdConfig, backward, forward,
                          init_classifier, sgd_step)
-from otmil.numkit import Pair, Rng
+from otmil.numkit import Pair, Rng, fan_out
 
 from test_data import make_dataset
 from test_model import assert_same_bits, soft_cross_entropy
 from test_numkit import needs_two_cpus, run_script, softmax
-from test_trainer import fan_out_list
 
 
 def pool_params_to_vector(params: PoolParams) -> np.ndarray:
@@ -616,7 +615,7 @@ class TestPairedTraining:
                 return (pool_baseline_train(ds, "attention", ATTENTION_SGD),
                         len(forks) - before)
 
-        want, worker_forks = fan_out_list(inline, 2)[0]
+        want, worker_forks = list(fan_out(inline, 2))[0]
         assert worker_forks == 0
         assert params_digest(params) == params_digest(want)
 

@@ -603,6 +603,21 @@ class TestConfigEcho:
         assert echoed["p_steps"] == 3
         assert "seed" not in echoed
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
+                                                     out):
+        # a file, or a path below one: no config.json and no .failed can
+        # be written there, so the error goes to stderr alone
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = tmp_path / out
+        assert run(["entropy", "--K", "2", "--p-steps", "1",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err
+        assert os.listdir(tmp_path) == ["file"]
+        assert blocker.read_text() == "kept\n"
+
 
 class TestFlags:
     """sweep's grid sets mu and T per cell and ablation's rows set the

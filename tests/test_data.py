@@ -632,6 +632,27 @@ class TestChunkedNdjson:
                         == getattr(want, field).tobytes())
             assert back.bag_ids == want.bag_ids == ds.bag_ids
 
+    @pytest.mark.parametrize("cpus", [
+        "one", pytest.param("all", marks=needs_two_cpus)])
+    def test_peak_memory_of_a_save_of_several_chunks(
+            self, tmp_path, monkeypatch, traced_peak, cpus):
+        # the caller holds one chunk's lines at a time: written by a plain
+        # loop over the chunks, the last chunk's lines would stay alive
+        # while the next is encoded or arrives
+        if cpus == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        ds = generate_normal_bags(GenConfig(n_bags=200, bag_size=100,
+                                            feature_dim=16, seed=0))
+        chunks = data._chunks(ds.offsets[1:].tolist(), data._SAVE_CHUNK_ROWS)
+        assert len(chunks) == 10
+        path = tmp_path / "bags.ndjson"
+        save_ndjson(ds, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        largest = max(sum(map(len, lines[a:b])) for a, b in chunks)
+        assert traced_peak(save_ndjson, ds, path) < 2 * largest
+
     @staticmethod
     def _round_trip(ds, directory):
         directory.mkdir()

@@ -45,10 +45,6 @@ class TestRocAuc:
     def test_all_tied_is_half(self):
         assert roc_auc(np.ones(6), np.array([0, 1, 0, 1, 0, 1])).auc == 0.5
 
-    def test_counts_reported(self):
-        res = roc_auc(np.array([0.1, 0.9, 0.4]), np.array([0, 1, 1]))
-        assert (res.n_pos, res.n_neg) == (2, 1)
-
     def test_single_class_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
             roc_auc(np.array([0.1, 0.9]), np.array([1, 1]))

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -137,64 +138,72 @@ def running(pid: int) -> bool:
 
 
 class TestFanOut:
-    """``fan_out`` hands each job's items to ``take`` as they arrive, before
-    the job's error, and leaves no worker behind; test_trainer.py's
-    ``TestFanOut`` covers its results, errors and clean-up through the
-    trainer's uses."""
+    """``fan_out`` yields each job's result as it arrives, raises a job's
+    error in job order, and leaves no worker behind, also when its
+    consumer stops early; test_trainer.py's ``TestFanOut`` covers its
+    results, errors and clean-up through the trainer's uses."""
 
     @needs_two_cpus
-    def test_results_reach_take_before_later_jobs_end(self, tmp_path):
-        # job 3 waits for take to have seen result 0: a helper that sent
-        # or handed over results only at the end would make it time out
+    def test_results_are_yielded_before_later_jobs_end(self, tmp_path):
+        # job 3 waits for the consumer to have seen result 0: a helper that
+        # sent or yielded results only at the end would make it time out
         marker = tmp_path / "took-0"
 
         def job(i):
             deadline = time.monotonic() + 10
             while i == 3 and not marker.exists():
                 if time.monotonic() > deadline:
-                    return ["timed out"]
+                    return "timed out"
                 time.sleep(0.01)
-            return [i]
+            return i
 
         got = []
-
-        def take(result):
+        for result in fan_out(job, 4):
             marker.touch()
             got.append(result)
-
-        fan_out(job, 4, take)
         assert got == [0, 1, 2, 3]
 
-    def test_error_in_take_reaches_the_caller(self):
-        def take(result):
-            if result == 1:
-                raise KeyError("take failed")
+    @needs_two_cpus
+    @pytest.mark.parametrize("consumer", ["raises", "breaks"])
+    def test_consumer_that_stops_early_leaves_no_worker(self, consumer):
+        # jobs 1 and 2 outlast any test: only terminate ends them (the
+        # autouse fixtures check that no descriptor is left either)
+        def job(i):
+            if i > 0:
+                time.sleep(60)
+            return i
 
-        with pytest.raises(KeyError, match="take failed"):
-            fan_out(lambda i: [i], 4, take)
+        started, got = time.monotonic(), []
+        with suppress(KeyError):
+            for result in fan_out(job, 3):
+                got.append(result)
+                if consumer == "raises":
+                    raise KeyError("consumer failed")
+                break
+        assert got == [0]
+        assert time.monotonic() - started < 10
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [
         "one", pytest.param("all", marks=needs_two_cpus)])
-    def test_items_made_before_an_error_reach_take_first(self, monkeypatch,
-                                                         cpus):
+    def test_error_is_raised_after_earlier_results(self, monkeypatch, cpus):
         if cpus == "one":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                                 raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
         def job(i):
-            yield i, "a", os.getpid()
-            yield i, "b", os.getpid()
-            if i == 0:
-                raise KeyError("job 0 failed")
+            if i == 1:
+                raise KeyError("job 1 failed")
+            return i, os.getpid()
 
-        got = []
-        with pytest.raises(KeyError, match="job 0 failed"):
-            fan_out(job, 2, got.append)
-        assert [item[:2] for item in got] == [(0, "a"), (0, "b")]
-        in_caller = {item[2] for item in got} == {os.getpid()}
-        assert in_caller == (cpus == "one")
+        results = fan_out(job, 3)
+        index, pid = next(results)
+        with pytest.raises(KeyError, match="job 1 failed"):
+            next(results)
+        assert next(results, "no job 2") == "no job 2"
+        assert index == 0
+        assert (pid == os.getpid()) == (cpus == "one")
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
@@ -209,7 +218,7 @@ def job(i):
     with open(sys.argv[1], "a") as fh:
         fh.write(f"{os.getpid()}\\n")
     time.sleep(60)
-fan_out(lambda i: [job(i)], 2, lambda result: None)
+list(fan_out(job, 2))
 """
 
         def worker_pids():
@@ -243,8 +252,7 @@ fan_out(lambda i: [job(i)], 2, lambda result: None)
         script = """
 from otmil.numkit import _openblas, fan_out
 threads, _ = _openblas()
-got = []
-fan_out(lambda i: [threads()], 2, got.append)
+got = list(fan_out(lambda i: threads(), 2))
 print(threads(), *got)
 """
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
@@ -536,9 +544,8 @@ print(threads(), *(int(v[0]) for v in got))
         def job(i):
             before = len(forks)
             state, _ = Pair(True).run(counting_loop(3))
-            return [(len(forks) - before, state.tolist())]
+            return len(forks) - before, state.tolist()
 
-        got = []
-        fan_out(job, 2, got.append)
+        got = list(fan_out(job, 2))
         want = Pair(False).run(counting_loop(3))[0].tolist()
         assert got == [(0, want), (0, want)]

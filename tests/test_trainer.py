@@ -463,13 +463,6 @@ class TestBenchmarkCv:
         assert 0.0 <= acc <= 1.0
 
 
-def fan_out_list(job, n_jobs):
-    """``numkit.fan_out``'s results, collected in job order."""
-    results = []
-    fan_out(lambda i: [job(i)], n_jobs, results.append)
-    return results
-
-
 class TestFanOut:
     """The ablation rows, the k-fold folds and the holdout grid run as
     ``numkit.fan_out`` jobs: in forked workers where there are two or
@@ -523,7 +516,7 @@ class TestFanOut:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert fan_out_list(lambda i: (i, os.getpid()), 3) == [
+        assert list(fan_out(lambda i: (i, os.getpid()), 3)) == [
             (0, os.getpid()), (1, os.getpid()), (2, os.getpid())]
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
@@ -540,7 +533,7 @@ class TestFanOut:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_call(self):
-        assert fan_out_list(lambda i: i * i, 5) == [0, 1, 4, 9, 16]
+        assert list(fan_out(lambda i: i * i, 5)) == [0, 1, 4, 9, 16]
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
@@ -551,7 +544,7 @@ class TestFanOut:
             return i
 
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            fan_out_list(job, 2)
+            list(fan_out(job, 2))
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
@@ -563,7 +556,7 @@ class TestFanOut:
             raise LocalError(f"job {i} failed")
 
         with pytest.raises(RuntimeError, match="LocalError: job 0 failed"):
-            fan_out_list(job, 2)
+            list(fan_out(job, 2))
         assert multiprocessing.active_children() == []
 
     @needs_two_cpus
@@ -628,7 +621,7 @@ class TestBackgroundEvaluation:
                 return self.run(), [pid for pid in forks
                                     if pid == os.getpid()]
 
-        (want_params, want), worker_forks = fan_out_list(inline, 2)[0]
+        (want_params, want), worker_forks = list(fan_out(inline, 2))[0]
         assert worker_forks == []
         assert record == want
         assert [r.instance_auc is not None for r in record.rows] == [True] * 4
@@ -643,7 +636,7 @@ class TestBackgroundEvaluation:
         narrow = small_dataset(seed=7, n_bags=10, bag_size=10, dim=5)
         cfg = small_config(epochs=4)
         with pytest.raises(ValueError) as inline:
-            fan_out_list(lambda i: self_train(ds, cfg, narrow), 2)
+            list(fan_out(lambda i: self_train(ds, cfg, narrow), 2))
         del forks[:]
         with pytest.raises(ValueError) as forked:
             self_train(ds, cfg, narrow)
